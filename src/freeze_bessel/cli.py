@@ -25,6 +25,7 @@ from .equilibria import (
 )
 from .gaussian import covariance, log_norm_constant, precision_matrix
 from .manifest import (
+    MANIFEST_PREFIX,
     RunManifest,
     batch_csv_text,
     batch_json_text,
@@ -94,7 +95,7 @@ def cmd_zeros(params: dict, threads: int | None = None) -> int:
     manifest = RunManifest("zeros", params, seed=None)
     out = params.get("out")
     if params.get("format") == "csv" and out:
-        lines = ["# manifest: " + manifest.to_json(), "zero"]
+        lines = [MANIFEST_PREFIX + manifest.to_json(), "zero"]
         lines.extend(repr(float(z)) for z in zeros)
         write_text(out, "\n".join(lines) + "\n")
     elif out:
@@ -305,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out")
 
-    p = sub.add_parser("sde", help="Euler-Maruyama endpoints from a fixed start")
+    p = sub.add_parser("sde", help="Heun-scheme SDE endpoints from a fixed start")
     p.add_argument("--system", required=True, choices=["A", "B", "D", "a", "b", "d"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=float)

@@ -242,6 +242,18 @@ def _log_j_sum(n: int) -> float:
     return float(sum(j * math.log(j) for j in range(2, n + 1)))
 
 
+def _b_potential_max(n: int, nu: float) -> float:
+    """Closed-form value of the B-type potential at its maximizer, the target.
+
+    n(n+nu-1)(log 2 - 1) + sum_j j log j + sum_j (nu+j-1) log(nu+j-1).
+    """
+    return (
+        n * (n + nu - 1.0) * (math.log(2.0) - 1.0)
+        + _log_j_sum(n)
+        + float(sum((nu + j - 1.0) * math.log(nu + j - 1.0) for j in range(1, n + 1) if nu + j - 1.0 > 0))
+    )
+
+
 def a_potential_discrepancy(n: int, t: float) -> float:
     """LHS - RHS of the A-type potential identity at time parameter t.
 
@@ -287,11 +299,7 @@ def potential_identity_check(kind: str, n: int, nu: float | None = None) -> Veri
             + nu * float(np.sum(np.log(r**2)))
             + 2.0 * float(np.sum(np.log(r[iu] ** 2 - r[ju] ** 2)))
         )
-        rhs = (
-            n * (n + nu - 1.0) * (math.log(2.0) - 1.0)
-            + _log_j_sum(n)
-            + float(sum((nu + j - 1.0) * math.log(nu + j - 1.0) for j in range(1, n + 1) if nu + j - 1.0 > 0))
-        )
+        rhs = _b_potential_max(n, nu)
         diff = abs(lhs - rhs)
         stats = {"lhs": lhs, "rhs": rhs, "abs_diff": diff}
     elif kind == "B_norm":

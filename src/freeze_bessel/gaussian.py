@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .core import RootKind, _as_kind, in_chamber
-from .equilibria import freezing_target
+from .equilibria import _b_potential_max, _log_j_sum, freezing_target
 from .report import VerificationReport
 from .special import log_factorial, log_gamma
 
@@ -167,14 +167,10 @@ def _log_c_d(n: int, k: float) -> float:
     return s
 
 
-def _log_j_entropy(n: int) -> float:
-    return float(sum(j * math.log(j) for j in range(2, n + 1)))
-
-
 def _log_tilde_a(n: int, k: float) -> float:
     if k <= 0:
         raise ValueError("tildeA needs k > 0")
-    return _log_c_a(n, k) + 0.5 * k * n * (n - 1) * (math.log(k) - 1.0) + k * _log_j_entropy(n)
+    return _log_c_a(n, k) + 0.5 * k * n * (n - 1) * (math.log(k) - 1.0) + k * _log_j_sum(n)
 
 
 def _log_tilde_a_limit(n: int) -> float:
@@ -184,14 +180,9 @@ def _log_tilde_a_limit(n: int) -> float:
 def _log_tilde_b(n: int, nu: float, beta: float, x_norm_sq: float) -> float:
     if beta <= 0 or nu <= 0:
         raise ValueError("tildeB needs nu > 0 and beta > 0")
-    bracket = (
-        n * (n + nu - 1.0) * (math.log(2.0) - 1.0)
-        + _log_j_entropy(n)
-        + float(sum((nu + j - 1.0) * math.log(nu + j - 1.0) for j in range(1, n + 1) if nu + j - 1.0 > 0))
-    )
     return (
         _log_c_b(n, nu * beta, beta)
-        + beta * bracket
+        + beta * _b_potential_max(n, nu)
         + (nu * beta * n + beta * n * (n - 1)) * math.log(beta)
         - 0.5 * x_norm_sq
     )

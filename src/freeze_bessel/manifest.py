@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .report import VerificationReport
+from .report import VerificationReport, _plain
 from .sampling import SampleBatch
 
 __all__ = [
@@ -39,18 +39,6 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _json_safe(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
-
-
 @dataclass(frozen=True)
 class RunManifest:
     """Reproducibility record embedded in every output file."""
@@ -64,7 +52,7 @@ class RunManifest:
     def to_dict(self) -> dict:
         return {
             "command": self.command,
-            "parameters": _json_safe(self.parameters),
+            "parameters": _plain(self.parameters),
             "seed": self.seed,
             "version": self.version,
             "timestamp": self.timestamp,
@@ -126,15 +114,6 @@ def reports_json_text(reports: list[VerificationReport], manifest: RunManifest) 
         "all_passed": all(r.passed for r in reports),
     }
     return json.dumps(payload, indent=2) + "\n"
-
-
-def reports_csv_text(reports: list[VerificationReport], manifest: RunManifest) -> str:
-    lines = [MANIFEST_PREFIX + manifest.to_json(), "name,passed,detail"]
-    for r in reports:
-        detail = "; ".join(f"{k}={v}" for k, v in r.statistics.items())
-        detail = detail.replace(",", ";")
-        lines.append(f"{r.name},{str(r.passed).lower()},{detail}")
-    return "\n".join(lines) + "\n"
 
 
 def write_text(path, text: str) -> None:

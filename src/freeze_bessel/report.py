@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-__all__ = ["VerificationReport", "reports_to_json", "reports_to_csv"]
+__all__ = ["VerificationReport"]
 
 
 def _plain(value):
@@ -63,20 +63,3 @@ class VerificationReport:
     def summary_line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         return f"[{tag}] {self.name}"
-
-
-def reports_to_json(reports, manifest: dict | None = None) -> str:
-    payload: dict = {"reports": [r.to_dict() for r in reports]}
-    if manifest is not None:
-        payload["manifest"] = _plain(manifest)
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def reports_to_csv(reports) -> str:
-    """Compact summary table: one row per report."""
-    lines = ["name,passed,detail"]
-    for r in reports:
-        detail = ";".join(f"{k}={_plain(v)}" for k, v in sorted(r.statistics.items()))
-        detail = detail.replace(",", ";")
-        lines.append(f"{r.name},{int(r.passed)},{detail}")
-    return "\n".join(lines) + "\n"

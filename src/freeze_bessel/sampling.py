@@ -5,7 +5,7 @@ Two routes:
 * tridiagonal matrix models (kinds A and B; kind D is the B model with zero
   axis multiplicity plus a fair sign on the last coordinate), exact in law;
 * an independence Metropolis chain whose proposal is the limit Gaussian of
-  the freezing regime, with a random-walk fallback for small multiplicities.
+  the freezing regime.
 
 All samplers draw from ``numpy`` Philox-backed generators seeded through
 ``SeedSequence``: a batch is regenerable bit-for-bit from (spec, t, method,
@@ -50,7 +50,6 @@ class SampleMethod(str, enum.Enum):
     TRIDIAG_A = "TridiagA"
     TRIDIAG_B = "TridiagB"
     INDEP_METROPOLIS = "IndepMetropolis"
-    RANDOM_WALK_METROPOLIS = "RandomWalkMetropolis"
     EULER_MARUYAMA = "EulerMaruyama"
 
 
@@ -111,6 +110,12 @@ def _spawned_children(seed: int, count: int, subbatch: int = _SUBBATCH):
         remaining -= size
     children = np.random.SeedSequence(int(seed)).spawn(len(sizes))
     return list(zip(children, sizes))
+
+
+def _spawn_seeds(seed: int, count: int) -> list[int]:
+    """``count`` independent integer seeds derived from ``seed``."""
+    children = np.random.SeedSequence(int(seed)).spawn(count)
+    return [int(ch.generate_state(1)[0]) for ch in children]
 
 
 def _map_subbatches(fn, seed: int, count: int, threads: int | None):
@@ -211,8 +216,6 @@ def sample_tridiag_b(
     if k1 < 0 or k2 < 0 or t <= 0 or count < 1:
         raise ValueError("need k1, k2 >= 0, t > 0, count >= 1")
     n = int(n)
-    if 2.0 * k1 + 1.0 <= 0:  # unreachable for k1 >= 0; kept as the model's validity bound
-        raise SamplerAbort("bidiagonal shape parameter nonpositive; use sample_metropolis")
 
     def one(child, size):
         rng = np.random.default_rng(child)
@@ -290,6 +293,7 @@ _MIN_ACCEPTANCE = 1e-3
 _AUTOCORR_LIMIT = 0.05
 _BURN_IN = 1000
 _PILOT = 2000
+_MAX_THIN = 64
 
 
 def _run_independence_chain(spec, t, mean, chol, state, state_lp, state_lq, rng, steps):
@@ -311,40 +315,19 @@ def _run_independence_chain(spec, t, mean, chol, state, state_lp, state_lq, rng,
     return out, state, state_lp, state_lq, accepted
 
 
-def _run_rwm_chain(spec, t, scales, state, state_lp, rng, steps):
-    z = rng.standard_normal((steps, state.size)) * scales
-    logu = np.log(rng.random(steps))
-    out = np.empty((steps, state.size))
-    accepted = 0
-    for i in range(steps):
-        prop = state + z[i]
-        lp = float(_log_target(spec, t, prop[None, :])[0])
-        if logu[i] < lp - state_lp:
-            state = prop
-            state_lp = lp
-            accepted += 1
-        out[i] = state
-    return out, state, state_lp, accepted
-
-
 def sample_metropolis(
     spec: RootSystemSpec,
     t: float,
     count: int,
     seed: int,
     proposal_inflation: float = 1.5,
-    *,
-    variant: str = "independence",
-    max_thin: int = 64,
 ) -> SampleBatch:
-    """Metropolis sampling of the start-0 law at time t.
+    """Independence Metropolis sampling of the start-0 law at time t.
 
-    The independence variant proposes from the freezing-limit Gaussian
+    Proposals come from the freezing-limit Gaussian
     N(sqrt(m*t) * target, inflation * t * Sigma); proposals outside the
     chamber land on zero target density and are rejected, which is what makes
-    the plain Gaussian proposal density exact.  The random-walk variant
-    (``variant="rwm"``) is the fallback for small multiplicities, stepping
-    2.4/sqrt(n) times the marginal limit scales.
+    the plain Gaussian proposal density exact.
 
     The chain burns in 1000 steps, picks a thinning lag from a pilot run so
     the emitted points pass a lag-1 autocorrelation screen (< 0.05), and
@@ -354,16 +337,10 @@ def sample_metropolis(
         raise ValueError("need count >= 1 and t > 0")
     if proposal_inflation <= 0:
         raise ValueError("proposal_inflation must be positive")
-    if variant not in ("independence", "rwm"):
-        raise ValueError("variant must be 'independence' or 'rwm'")
     m, target, sigma = _freezing_regime(spec)
     mean = math.sqrt(m * t) * target
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    independence = variant == "independence"
-    if independence:
-        chol = np.linalg.cholesky(proposal_inflation * t * sigma)
-    else:
-        scales = 2.4 / math.sqrt(spec.n) * np.sqrt(t * np.diag(sigma))
+    chol = np.linalg.cholesky(proposal_inflation * t * sigma)
 
     state = mean.copy()
     state_lp = float(_log_target(spec, t, state[None, :])[0])
@@ -373,26 +350,27 @@ def sample_metropolis(
 
     def advance(steps):
         nonlocal state, state_lp, state_lq
-        if independence:
-            out, state, state_lp, state_lq, acc = _run_independence_chain(
-                spec, t, mean, chol, state, state_lp, state_lq, rng, steps
-            )
-        else:
-            out, state, state_lp, acc = _run_rwm_chain(spec, t, scales, state, state_lp, rng, steps)
+        out, state, state_lp, state_lq, acc = _run_independence_chain(
+            spec, t, mean, chol, state, state_lp, state_lq, rng, steps
+        )
         return out, acc
+
+    def abort(rate):
+        return SamplerAbort(
+            f"acceptance rate {rate:.2e} below {_MIN_ACCEPTANCE} at proposal_inflation="
+            f"{proposal_inflation:g}: the limit-Gaussian proposal does not fit this law; "
+            "use sample_exact"
+        )
 
     advance(_BURN_IN)
     pilot, pilot_acc = advance(_PILOT)
     if pilot_acc / _PILOT < _MIN_ACCEPTANCE:
-        raise SamplerAbort(
-            f"acceptance rate {pilot_acc / _PILOT:.2e} below {_MIN_ACCEPTANCE}; "
-            "try variant='rwm' or a larger proposal_inflation"
-        )
+        raise abort(pilot_acc / _PILOT)
     rho = float(np.max(np.abs(lag1_autocorr(pilot))))
     if rho < _AUTOCORR_LIMIT:
         thin = 1
     else:
-        thin = min(max_thin, max(2, math.ceil(math.log(_AUTOCORR_LIMIT) / math.log(min(rho, 0.999)))))
+        thin = min(_MAX_THIN, max(2, math.ceil(math.log(_AUTOCORR_LIMIT) / math.log(min(rho, 0.999)))))
 
     accepted = 0
     total = 0
@@ -402,21 +380,17 @@ def sample_metropolis(
         total += count * thin
         points = chain[thin - 1 :: thin][:count]
         emitted_rho = float(np.max(np.abs(lag1_autocorr(points))))
-        if emitted_rho < _AUTOCORR_LIMIT or thin >= max_thin:
+        if emitted_rho < _AUTOCORR_LIMIT or thin >= _MAX_THIN:
             break
-        thin = min(max_thin, thin * 2)
+        thin = min(_MAX_THIN, thin * 2)
     acc_rate = accepted / total
     if acc_rate < _MIN_ACCEPTANCE:
-        raise SamplerAbort(
-            f"acceptance rate {acc_rate:.2e} below {_MIN_ACCEPTANCE}; "
-            "try variant='rwm' or a larger proposal_inflation"
-        )
+        raise abort(acc_rate)
     ess = count * (1.0 - emitted_rho) / (1.0 + emitted_rho)
-    method = SampleMethod.INDEP_METROPOLIS if independence else SampleMethod.RANDOM_WALK_METROPOLIS
     diag = BatchDiagnostics(
         acceptance_rate=float(acc_rate),
         ess=float(min(ess, count)),
         thin=int(thin),
         extra={"lag1_autocorr": emitted_rho},
     )
-    return SampleBatch(spec, float(t), method, int(seed), points, diag)
+    return SampleBatch(spec, float(t), SampleMethod.INDEP_METROPOLIS, int(seed), points, diag)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +31,14 @@ from .core import (
     project_batch,
 )
 from .report import VerificationReport
-from .sampling import BatchDiagnostics, SampleBatch, SampleMethod, SamplerAbort
+from .sampling import (
+    BatchDiagnostics,
+    SampleBatch,
+    SampleMethod,
+    SamplerAbort,
+    _map_subbatches,
+    _spawn_seeds,
+)
 from .stat_tests import ks_test_two_sample
 
 __all__ = [
@@ -212,7 +219,7 @@ def drift(spec: RootSystemSpec, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SdeConfig:
-    """Euler-Maruyama run configuration.
+    """Run configuration of the Heun scheme on a uniform time mesh.
 
     ``steps`` defaults to 2000 per unit of time; ``budget`` caps
     steps * paths and defaults to the FREEZE_BESSEL_BUDGET environment
@@ -225,8 +232,6 @@ class SdeConfig:
     seed: int
     steps: int | None = None
     paths: int = _DEFAULT_PATHS
-    drift_clip: float = _DRIFT_CLIP
-    mesh_power: float = 1.0
     budget: int | None = None
     threads: int | None = None
 
@@ -237,8 +242,6 @@ class SdeConfig:
             raise ValueError("paths must be >= 1")
         if self.steps is not None and self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.mesh_power < 1.0:
-            raise ValueError("mesh_power must be >= 1")
         x0 = self.x0
         if not isinstance(x0, StartDistribution):
             x0 = StartDistribution.at_point(
@@ -258,30 +261,15 @@ class SdeConfig:
     def resolved_budget(self) -> int:
         return int(self.budget) if self.budget is not None else path_step_budget()
 
-    def with_start(self, x0) -> "SdeConfig":
-        return replace(self, x0=x0)
-
-
-def _mesh(t: float, steps: int, power: float) -> np.ndarray:
-    """Step sizes of a power-graded mesh on [0, t].
-
-    Grid points t*(j/steps)**power concentrate resolution near time zero,
-    where the repulsive drift is largest when the start point sits deep in
-    the chamber interior relative to the equilibrium scale.  power=1 gives
-    the uniform mesh.
-    """
-    grid = t * (np.arange(steps + 1) / steps) ** power
-    return np.diff(grid)
-
 
 def _simulate_block(cfg: SdeConfig, child, size: int) -> np.ndarray:
     rng = np.random.default_rng(child)
     spec = cfg.spec
     steps = cfg.resolved_steps
-    h_all = _mesh(cfg.t, steps, cfg.mesh_power)
+    h_all = np.diff(cfg.t * (np.arange(steps + 1) / steps))
     x = cfg.x0.draw(spec, rng, size)
     for h in h_all:
-        clip = cfg.drift_clip / math.sqrt(h)
+        clip = _DRIFT_CLIP / math.sqrt(h)
         sqrt_h = math.sqrt(h)
         noise = sqrt_h * rng.standard_normal(x.shape)
         # Heun step on the drift: plain Euler systematically overshoots a
@@ -309,8 +297,6 @@ def simulate_endpoints(cfg: SdeConfig) -> SampleBatch:
             f"steps*paths = {steps * cfg.paths} exceeds budget {cfg.resolved_budget} "
             f"(raise {BUDGET_ENV_VAR} or lower the workload)"
         )
-    from .sampling import _map_subbatches  # shared deterministic sub-batch machinery
-
     pts = _map_subbatches(lambda child, size: _simulate_block(cfg, child, size), cfg.seed, cfg.paths, cfg.threads)
     bad = ~np.all(np.isfinite(pts), axis=1)
     dropped = int(np.count_nonzero(bad))
@@ -350,11 +336,7 @@ def translation_invariance_check(
     spec = RootSystemSpec.a(n, k)
     x0 = np.asarray(x0, dtype=float)
     base = SdeConfig(spec=spec, x0=StartDistribution.at_point(x0), t=t, seed=seed, steps=steps, paths=paths, threads=threads)
-    if c == 0.0:
-        seeds = (seed, seed)
-    else:
-        children = np.random.SeedSequence(int(seed)).spawn(2)
-        seeds = tuple(int(ch.generate_state(1)[0]) for ch in children)
+    seeds = (seed, seed) if c == 0.0 else _spawn_seeds(seed, 2)
     batch_ref = simulate_endpoints(replace(base, seed=seeds[0]))
     shifted_cfg = replace(base, x0=StartDistribution.at_point(x0 + c), seed=seeds[1])
     batch_shift = simulate_endpoints(shifted_cfg)

@@ -31,7 +31,7 @@ from .gaussian import (
 )
 from .quadrature import chamber_weight_integral
 from .report import VerificationReport
-from .sampling import sample_exact, sample_metropolis
+from .sampling import _spawn_seeds, sample_exact, sample_metropolis
 from .sde import SdeConfig, StartDistribution, simulate_endpoints
 from .stat_tests import (
     chi_square_cdf,
@@ -104,11 +104,6 @@ class FreezingRegime:
 
     def center(self, points: np.ndarray, t: float) -> np.ndarray:
         return points - math.sqrt(self.m * t) * self.target
-
-
-def _spawn_seeds(seed: int, count: int) -> list[int]:
-    children = np.random.SeedSequence(int(seed)).spawn(count)
-    return [int(ch.generate_state(1)[0]) for ch in children]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Acceptance gate: one test per release criterion, tolerances pinned.
 
-Statistical criteria use fixed seeds chosen once for a reproducible CI run;
-each check's construction is seed-agnostic and any seed gives the documented
-pass rate.  Every test carries its runtime bound.
+Statistical criteria use fixed seeds chosen once for a reproducible CI run.
+At the default strengths the Gaussian battery does not pass on every seed
+(see the pass rates in the README).  Every test carries its runtime bound.
 """
 
 import math

@@ -6,6 +6,7 @@ from freeze_bessel.core import RootKind, RootSystemSpec, in_chamber
 from freeze_bessel.quadrature import chamber_moment
 from freeze_bessel.sampling import (
     SampleMethod,
+    SamplerAbort,
     sample_exact,
     sample_metropolis,
     sample_tridiag_a,
@@ -139,25 +140,23 @@ def test_metropolis_is_deterministic_in_the_seed():
     assert m1.diagnostics.acceptance_rate == m2.diagnostics.acceptance_rate
 
 
-def test_random_walk_variant_matches_exact_sampler():
-    spec = RootSystemSpec.b(2, 2.0, 3.0)
-    m = sample_metropolis(spec, 1.0, 3000, seed=33, variant="rwm")
-    assert m.method is SampleMethod.RANDOM_WALK_METROPOLIS
-    assert in_chamber(RootKind.B, m.points).all()
-    e = sample_exact(spec, 1.0, 3000, seed=34)
-    for j in range(spec.n):
-        _, p = ks_test_two_sample(m.points[:, j], e.points[:, j])
-        assert p > 0.01
-
-
 def test_metropolis_rejects_bad_arguments():
     spec = RootSystemSpec.a(2, 5.0)
-    with pytest.raises(ValueError):
-        sample_metropolis(spec, 1.0, 100, seed=0, variant="gibbs")
     with pytest.raises(ValueError):
         sample_metropolis(spec, 1.0, 100, seed=0, proposal_inflation=0.0)
     with pytest.raises(ValueError):
         sample_metropolis(RootSystemSpec.a(2, 0.0), 1.0, 100, seed=0)
+
+
+def test_metropolis_aborts_when_the_proposal_is_far_too_wide():
+    # at inflation 200 almost every proposal leaves the chamber: the chain
+    # aborts, and the message names the inflation and the exact sampler
+    with pytest.raises(SamplerAbort) as info:
+        sample_metropolis(RootSystemSpec.a(3, 200.0), 1.0, 1000, 0, proposal_inflation=200.0)
+    message = str(info.value)
+    assert "proposal_inflation=200" in message
+    assert "sample_exact" in message
+    assert "variant" not in message
 
 
 def test_batch_dict_roundtrip_fields():

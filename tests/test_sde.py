@@ -84,8 +84,6 @@ def test_config_validation():
         SdeConfig(spec=spec, x0=StartDistribution.at_point([1.0, 0.0]), t=1.0, seed=0)
     with pytest.raises(ValueError):
         SdeConfig(spec=spec, x0=good, t=-1.0, seed=0)
-    with pytest.raises(ValueError):
-        SdeConfig(spec=spec, x0=good, t=1.0, seed=0, mesh_power=0.5)
     # raw arrays are promoted to point distributions
     cfg = SdeConfig(spec=spec, x0=[1.0, 0.5], t=1.0, seed=0)
     assert isinstance(cfg.x0, StartDistribution)
