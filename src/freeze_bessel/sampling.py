@@ -7,10 +7,14 @@ Two routes:
 * an independence Metropolis chain whose proposal is the limit Gaussian of
   the freezing regime.
 
-All samplers draw from ``numpy`` Philox-backed generators seeded through
-``SeedSequence``: a batch is regenerable bit-for-bit from (spec, t, method,
-seed, count), sub-batches get spawned child seeds and are merged in order, so
-results do not depend on how many worker threads ran them.
+All samplers draw from ``numpy`` PCG64 generators (``np.random.default_rng``)
+seeded through ``SeedSequence``: a batch is regenerable bit-for-bit from
+(spec, t, method, seed, count), sub-batches get spawned child seeds and are
+merged in order, so results do not depend on how many worker threads ran them.
+
+The matrix models' eigenvalues come from a batched dense ``eigvalsh`` below
+``_STERF_MIN_N`` particles and from a per-matrix LAPACK ``dsterf`` on the two
+diagonals (O(n) memory per matrix) at or above it; both give the same bytes.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dsterf
 
 from .core import (
     RootKind,
@@ -44,6 +49,10 @@ __all__ = [
 ]
 
 _SUBBATCH = 4096
+# Smallest n at which the per-matrix dsterf loop beats the batched dense
+# eigvalsh (single thread, 4096 rows: equal within noise at n = 14-16, dense
+# 1.25x faster at n = 8, dsterf 1.8x faster at n = 50).
+_STERF_MIN_N = 16
 
 
 class SampleMethod(str, enum.Enum):
@@ -137,8 +146,30 @@ def _chi_matrix(rng, dofs: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-def _eigs_desc(tridiag_batch: np.ndarray) -> np.ndarray:
-    vals = np.linalg.eigvalsh(tridiag_batch)
+def _tridiag_eigs_desc(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of the symmetric tridiagonals with rows ``diag``
+    (size, n) on the diagonal and ``off`` (size, n-1) beside it.
+
+    numpy's ``eigvalsh`` (LAPACK ``dsyevd``) leaves an already tridiagonal
+    matrix as it is and hands its diagonals to ``dsterf``, so calling
+    ``dsterf`` directly gives the same bytes without the (size, n, n) matrices.
+    """
+    size, n = diag.shape
+    if n < _STERF_MIN_N:
+        mats = np.zeros((size, n, n))
+        idx = np.arange(n)
+        mats[:, idx, idx] = diag
+        j = idx[:-1]
+        mats[:, j, j + 1] = off
+        mats[:, j + 1, j] = off
+        vals = np.linalg.eigvalsh(mats)
+    else:
+        vals = np.empty((size, n))
+        for row in range(size):
+            lam, info = dsterf(diag[row], off[row])
+            if info != 0:
+                raise SamplerAbort(f"LAPACK dsterf failed with info={info} on a {n}x{n} tridiagonal")
+            vals[row] = lam
     return vals[:, ::-1]
 
 
@@ -161,15 +192,8 @@ def sample_tridiag_a(
     def one(child, size):
         rng = np.random.default_rng(child)
         diag = rng.standard_normal((size, n))
-        mats = np.zeros((size, n, n))
-        idx = np.arange(n)
-        mats[:, idx, idx] = diag
-        if n > 1:
-            off = _chi_matrix(rng, off_dofs, size) / math.sqrt(2.0)
-            j = np.arange(n - 1)
-            mats[:, j, j + 1] = off
-            mats[:, j + 1, j] = off
-        return math.sqrt(t) * _eigs_desc(mats)
+        off = _chi_matrix(rng, off_dofs, size) / math.sqrt(2.0)
+        return math.sqrt(t) * _tridiag_eigs_desc(diag, off)
 
     pts = _map_subbatches(one, seed, count, threads)
     spec = RootSystemSpec.a(n, k)
@@ -183,21 +207,13 @@ def _laguerre_tridiag_eigs(rng, n: int, k1: float, k2: float, size: int) -> np.n
     diag_dofs = 2.0 * k1 + 1.0 + 2.0 * k2 * (n - i)
     sub_dofs = 2.0 * k2 * (n - i[:-1])
     d = _chi_matrix(rng, diag_dofs, size)
-    mats = np.zeros((size, n, n))
-    idx = np.arange(n)
-    if n > 1:
-        s = _chi_matrix(rng, sub_dofs, size)
-        mats[:, idx, idx] = d**2
-        mats[:, idx[1:], idx[1:]] += s**2
-        off = d[:, :-1] * s
-        j = np.arange(n - 1)
-        mats[:, j, j + 1] = off
-        mats[:, j + 1, j] = off
-    else:
-        mats[:, 0, 0] = d[:, 0] ** 2
+    s = _chi_matrix(rng, sub_dofs, size)
+    # B B^T of the lower bidiagonal B with diagonal d and subdiagonal s
+    diag = d**2
+    diag[:, 1:] += s**2
     # B B^T is positive semidefinite; rounding can leave its smallest
     # eigenvalue slightly negative, which the callers' sqrt would turn to NaN
-    lam = _eigs_desc(mats)
+    lam = _tridiag_eigs_desc(diag, d[:, :-1] * s)
     return np.maximum(lam, 0.0, out=lam)
 
 
@@ -331,7 +347,9 @@ def sample_metropolis(
 
     The chain burns in 1000 steps, picks a thinning lag from a pilot run so
     the emitted points pass a lag-1 autocorrelation screen (< 0.05), and
-    aborts if the acceptance rate degenerates (< 1e-3).
+    doubles the lag until they do.  It raises ``SamplerAbort`` if the
+    acceptance rate degenerates (< 1e-3), or if the emitted points still fail
+    the screen at the largest lag (64).
     """
     if count < 1 or t <= 0:
         raise ValueError("need count >= 1 and t > 0")
@@ -380,8 +398,14 @@ def sample_metropolis(
         total += count * thin
         points = chain[thin - 1 :: thin][:count]
         emitted_rho = float(np.max(np.abs(lag1_autocorr(points))))
-        if emitted_rho < _AUTOCORR_LIMIT or thin >= _MAX_THIN:
+        if emitted_rho < _AUTOCORR_LIMIT:
             break
+        if thin >= _MAX_THIN:
+            raise SamplerAbort(
+                f"lag-1 autocorrelation {emitted_rho:.3f} of the emitted points is not below "
+                f"{_AUTOCORR_LIMIT} at the thinning cap {_MAX_THIN} (proposal_inflation="
+                f"{proposal_inflation:g}, acceptance rate {accepted / total:.2e}); use sample_exact"
+            )
         thin = min(_MAX_THIN, thin * 2)
     acc_rate = accepted / total
     if acc_rate < _MIN_ACCEPTANCE:
