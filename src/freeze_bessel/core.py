@@ -195,19 +195,29 @@ class ChamberPoint:
 
 
 def project_batch(kind, pts: np.ndarray) -> np.ndarray:
-    """Map raw vectors to their chamber representatives (Weyl group orbit)."""
+    """Map raw vectors to their chamber representatives (Weyl group orbit).
+
+    Only rows outside the closed chamber are re-sorted; the others come back
+    unchanged.  For kind B a last coordinate of -0.0 also counts as outside,
+    so the axis drift k1/x_n never sees a negative zero.
+    """
     kind = _as_kind(kind)
     x = np.asarray(pts, dtype=float)
-    if kind is RootKind.A:
-        return -np.sort(-x, axis=-1)
-    mag = -np.sort(-np.abs(x), axis=-1)
+    out = x.copy()
+    redo = ~np.asarray(in_chamber(kind, x))
     if kind is RootKind.B:
-        return mag
-    # kind D: sign changes come in pairs, so the parity of the number of
-    # negative coordinates survives projection and lands on the last slot
-    odd = (x < 0).sum(axis=-1) % 2 == 1
-    out = mag.copy()
-    out[..., -1] = np.where(odd, -out[..., -1], out[..., -1])
+        redo |= np.signbit(x[..., -1])
+    y = x[redo]
+    if kind is RootKind.A:
+        out[redo] = -np.sort(-y, axis=-1)
+        return out
+    mag = -np.sort(-np.abs(y), axis=-1)
+    if kind is RootKind.D:
+        # sign changes come in pairs, so the parity of the number of
+        # negative coordinates survives projection and lands on the last slot
+        odd = (y < 0).sum(axis=-1) % 2 == 1
+        mag[..., -1] = np.where(odd, -mag[..., -1], mag[..., -1])
+    out[redo] = mag
     return out
 
 

@@ -59,7 +59,7 @@ class SampleMethod(str, enum.Enum):
     TRIDIAG_A = "TridiagA"
     TRIDIAG_B = "TridiagB"
     INDEP_METROPOLIS = "IndepMetropolis"
-    EULER_MARUYAMA = "EulerMaruyama"
+    HEUN = "Heun"
 
 
 class SamplerAbort(RuntimeError):

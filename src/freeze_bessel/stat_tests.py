@@ -125,8 +125,14 @@ def energy_distance_test(
     pooled = np.vstack([a, b])
     sq = np.sum(pooled**2, axis=1)
     gram = pooled @ pooled.T
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
-    dist = np.sqrt(d2)
+    # the distance matrix is built in place, with at most two (size, size)
+    # arrays alive at once, in the float order of sqrt(max(|a|²+|b|²-2a·b, 0))
+    dist = np.add(sq[:, None], sq[None, :])
+    gram *= 2.0
+    np.subtract(dist, gram, out=dist)
+    del gram
+    np.maximum(dist, 0.0, out=dist)
+    np.sqrt(dist, out=dist)
     total = float(dist.sum())
     n = a.shape[0]
     size = pooled.shape[0]

@@ -73,6 +73,21 @@ def test_project_batch_matches_kind_rules():
     assert np.array_equal(project_batch(RootKind.D, np.array([-1.0, -2.0])), np.array([2.0, 1.0]))
 
 
+def test_project_batch_returns_chamber_rows_unchanged():
+    # rows already in the closed chamber come back as they are, tied signed
+    # zeros included; only the rows outside it are re-sorted
+    x = np.array([[1.0, 0.0, -0.0], [0.0, 1.0, -1.0]])
+    out = project_batch(RootKind.A, x)
+    assert np.array_equal(out, np.array([[1.0, 0.0, 0.0], [1.0, 0.0, -1.0]]))
+    assert np.signbit(out[0]).tolist() == [False, False, True]
+    assert x[1].tolist() == [0.0, 1.0, -1.0]
+    # kind B: a negative zero on the axis counts as outside, so the axis
+    # drift k1/x_n never sees it
+    b = project_batch(RootKind.B, np.array([[2.0, -0.0], [2.0, 0.5]]))
+    assert np.array_equal(b, np.array([[2.0, 0.0], [2.0, 0.5]]))
+    assert not np.signbit(b).any()
+
+
 @settings(max_examples=200)
 @given(
     st.sampled_from(list(RootKind)),

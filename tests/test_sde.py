@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats as ss
 
-from freeze_bessel.core import ChamberPoint, RootSystemSpec, in_chamber
+from freeze_bessel.core import ChamberPoint, RootKind, RootSystemSpec, in_chamber, project_batch
+from freeze_bessel.sampling import SampleMethod
 from freeze_bessel.sde import (
     BUDGET_ENV_VAR,
     BudgetExceeded,
@@ -45,6 +47,70 @@ def test_drift_wall_behavior():
         drift(spec, np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="wall"):
         drift(RootSystemSpec.b(1, 1.0, 1.0), np.array([0.0]))
+
+
+def test_drift_at_contact_pushes_the_pair_apart():
+    # touching pair (1, 1): +inf on the upper particle, -inf on the lower one
+    out = drift_batch(RootSystemSpec.a(3, 2.0), np.array([[2.0, 1.0, 1.0]]))
+    assert np.array_equal(out, np.array([[4.0, np.inf, -np.inf]]))
+    contacts = {
+        RootSystemSpec.a(3, 2.0): [[2.0, 1.0, 1.0], [1.0, 1.0, -1.0]],
+        RootSystemSpec.b(3, 1.0, 2.0): [[2.0, 1.0, 1.0], [1.0, 1.0, 0.5], [2.0, 1.0, 0.0]],
+        RootSystemSpec.b(3, 0.0, 2.0): [[2.0, 1.0, 1.0], [1.0, 1.0, 0.5]],
+        RootSystemSpec.d(3, 2.0): [[2.0, 1.0, 1.0], [2.0, 1.0, -1.0], [1.0, 1.0, 0.5]],
+    }
+    for spec, rows in contacts.items():
+        out = drift_batch(spec, np.array(rows))
+        assert not np.isnan(out).any(), (spec, out)
+        assert np.isinf(out).any(axis=1).all()
+
+
+def _dense_drift_and_scale(spec, x):
+    # reference: the (rows, n, n) pair-matrix formula, and the sum of the
+    # absolute values of the terms it adds up, per coordinate
+    n = spec.n
+    eye = np.eye(n, dtype=bool)
+    kpair = spec.k2 if spec.kind is RootKind.B else spec.k
+    terms = np.where(eye, 0.0, 1.0 / np.where(eye, 1.0, x[:, :, None] - x[:, None, :]))
+    if spec.kind is not RootKind.A:
+        terms = terms + np.where(eye, 0.0, 1.0 / (x[:, :, None] + x[:, None, :]))
+    ref = kpair * np.sum(terms, axis=-1)
+    scale = kpair * np.sum(np.abs(terms), axis=-1)
+    if spec.kind is RootKind.B and spec.k1 > 0:
+        ref = ref + spec.k1 / x
+        scale = scale + spec.k1 / np.abs(x)
+    return ref, scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 50])
+def test_drift_matches_dense_pair_matrix_formula(n):
+    rng = np.random.default_rng(n)
+    specs = [
+        RootSystemSpec.a(n, 200.0),
+        RootSystemSpec.b(n, 3.0, 200.0),
+        RootSystemSpec.b(n, 0.0, 200.0),
+        RootSystemSpec.b(n, 3.0, 0.0),
+        RootSystemSpec.d(n, 200.0),
+    ]
+    for spec in specs:
+        x = project_batch(spec.kind, 3.0 * rng.standard_normal((500, n)))
+        ref, scale = _dense_drift_and_scale(spec, x)
+        got = drift_batch(spec, x)
+        assert got.shape == x.shape
+        assert np.all(np.abs(got - ref) <= 1e-12 * scale), spec
+
+
+def test_drift_memory_stays_linear_in_n():
+    # dense (4096, 50, 50) pair matrices alone would take 78 MiB each
+    spec = RootSystemSpec.a(50, 200.0)
+    x = project_batch(spec.kind, np.random.default_rng(0).standard_normal((4096, 50)))
+    tracemalloc.start()
+    try:
+        drift_batch(spec, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_drift_accepts_chamber_point():
@@ -144,6 +210,7 @@ def test_simulation_is_deterministic_and_thread_stable():
     assert np.array_equal(b1.points, b4.points)
     assert in_chamber(spec.kind, b1.points).all()
     assert b1.diagnostics.extra["dropped_paths"] == 0
+    assert b1.method is SampleMethod.HEUN
 
 
 def test_step_halving_is_consistent():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,3 +114,19 @@ def test_lag1_autocorr():
     rho = lag1_autocorr(both)
     assert rho.shape == (2,)
     assert abs(rho[0]) < 0.03 and rho[1] == pytest.approx(0.6, abs=0.03)
+
+
+def test_energy_distance_memory_and_pinned_value():
+    # 1600 + 1600 subsampled rows: one (3200, 3200) float matrix is 78 MiB,
+    # and the distance matrix is built with at most two of them alive
+    rng = np.random.default_rng(2024)
+    a = rng.standard_normal((4096, 10))
+    b = rng.standard_normal((4096, 10)) + 0.02
+    tracemalloc.start()
+    try:
+        stat, p = energy_distance_test(a, b, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 192 * 2**20
+    assert (stat, p) == (float.fromhex("0x1.0893215934000p-7"), 4.0 / 201.0)
