@@ -3,8 +3,9 @@
 Kolmogorov-Smirnov p-values come from the asymptotic Kolmogorov distribution,
 so sample counts below 1000 are rejected outright rather than silently giving
 bad p-values.  The multivariate two-sample test is an energy-distance
-permutation test (the pooled pairwise-distance matrix is computed once and
-re-indexed per permutation).
+permutation test: the pooled pairwise distances are streamed in row blocks
+through one product with a 0/1 indicator matrix whose columns are the observed
+split and every permuted split.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
 ]
 
 _MIN_KS_COUNT = 1000
+_ROW_BLOCK = 256  # pooled rows per distance slab of the energy-distance test
 
 
 def _check_count(n: int):
@@ -90,14 +92,6 @@ def mahalanobis_sq(points: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return np.sum(white**2, axis=0)
 
 
-def _energy_stat(dist: np.ndarray, idx_a: np.ndarray, idx_b: np.ndarray, total: float) -> float:
-    n, m = idx_a.size, idx_b.size
-    s_aa = float(dist[np.ix_(idx_a, idx_a)].sum())
-    s_bb = float(dist[np.ix_(idx_b, idx_b)].sum())
-    s_ab = 0.5 * (total - s_aa - s_bb)
-    return 2.0 * s_ab / (n * m) - s_aa / (n * n) - s_bb / (m * m)
-
-
 def energy_distance_test(
     a: np.ndarray,
     b: np.ndarray,
@@ -108,48 +102,57 @@ def energy_distance_test(
 ) -> tuple[float, float]:
     """Energy-distance permutation test between two multivariate samples.
 
-    Both samples are subsampled to at most ``max_points`` rows (pairwise
-    distances are quadratic in the pooled size); the subsampling and the
-    permutations are driven by ``seed``.  Returns (statistic, p-value) with
+    Both samples are subsampled to at most ``max_points`` rows; the
+    subsampling and the permutations are driven by ``seed``.  Time is
+    quadratic in the pooled size; memory is O(size * (n_permutations +
+    block)), since the pairwise distances are streamed in row blocks and never
+    held as a (size, size) matrix.  Returns (statistic, p-value) with
     p = (1 + #{permuted >= observed}) / (1 + n_permutations).
     """
+    if n_permutations < 1:
+        raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
+    if max_points < 1:
+        raise ValueError(f"max_points must be >= 1, got {max_points}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x9E3779B9]))
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[1] != b.shape[1]:
         raise ValueError("samples must share their dimension")
+    if a.size == 0 or b.size == 0:
+        raise ValueError("both samples need at least one row")
     if a.shape[0] > max_points:
         a = a[rng.choice(a.shape[0], size=max_points, replace=False)]
     if b.shape[0] > max_points:
         b = b[rng.choice(b.shape[0], size=max_points, replace=False)]
     pooled = np.vstack([a, b])
     sq = np.sum(pooled**2, axis=1)
-    gram = pooled @ pooled.T
-    # the distance matrix is built in place, with at most two (size, size)
-    # arrays alive at once, in the float order of sqrt(max(|a|²+|b|²-2a·b, 0))
-    dist = np.add(sq[:, None], sq[None, :])
-    gram *= 2.0
-    np.subtract(dist, gram, out=dist)
-    del gram
-    np.maximum(dist, 0.0, out=dist)
-    np.sqrt(dist, out=dist)
-    total = float(dist.sum())
     n = a.shape[0]
     size = pooled.shape[0]
     m = size - n
-    observed = _energy_stat(dist, np.arange(n), np.arange(n, size), total)
-    # one 0/1 indicator column per permutation, so all replicate statistics
-    # reduce to a single dist @ Z product
-    indicators = np.zeros((size, n_permutations))
+    # one 0/1 indicator column per split: column 0 is the observed split and
+    # column j + 1 permutation j, so every statistic reduces to dist @ ind
+    ind = np.zeros((size, n_permutations + 1))
+    ind[:n, 0] = 1.0
     for j in range(n_permutations):
-        indicators[rng.permutation(size)[:n], j] = 1.0
-    prod = dist @ indicators
-    s_aa = np.einsum("ip,ip->p", indicators, prod)
+        ind[rng.permutation(size)[:n], j + 1] = 1.0
+    prod = np.empty_like(ind)
+    total = 0.0
+    for lo in range(0, size, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, size)
+        # rows lo:hi of the distance matrix, sqrt(max(|a|²+|b|²-2a·b, 0))
+        slab = np.add(sq[lo:hi, None], sq[None, :])
+        slab -= 2.0 * (pooled[lo:hi] @ pooled.T)
+        np.maximum(slab, 0.0, out=slab)
+        np.sqrt(slab, out=slab)
+        total += float(slab.sum())
+        np.matmul(slab, ind, out=prod[lo:hi])
+    s_aa = np.einsum("ip,ip->p", ind, prod)
     col = prod.sum(axis=0)
     s_bb = total - 2.0 * col + s_aa
     s_ab = 0.5 * (total - s_aa - s_bb)
     stats = 2.0 * s_ab / (n * m) - s_aa / (n * n) - s_bb / (m * m)
-    hits = int(np.count_nonzero(stats >= observed))
+    observed = float(stats[0])
+    hits = int(np.count_nonzero(stats[1:] >= observed))
     p = (1.0 + hits) / (1.0 + n_permutations)
     return observed, p
 

@@ -116,9 +116,48 @@ def test_lag1_autocorr():
     assert abs(rho[0]) < 0.03 and rho[1] == pytest.approx(0.6, abs=0.03)
 
 
+def _dense_energy_distance_test(a, b, *, n_permutations=200, seed, max_points=1600):
+    """The dense algorithm: the whole (size, size) distance matrix, and the
+    observed split re-indexed out of it.  Returns (statistic, p-value, mean
+    pooled distance)."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x9E3779B9]))
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    if a.shape[0] > max_points:
+        a = a[rng.choice(a.shape[0], size=max_points, replace=False)]
+    if b.shape[0] > max_points:
+        b = b[rng.choice(b.shape[0], size=max_points, replace=False)]
+    pooled = np.vstack([a, b])
+    sq = np.sum(pooled**2, axis=1)
+    dist = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (pooled @ pooled.T), 0.0))
+    total = float(dist.sum())
+    n = a.shape[0]
+    size = pooled.shape[0]
+    m = size - n
+
+    def stat(idx_a, idx_b):
+        s_aa = float(dist[np.ix_(idx_a, idx_a)].sum())
+        s_bb = float(dist[np.ix_(idx_b, idx_b)].sum())
+        s_ab = 0.5 * (total - s_aa - s_bb)
+        return 2.0 * s_ab / (n * m) - s_aa / (n * n) - s_bb / (m * m)
+
+    observed = stat(np.arange(n), np.arange(n, size))
+    indicators = np.zeros((size, n_permutations))
+    for j in range(n_permutations):
+        indicators[rng.permutation(size)[:n], j] = 1.0
+    prod = dist @ indicators
+    s_aa = np.einsum("ip,ip->p", indicators, prod)
+    col = prod.sum(axis=0)
+    s_bb = total - 2.0 * col + s_aa
+    s_ab = 0.5 * (total - s_aa - s_bb)
+    stats = 2.0 * s_ab / (n * m) - s_aa / (n * n) - s_bb / (m * m)
+    hits = int(np.count_nonzero(stats >= observed))
+    return observed, (1.0 + hits) / (1.0 + n_permutations), total / size**2
+
+
 def test_energy_distance_memory_and_pinned_value():
-    # 1600 + 1600 subsampled rows: one (3200, 3200) float matrix is 78 MiB,
-    # and the distance matrix is built with at most two of them alive
+    # 1600 + 1600 subsampled rows: the distances are streamed in (256, 3200)
+    # slabs, so no (3200, 3200) matrix (78 MiB) is ever alive
     rng = np.random.default_rng(2024)
     a = rng.standard_normal((4096, 10))
     b = rng.standard_normal((4096, 10)) + 0.02
@@ -128,5 +167,61 @@ def test_energy_distance_memory_and_pinned_value():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 192 * 2**20
-    assert (stat, p) == (float.fromhex("0x1.0893215934000p-7"), 4.0 / 201.0)
+    assert peak < 48 * 2**20
+    assert (stat, p) == (float.fromhex("0x1.0893215937200p-7"), 4.0 / 201.0)
+    # the dense (3200, 3200) build sums the same distances in another order
+    dense_stat, dense_p, mean_dist = _dense_energy_distance_test(a, b, seed=7)
+    assert (dense_stat, dense_p) == (float.fromhex("0x1.0893215934000p-7"), p)
+    assert abs(stat - dense_stat) <= 1e-12 * mean_dist
+    # 3000 + 3000 rows: a dense build needs two 275 MiB matrices; the
+    # streamed one stays within a bound that does not grow with max_points²
+    tracemalloc.start()
+    try:
+        energy_distance_test(a, b, seed=7, max_points=3000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize(
+    "rows_a, rows_b, dim, n_permutations, max_points, shift",
+    [
+        (60, 90, 2, 19, 1600, 0.0),  # pooled size below one row block
+        (700, 513, 10, 200, 1600, 0.1),  # pooled size not a multiple of the block
+        (2100, 900, 1, 200, 1200, 0.05),  # unequal sizes, only one side subsampled
+        (1800, 1700, 2, 19, 1600, 0.0),  # both sides subsampled
+        (400, 1100, 10, 19, 1600, 0.0),
+        (333, 333, 1, 200, 1600, 0.2),
+    ],
+)
+def test_energy_distance_matches_dense_reference(rows_a, rows_b, dim, n_permutations, max_points, shift):
+    rng = np.random.default_rng(rows_a * 7919 + rows_b)
+    a = rng.standard_normal((rows_a, dim))
+    b = rng.standard_normal((rows_b, dim)) * 1.05 + shift
+    for seed in (3, 41):
+        stat, p = energy_distance_test(a, b, n_permutations=n_permutations, seed=seed, max_points=max_points)
+        ref_stat, ref_p, mean_dist = _dense_energy_distance_test(
+            a, b, n_permutations=n_permutations, seed=seed, max_points=max_points
+        )
+        assert p == ref_p
+        assert abs(stat - ref_stat) <= 1e-12 * mean_dist
+
+
+def test_energy_distance_counts_ties_as_hits():
+    # one point mass on both sides: every split ties with the observed one
+    point = np.full((12, 3), 0.5)
+    assert energy_distance_test(point[:5], point[5:], seed=0) == (0.0, 1.0)
+
+
+def test_energy_distance_rejects_void_inputs():
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((50, 2))
+    b = rng.standard_normal((40, 2))
+    with pytest.raises(ValueError, match="n_permutations"):
+        energy_distance_test(a, b, seed=0, n_permutations=0)
+    with pytest.raises(ValueError, match="max_points"):
+        energy_distance_test(a, b, seed=0, max_points=0)
+    for empty_a, empty_b in ((a[:0], b), (a, b[:0])):
+        with pytest.raises(ValueError, match="row"):
+            energy_distance_test(empty_a, empty_b, seed=0)
