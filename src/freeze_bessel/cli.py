@@ -3,7 +3,7 @@
 Subcommands: zeros, target, sigma, constants, sample, sde, verify.  Output
 files always embed a RunManifest; ``--replay FILE`` re-runs the command
 recorded in FILE's manifest.  Exit codes: 0 success, 1 statistical failure,
-2 bad input, 3 runtime abort (sampler collapse or budget exhaustion).
+2 bad input, 3 runtime abort (sampler collapse, budget exhaustion, numerical failure).
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .manifest import (
     reports_json_text,
     write_text,
 )
-from .sampling import SamplerAbort, sample_exact, sample_metropolis
-from .sde import BudgetExceeded, SdeConfig, StartDistribution, simulate_endpoints
+from .sampling import sample_exact, sample_metropolis
+from .sde import SdeConfig, StartDistribution, simulate_endpoints
 from .verify import SUITES, run_suite
 
 __all__ = ["main"]
@@ -351,7 +351,7 @@ def main(argv=None) -> int:
             parser.print_help()
             return 2
         return REGISTRY[args.command](_params_from_args(args), args.threads)
-    except (SamplerAbort, BudgetExceeded) as exc:
+    except RuntimeError as exc:  # SamplerAbort, BudgetExceeded and numerical failures
         print(f"abort: {exc}", file=sys.stderr)
         return 3
     except (ValueError, FileNotFoundError) as exc:

@@ -12,9 +12,7 @@ seeded through ``SeedSequence``: a batch is regenerable bit-for-bit from
 (spec, t, method, seed, count), sub-batches get spawned child seeds and are
 merged in order, so results do not depend on how many worker threads ran them.
 
-The matrix models' eigenvalues come from a batched dense ``eigvalsh`` below
-``_STERF_MIN_N`` particles and from a per-matrix LAPACK ``dsterf`` on the two
-diagonals (O(n) memory per matrix) at or above it; both give the same bytes.
+The matrix models' eigenvalues come from ``tridiagonal.tridiagonal_eigenvalues``.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dsterf
 
 from .core import (
     RootKind,
@@ -36,6 +33,7 @@ from .core import (
 from .equilibria import freezing_target
 from .gaussian import covariance, precision_matrix
 from .stat_tests import lag1_autocorr
+from .tridiagonal import tridiagonal_eigenvalues
 
 __all__ = [
     "SampleMethod",
@@ -49,10 +47,6 @@ __all__ = [
 ]
 
 _SUBBATCH = 4096
-# Smallest n at which the per-matrix dsterf loop beats the batched dense
-# eigvalsh (single thread, 4096 rows: equal within noise at n = 14-16, dense
-# 1.25x faster at n = 8, dsterf 1.8x faster at n = 50).
-_STERF_MIN_N = 16
 
 
 class SampleMethod(str, enum.Enum):
@@ -146,33 +140,6 @@ def _chi_matrix(rng, dofs: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-def _tridiag_eigs_desc(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of the symmetric tridiagonals with rows ``diag``
-    (size, n) on the diagonal and ``off`` (size, n-1) beside it.
-
-    numpy's ``eigvalsh`` (LAPACK ``dsyevd``) leaves an already tridiagonal
-    matrix as it is and hands its diagonals to ``dsterf``, so calling
-    ``dsterf`` directly gives the same bytes without the (size, n, n) matrices.
-    """
-    size, n = diag.shape
-    if n < _STERF_MIN_N:
-        mats = np.zeros((size, n, n))
-        idx = np.arange(n)
-        mats[:, idx, idx] = diag
-        j = idx[:-1]
-        mats[:, j, j + 1] = off
-        mats[:, j + 1, j] = off
-        vals = np.linalg.eigvalsh(mats)
-    else:
-        vals = np.empty((size, n))
-        for row in range(size):
-            lam, info = dsterf(diag[row], off[row])
-            if info != 0:
-                raise SamplerAbort(f"LAPACK dsterf failed with info={info} on a {n}x{n} tridiagonal")
-            vals[row] = lam
-    return vals[:, ::-1]
-
-
 def sample_tridiag_a(
     n: int, k: float, t: float, count: int, seed: int, *, threads: int | None = None
 ) -> SampleBatch:
@@ -193,7 +160,7 @@ def sample_tridiag_a(
         rng = np.random.default_rng(child)
         diag = rng.standard_normal((size, n))
         off = _chi_matrix(rng, off_dofs, size) / math.sqrt(2.0)
-        return math.sqrt(t) * _tridiag_eigs_desc(diag, off)
+        return math.sqrt(t) * tridiagonal_eigenvalues(diag, off)
 
     pts = _map_subbatches(one, seed, count, threads)
     spec = RootSystemSpec.a(n, k)
@@ -213,7 +180,7 @@ def _laguerre_tridiag_eigs(rng, n: int, k1: float, k2: float, size: int) -> np.n
     diag[:, 1:] += s**2
     # B B^T is positive semidefinite; rounding can leave its smallest
     # eigenvalue slightly negative, which the callers' sqrt would turn to NaN
-    lam = _tridiag_eigs_desc(diag, d[:, :-1] * s)
+    lam = tridiagonal_eigenvalues(diag, d[:, :-1] * s)
     return np.maximum(lam, 0.0, out=lam)
 
 

@@ -1,10 +1,9 @@
-"""Self-contained log-gamma (Lanczos approximation).
+"""Log-gamma and log-factorial for the normalization constants.
 
 All normalization constants in this package are assembled in log space from
 ``log_gamma`` so that huge multiplicity parameters (k ~ 10^4) never overflow.
-The approximation below (g = 7, 9 coefficients) is accurate to about 1e-14
-relative error for real arguments, well inside the 1e-12 budget the constant
-formulas assume.
+``log_gamma`` is the standard library's ``math.lgamma`` restricted to x > 0,
+where Gamma is positive and its log is real.
 """
 
 from __future__ import annotations
@@ -13,40 +12,18 @@ import math
 
 __all__ = ["log_gamma", "log_factorial"]
 
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
 
 def log_gamma(x: float) -> float:
     """Natural log of Gamma(x) for x > 0."""
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"log_gamma needs x > 0, got {x!r}")
-    if x < 0.5:
-        # reflection keeps the Lanczos sum in its accurate range
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (x - 1.0 + i)
-    t = x + _LANCZOS_G - 0.5
-    return _HALF_LOG_TWO_PI + (x - 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 def log_factorial(n: int) -> float:
-    """log(n!) via log_gamma; exact zero for n in {0, 1}."""
+    """log(n!) via log_gamma; exact zero for n in {0, 1} (``math.lgamma`` is
+    exact at 1 and 2)."""
     if n < 0:
         raise ValueError("n! needs n >= 0")
-    if n <= 1:
-        return 0.0
     return log_gamma(n + 1.0)

@@ -38,6 +38,12 @@ def _check_count(n: int):
         )
 
 
+def _as_columns(x) -> np.ndarray:
+    """Float array of (rows, dim) samples; a 1-d array is one scalar per row."""
+    x = np.asarray(x, dtype=float)
+    return x[:, None] if x.ndim == 1 else x
+
+
 def ks_test_cdf(samples, cdf) -> tuple[float, float]:
     """One-sample KS statistic and asymptotic p-value against a given CDF."""
     x = np.sort(np.asarray(samples, dtype=float))
@@ -102,6 +108,7 @@ def energy_distance_test(
 ) -> tuple[float, float]:
     """Energy-distance permutation test between two multivariate samples.
 
+    A 1-d sample is read as one scalar per row.
     Both samples are subsampled to at most ``max_points`` rows; the
     subsampling and the permutations are driven by ``seed``.  Time is
     quadratic in the pooled size; memory is O(size * (n_permutations +
@@ -114,8 +121,8 @@ def energy_distance_test(
     if max_points < 1:
         raise ValueError(f"max_points must be >= 1, got {max_points}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x9E3779B9]))
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
+    a = _as_columns(a)
+    b = _as_columns(b)
     if a.shape[1] != b.shape[1]:
         raise ValueError("samples must share their dimension")
     if a.size == 0 or b.size == 0:
@@ -159,9 +166,7 @@ def energy_distance_test(
 
 def lag1_autocorr(series: np.ndarray) -> np.ndarray:
     """Lag-1 autocorrelation of each column of a (steps, dim) array."""
-    x = np.asarray(series, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _as_columns(series)
     x = x - x.mean(axis=0)
     denom = np.sum(x * x, axis=0)
     num = np.sum(x[1:] * x[:-1], axis=0)

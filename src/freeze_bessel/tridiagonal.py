@@ -1,89 +1,46 @@
-"""Eigenvalues of real symmetric tridiagonal matrices.
+"""Eigenvalues of real symmetric tridiagonal matrices, the package's one solver.
 
-Implicit-shift QL iteration, eigenvalues only (no eigenvectors).  This is the
-classic tql1 algorithm; it is kept self-contained because the Jacobi matrices
-whose spectra we need (orthogonal-polynomial zero computation) are tiny and a
-dependency-free routine makes the zero pipeline auditable end to end.
+It serves the exact samplers (batches of beta-Hermite and beta-Laguerre
+matrices) and the freezing targets (one-row batches of the recurrence Jacobi
+matrices whose spectra are the Hermite and Laguerre zeros).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+from scipy.linalg.lapack import dsterf
 
 __all__ = ["tridiagonal_eigenvalues"]
 
-_EPS = np.finfo(float).eps
+# Smallest n at which the per-matrix dsterf loop beats the batched dense
+# eigvalsh (single thread, 4096 rows: equal within noise at n = 14-16, dense
+# 1.25x faster at n = 8, dsterf 1.8x faster at n = 50).
+_STERF_MIN_N = 16
 
 
-def tridiagonal_eigenvalues(diag, offdiag, max_sweeps: int = 64) -> np.ndarray:
-    """Eigenvalues (ascending) of the symmetric tridiagonal matrix.
+def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of the symmetric tridiagonals with rows ``diag``
+    (size, n) on the diagonal and ``off`` (size, n-1) beside it.
 
-    Parameters
-    ----------
-    diag : array_like, shape (n,)
-        Main diagonal.
-    offdiag : array_like, shape (n-1,)
-        Sub/super diagonal (the matrix is symmetric).
-    max_sweeps : int
-        QL sweeps allowed per eigenvalue before giving up.
+    numpy's ``eigvalsh`` (LAPACK ``dsyevd``) leaves an already tridiagonal
+    matrix as it is and hands its diagonals to ``dsterf``, so calling
+    ``dsterf`` directly gives the same bytes without the (size, n, n) matrices.
+    Raises ``RuntimeError`` if ``dsterf`` reports a failure.
     """
-    d = np.asarray(diag, dtype=float).copy()
-    n = d.size
-    if n == 0:
-        return d
-    off = np.asarray(offdiag, dtype=float)
-    if off.shape != (n - 1,):
-        raise ValueError(f"offdiag must have shape ({n - 1},), got {off.shape}")
-    e = np.zeros(n)
-    e[: n - 1] = off
-
-    for l in range(n):
-        sweeps = 0
-        while True:
-            # look for a negligible off-diagonal element to split at
-            for m in range(l, n - 1):
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd:
-                    break
-            else:
-                m = n - 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise RuntimeError("QL iteration failed to converge")
-            # implicit shift from the 2x2 block at l
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # recover from underflow and restart the sweep
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-
-    d.sort()
-    return d
+    size, n = diag.shape
+    if n < _STERF_MIN_N:
+        mats = np.zeros((size, n, n))
+        idx = np.arange(n)
+        mats[:, idx, idx] = diag
+        j = idx[:-1]
+        mats[:, j, j + 1] = off
+        mats[:, j + 1, j] = off
+        vals = np.linalg.eigvalsh(mats)
+    else:
+        vals = np.empty((size, n))
+        for row in range(size):
+            lam, info = dsterf(diag[row], off[row])
+            if info != 0:
+                raise RuntimeError(f"LAPACK dsterf failed with info={info} on a {n}x{n} tridiagonal")
+            vals[row] = lam
+    return vals[:, ::-1]

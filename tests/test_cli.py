@@ -118,6 +118,21 @@ def test_sde_budget_exhaustion_exits_3(monkeypatch):
                  "--x0", "1,-1", "--steps", "100", "--paths", "100"]) == 3
 
 
+def test_target_past_the_precision_envelope_exits_3(capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["target", "--system", "B", "--n", "400", "--nu", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "abort:" in captured.err
+
+
+def test_lapack_failure_exits_3(monkeypatch, capsys):
+    import freeze_bessel.tridiagonal as tridiagonal
+
+    monkeypatch.setattr(tridiagonal, "dsterf", lambda d, e: (d, 1))
+    assert main(["sample", "--system", "A", "--n", "20", "--k", "5", "--count", "10"]) == 3
+    assert "dsterf failed with info=1" in capsys.readouterr().err
+
+
 def test_verify_identities_exit_0(tmp_path, capsys):
     path = tmp_path / "reports.json"
     assert main(["verify", "--suite", "identities", "--quick", "--out", str(path)]) == 0

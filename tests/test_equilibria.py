@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from freeze_bessel import equilibria
 from freeze_bessel import (
     TargetSource,
     a_potential_discrepancy,
@@ -118,6 +119,29 @@ def test_stationarity_residuals_small():
             assert stationarity_residual(freezing_target("B", n, nu=nu)) < 1e-10
     for n in (2, 3, 10, 50):
         assert stationarity_residual(freezing_target("D", n)) < 1e-10
+
+
+def test_large_n_targets_pass_the_residual_gate():
+    # the Newton polish keeps the LAPACK zeros inside the 1e-10 gate at
+    # n = 300 (kind D reads 6.3e-11 with it, 1.7e-10 without)
+    for kind, nu in (("A", None), ("B", 1.0), ("D", None)):
+        assert stationarity_residual(freezing_target(kind, 300, nu=nu)) < 1e-10
+
+
+def test_nan_zeros_fail_loudly(monkeypatch):
+    # the Newton recurrences overflow (Laguerre from n = 363, Hermite from
+    # n = 731); NaN zeros must fail the zero checks, and a NaN residual the
+    # stationarity gate
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match="degenerate"):
+            laguerre_zeros(400, 0.0)
+        with pytest.raises(RuntimeError, match="degenerate"):
+            freezing_target("B", 400, nu=1.0)
+        with pytest.raises(RuntimeError, match="not finite"):
+            hermite_zeros(731)
+    monkeypatch.setattr(equilibria, "stationarity_residual", lambda target: math.nan)
+    with pytest.raises(RuntimeError, match="stationarity residual nan"):
+        freezing_target("B", 7, nu=3.25)
 
 
 def test_potential_identity_checks_pass():

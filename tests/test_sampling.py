@@ -7,14 +7,12 @@ from scipy import stats as ss
 from freeze_bessel.core import RootKind, RootSystemSpec, in_chamber
 from freeze_bessel.quadrature import chamber_moment
 from freeze_bessel.sampling import (
-    _STERF_MIN_N,
     SampleMethod,
     SamplerAbort,
     sample_exact,
     sample_metropolis,
     sample_tridiag_a,
     sample_tridiag_b,
-    _tridiag_eigs_desc,
 )
 from freeze_bessel.stat_tests import ks_test_two_sample
 
@@ -53,31 +51,6 @@ def test_threads_do_not_change_the_output():
     serial = sample_tridiag_a(50, 1.0, 1.0, 5000, seed=5)
     threaded = sample_tridiag_a(50, 1.0, 1.0, 5000, seed=5, threads=4)
     assert np.array_equal(serial.points, threaded.points)
-
-
-def _dense_eigs_desc(diag, off):
-    # reference: full symmetric matrices through numpy's eigvalsh
-    mats = np.array([np.diag(d) + np.diag(e, 1) + np.diag(e, -1) for d, e in zip(diag, off)])
-    return np.linalg.eigvalsh(mats)[:, ::-1]
-
-
-@pytest.mark.parametrize("n", [_STERF_MIN_N - 1, _STERF_MIN_N, 50, 200])
-def test_tridiagonal_eigensolver_matches_dense_eigvalsh_bytes(n):
-    rng = np.random.default_rng(n)
-    rows = 64
-    # beta-Hermite at beta = 2: N(0, 1) diagonal, chi_{2(n-i)} / sqrt(2) beside it
-    hermite = (
-        rng.standard_normal((rows, n)),
-        np.sqrt(rng.chisquare(2.0 * np.arange(n - 1, 0, -1), size=(rows, n - 1))) / np.sqrt(2.0),
-    )
-    # beta-Laguerre B B^T with zero axis multiplicity at strength 1e4 (the
-    # near-singular case the B(k1 = 0) and D samplers hit)
-    d = np.sqrt(rng.chisquare(1.0 + 2e4 * np.arange(n - 1, -1, -1), size=(rows, n)))
-    s = np.sqrt(rng.chisquare(2e4 * np.arange(n - 1, 0, -1), size=(rows, n - 1)))
-    laguerre = (d**2, d[:, :-1] * s)
-    laguerre[0][:, 1:] += s**2
-    for diag, off in (hermite, laguerre):
-        assert np.array_equal(_tridiag_eigs_desc(diag, off), _dense_eigs_desc(diag, off))
 
 
 def test_large_n_sampling_memory_stays_linear_in_n():

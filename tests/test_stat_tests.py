@@ -208,6 +208,15 @@ def test_energy_distance_matches_dense_reference(rows_a, rows_b, dim, n_permutat
         assert abs(stat - ref_stat) <= 1e-12 * mean_dist
 
 
+def test_energy_distance_reads_1d_samples_as_columns():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal(2000)
+    b = 3.0 * rng.standard_normal(2000)
+    one_d = energy_distance_test(a, b, seed=5)
+    assert one_d == energy_distance_test(a[:, None], b[:, None], seed=5)
+    assert one_d[1] <= 0.01
+
+
 def test_energy_distance_counts_ties_as_hits():
     # one point mass on both sides: every split ties with the observed one
     point = np.full((12, 3), 0.5)

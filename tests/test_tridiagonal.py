@@ -3,66 +3,90 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeze_bessel.tridiagonal import tridiagonal_eigenvalues
+from freeze_bessel.tridiagonal import _STERF_MIN_N, tridiagonal_eigenvalues
 
 
-def _dense(diag, off):
-    n = len(diag)
-    m = np.diag(np.asarray(diag, dtype=float))
-    for i in range(n - 1):
-        m[i, i + 1] = m[i + 1, i] = off[i]
-    return m
+def _dense_eigs_desc(diag, off):
+    # reference: full symmetric matrices through numpy's eigvalsh
+    mats = np.array([np.diag(d) + np.diag(e, 1) + np.diag(e, -1) for d, e in zip(diag, off)])
+    return np.linalg.eigvalsh(mats)[:, ::-1]
+
+
+def _one(diag, off):
+    """Eigenvalues of a single tridiagonal, passed as a one-row batch."""
+    return tridiagonal_eigenvalues(np.asarray([diag], dtype=float), np.asarray([off], dtype=float))[0]
 
 
 def test_single_entry():
-    assert np.array_equal(tridiagonal_eigenvalues([4.5], []), np.array([4.5]))
+    assert np.array_equal(_one([4.5], []), np.array([4.5]))
 
 
 def test_decoupled_blocks():
     # zero off-diagonal entries make the matrix block diagonal
-    vals = tridiagonal_eigenvalues([3.0, -1.0, 2.0], [0.0, 0.0])
-    assert np.allclose(np.sort(vals), [-1.0, 2.0, 3.0])
+    assert np.array_equal(_one([3.0, -1.0, 2.0], [0.0, 0.0]), [3.0, 2.0, -1.0])
+    diag = np.arange(20.0)
+    assert np.array_equal(_one(diag, np.zeros(19)), diag[::-1])
 
 
 def test_known_two_by_two():
-    # eigenvalues of [[a, b], [b, a]] are a - b and a + b
-    vals = np.sort(tridiagonal_eigenvalues([1.0, 1.0], [2.0]))
-    assert np.allclose(vals, [-1.0, 3.0], atol=1e-14)
+    # eigenvalues of [[a, b], [b, a]] are a + b and a - b, descending
+    assert np.allclose(_one([1.0, 1.0], [2.0]), [3.0, -1.0], atol=1e-14)
 
 
 def test_matches_dense_solver():
     rng = np.random.default_rng(7)
     for n in (2, 3, 5, 11, 40):
-        diag = rng.standard_normal(n) * 3
-        off = rng.standard_normal(n - 1)
-        got = np.sort(tridiagonal_eigenvalues(diag, off))
-        want = np.sort(np.linalg.eigvalsh(_dense(diag, off)))
+        diag = rng.standard_normal((3, n)) * 3
+        off = rng.standard_normal((3, n - 1))
+        got = tridiagonal_eigenvalues(diag, off)
+        want = _dense_eigs_desc(diag, off)
         scale = max(1.0, np.abs(want).max())
         assert np.allclose(got, want, atol=1e-11 * scale)
 
 
+@pytest.mark.parametrize("n", [_STERF_MIN_N - 1, _STERF_MIN_N, 50, 200])
+def test_tridiagonal_eigensolver_matches_dense_eigvalsh_bytes(n):
+    rng = np.random.default_rng(n)
+    rows = 64
+    # beta-Hermite at beta = 2: N(0, 1) diagonal, chi_{2(n-i)} / sqrt(2) beside it
+    hermite = (
+        rng.standard_normal((rows, n)),
+        np.sqrt(rng.chisquare(2.0 * np.arange(n - 1, 0, -1), size=(rows, n - 1))) / np.sqrt(2.0),
+    )
+    # beta-Laguerre B B^T with zero axis multiplicity at strength 1e4 (the
+    # near-singular case the B(k1 = 0) and D samplers hit)
+    d = np.sqrt(rng.chisquare(1.0 + 2e4 * np.arange(n - 1, -1, -1), size=(rows, n)))
+    s = np.sqrt(rng.chisquare(2e4 * np.arange(n - 1, 0, -1), size=(rows, n - 1)))
+    laguerre = (d**2, d[:, :-1] * s)
+    laguerre[0][:, 1:] += s**2
+    for diag, off in (hermite, laguerre):
+        assert np.array_equal(tridiagonal_eigenvalues(diag, off), _dense_eigs_desc(diag, off))
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 14))
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 24))
 def test_random_tridiagonal_agrees_with_lapack(seed, n):
     rng = np.random.default_rng(seed)
-    diag = rng.uniform(-10, 10, size=n)
-    off = rng.uniform(-5, 5, size=n - 1)
-    got = np.sort(tridiagonal_eigenvalues(diag, off))
-    want = np.sort(np.linalg.eigvalsh(_dense(diag, off)))
+    diag = rng.uniform(-10, 10, size=(2, n))
+    off = rng.uniform(-5, 5, size=(2, n - 1))
+    got = tridiagonal_eigenvalues(diag, off)
+    want = _dense_eigs_desc(diag, off)
     scale = max(1.0, np.abs(want).max())
     assert np.allclose(got, want, atol=1e-10 * scale)
 
 
 def test_eigenvalue_sum_and_square_sum_match_traces():
     rng = np.random.default_rng(3)
-    diag = rng.standard_normal(8)
-    off = rng.standard_normal(7)
-    vals = tridiagonal_eigenvalues(diag, off)
-    assert np.sum(vals) == pytest.approx(np.sum(diag), rel=1e-12, abs=1e-12)
-    assert np.sum(vals ** 2) == pytest.approx(np.sum(diag ** 2) + 2 * np.sum(off ** 2), rel=1e-12)
+    for n in (8, 30):
+        diag = rng.standard_normal(n)
+        off = rng.standard_normal(n - 1)
+        vals = _one(diag, off)
+        assert np.sum(vals) == pytest.approx(np.sum(diag), rel=1e-12, abs=1e-12)
+        assert np.sum(vals ** 2) == pytest.approx(np.sum(diag ** 2) + 2 * np.sum(off ** 2), rel=1e-12)
 
 
 def test_shape_validation():
-    with pytest.raises(ValueError):
-        tridiagonal_eigenvalues([1.0, 2.0], [0.5, 0.5])
-    assert tridiagonal_eigenvalues([], []).size == 0
+    for n in (2, 20):
+        with pytest.raises(ValueError):
+            tridiagonal_eigenvalues(np.ones((1, n)), np.ones((1, n)))
+    assert tridiagonal_eigenvalues(np.empty((1, 0)), np.empty((1, 0))).shape == (1, 0)
