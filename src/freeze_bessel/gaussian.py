@@ -3,7 +3,8 @@
 The central limit theorems of the freezing regimes share one shape: centered
 fluctuations converge to N(0, t * Sigma) where Sigma is the inverse of an
 explicit precision matrix S built from the freezing target.  This module
-constructs S, its Cholesky factor and determinant, evaluates the closed-form
+constructs S, its Cholesky factor and determinant, the FreezingRegime of each
+limit theorem (spec, scale, target and Sigma), evaluates the closed-form
 normalization constants of the start-0 densities in log space, and provides
 the scaled limits of the multivariate Bessel function that drive the proofs.
 """
@@ -16,12 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .core import RootKind, _as_kind, in_chamber
+from .core import RootKind, RootSystemSpec, _as_kind, in_chamber
 from .equilibria import _b_potential_max, _log_j_sum, freezing_target
 from .report import VerificationReport
 from .special import log_factorial, log_gamma
 
 __all__ = [
+    "FreezingRegime",
     "PrecisionMatrix",
     "NormalizationConstant",
     "precision_matrix",
@@ -119,6 +121,71 @@ def covariance(pm: PrecisionMatrix) -> np.ndarray:
     linv = solve_triangular(pm.chol, eye, lower=True)
     sigma = linv.T @ linv
     return 0.5 * (sigma + sigma.T)
+
+
+@dataclass(frozen=True)
+class FreezingRegime:
+    """The centering data of one freezing limit: spec, scale m, target, Sigma.
+
+    Samples are centered as  points - sqrt(m * t) * target  and compared to
+    N(0, t * sigma).  In regime B3 only the first n-1 centered coordinates are
+    Gaussian; the last one is one-sided, on the scale sqrt(t * sigma[-1, -1]).
+
+    ===  ====================  ===================  ====  ==========  ===========
+    tag  strength, parameter   spec                 m     target      sigma
+    ===  ====================  ===================  ====  ==========  ===========
+    A    k                     a(n, k)              2k    A           Sigma_A
+    B1   beta, nu > 0          b(n, nu*beta, beta)  beta  B(nu)       Sigma_B(nu)
+    B3   k2, fixed k1 >= 0     b(n, k1, k2)         k2    B(nu = 0)   Sigma_D
+    D    k                     d(n, k)              k     D           Sigma_D
+    ===  ====================  ===================  ====  ==========  ===========
+
+    B3 at k1 = 0 is the zero-axis regime B0.  The B(nu = 0) target has the
+    coordinates of the D target: its last coordinate is 0.
+    """
+
+    spec: RootSystemSpec
+    m: float
+    target: np.ndarray
+    sigma: np.ndarray
+
+    @classmethod
+    def from_theorem(
+        cls, theorem: str, n: int, strength: float, *, nu: float | None = None, k1: float | None = None
+    ):
+        """The regime of one tag of the table above; only B1 takes nu, only B3 takes k1."""
+        if theorem not in ("A", "B1", "B3", "D"):
+            raise ValueError(f"unknown theorem tag {theorem!r}")
+        if nu is not None and theorem != "B1":
+            raise ValueError(f"theorem {theorem} takes no nu")
+        if k1 is not None and theorem != "B3":
+            raise ValueError(f"theorem {theorem} takes no k1")
+        if theorem == "A":
+            spec = RootSystemSpec.a(n, strength)
+            target = freezing_target(RootKind.A, n).coords
+            sigma = covariance(precision_matrix(RootKind.A, n))
+            return cls(spec, 2.0 * strength, target, sigma)
+        if theorem == "B1":
+            if nu is None or nu <= 0:
+                raise ValueError("theorem B1 needs nu > 0 (nu = 0 is the one-sided regime)")
+            spec = RootSystemSpec.b(n, nu * strength, strength)
+            target = freezing_target(RootKind.B, n, nu).coords
+            sigma = covariance(precision_matrix(RootKind.B, n, nu))
+        elif theorem == "B3":
+            if k1 is None or k1 < 0:
+                raise ValueError("theorem B3 needs fixed k1 >= 0")
+            spec = RootSystemSpec.b(n, k1, strength)
+            target = freezing_target(RootKind.B, n, 0.0).coords
+            # at n = 1 there are no pair roots and S_D is [[1]]; kind D itself needs n >= 2
+            sigma = covariance(precision_matrix(RootKind.D, n)) if n > 1 else np.ones((1, 1))
+        else:
+            spec = RootSystemSpec.d(n, strength)
+            target = freezing_target(RootKind.D, n).coords
+            sigma = covariance(precision_matrix(RootKind.D, n))
+        return cls(spec, float(strength), target, sigma)
+
+    def center(self, points: np.ndarray, t: float) -> np.ndarray:
+        return points - math.sqrt(self.m * t) * self.target
 
 
 def determinant_identity(kind, n: int, nu: float | None = None) -> VerificationReport:

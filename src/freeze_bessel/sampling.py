@@ -30,8 +30,7 @@ from .core import (
     in_chamber,
     log_weight_batch,
 )
-from .equilibria import freezing_target
-from .gaussian import covariance, precision_matrix
+from .gaussian import FreezingRegime
 from .stat_tests import lag1_autocorr
 from .tridiagonal import tridiagonal_eigenvalues
 
@@ -242,30 +241,18 @@ def sample_exact(
 # Metropolis samplers
 
 
-def _freezing_regime(spec: RootSystemSpec):
-    """Scale m, target and limit covariance of the spec's freezing regime."""
-    if spec.kind is RootKind.A:
-        if spec.k <= 0:
-            raise ValueError("Metropolis proposal needs k > 0")
-        target = freezing_target(RootKind.A, spec.n)
-        sigma = covariance(precision_matrix(RootKind.A, spec.n))
-        return 2.0 * spec.k, target.coords, sigma
+def _freezing_regime(spec: RootSystemSpec) -> FreezingRegime:
+    """The freezing regime whose limit Gaussian is the spec's proposal."""
     if spec.kind is RootKind.B:
         if spec.k2 <= 0:
             raise ValueError("Metropolis proposal needs k2 > 0")
         nu = spec.k1 / spec.k2
         if nu == 0:
-            target = freezing_target(RootKind.B, spec.n, 0.0)
-            sigma = covariance(precision_matrix(RootKind.D, spec.n))
-        else:
-            target = freezing_target(RootKind.B, spec.n, nu)
-            sigma = covariance(precision_matrix(RootKind.B, spec.n, nu))
-        return spec.k2, target.coords, sigma
+            return FreezingRegime.from_theorem("B3", spec.n, spec.k2, k1=0.0)
+        return FreezingRegime.from_theorem("B1", spec.n, spec.k2, nu=nu)
     if spec.k <= 0:
         raise ValueError("Metropolis proposal needs k > 0")
-    target = freezing_target(RootKind.D, spec.n)
-    sigma = covariance(precision_matrix(RootKind.D, spec.n))
-    return spec.k, target.coords, sigma
+    return FreezingRegime.from_theorem(spec.kind.value, spec.n, spec.k)
 
 
 def _log_target(spec: RootSystemSpec, t: float, pts: np.ndarray) -> np.ndarray:
@@ -322,10 +309,10 @@ def sample_metropolis(
         raise ValueError("need count >= 1 and t > 0")
     if proposal_inflation <= 0:
         raise ValueError("proposal_inflation must be positive")
-    m, target, sigma = _freezing_regime(spec)
-    mean = math.sqrt(m * t) * target
+    regime = _freezing_regime(spec)
+    mean = math.sqrt(regime.m * t) * regime.target
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    chol = np.linalg.cholesky(proposal_inflation * t * sigma)
+    chol = np.linalg.cholesky(proposal_inflation * t * regime.sigma)
 
     state = mean.copy()
     state_lp = float(_log_target(spec, t, state[None, :])[0])

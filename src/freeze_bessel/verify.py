@@ -16,19 +16,13 @@ and are arguments, not constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
 from .core import RootKind, RootSystemSpec
 from .equilibria import freezing_target, potential_identity_check, stationarity_residual
-from .gaussian import (
-    covariance,
-    determinant_identity,
-    log_norm_constant,
-    precision_matrix,
-    proof_constant_limit,
-)
+from .gaussian import FreezingRegime, determinant_identity, log_norm_constant, proof_constant_limit
 from .quadrature import chamber_weight_integral
 from .report import VerificationReport
 from .sampling import _spawn_seeds, sample_exact, sample_metropolis
@@ -65,45 +59,6 @@ _QUICK_COUNT = 4000
 P_THRESHOLD = 0.01
 COV_REL_TOL = 0.05
 MEAN_SIGMA_MULT = 3.0
-
-
-@dataclass(frozen=True)
-class FreezingRegime:
-    """The centering data of one freezing limit: scale m, target, covariance.
-
-    Samples are centered as  points - sqrt(m * t) * target  and compared to
-    N(0, t * sigma).
-    """
-
-    spec: RootSystemSpec
-    m: float
-    target: np.ndarray
-    sigma: np.ndarray
-
-    @classmethod
-    def from_theorem(cls, theorem: str, n: int, strength: float, *, nu: float | None = None):
-        """Regimes: A (strength = k), B1 (strength = beta, nu > 0), D (strength = k)."""
-        if theorem == "A":
-            spec = RootSystemSpec.a(n, strength)
-            target = freezing_target(RootKind.A, n).coords
-            sigma = covariance(precision_matrix(RootKind.A, n))
-            return cls(spec, 2.0 * strength, target, sigma)
-        if theorem == "B1":
-            if nu is None or nu <= 0:
-                raise ValueError("theorem B1 needs nu > 0 (nu = 0 is the one-sided regime)")
-            spec = RootSystemSpec.b(n, nu * strength, strength)
-            target = freezing_target(RootKind.B, n, nu).coords
-            sigma = covariance(precision_matrix(RootKind.B, n, nu))
-            return cls(spec, float(strength), target, sigma)
-        if theorem == "D":
-            spec = RootSystemSpec.d(n, strength)
-            target = freezing_target(RootKind.D, n).coords
-            sigma = covariance(precision_matrix(RootKind.D, n))
-            return cls(spec, float(strength), target, sigma)
-        raise ValueError(f"unknown theorem tag {theorem!r}")
-
-    def center(self, points: np.ndarray, t: float) -> np.ndarray:
-        return points - math.sqrt(self.m * t) * self.target
 
 
 # ---------------------------------------------------------------------------
@@ -180,31 +135,22 @@ def lln_check(
 ) -> VerificationReport:
     """Scaled samples concentrate at the freezing target.
 
-    Regimes: "A" (strength = k), "B" (strength = beta with nu fixed),
-    "B3" (strength = k2 with k1 fixed; D-type target).
+    Regimes: "A" (strength = k), "B" (strength = beta with nu >= 0 fixed:
+    FreezingRegime B1, or B3 with k1 = 0 at nu = 0), "B3" (strength = k2
+    with k1 fixed; D-type target).
     """
-    if regime == "A":
-        spec = RootSystemSpec.a(n, strength)
-        m = 2.0 * strength
-        target = freezing_target(RootKind.A, n).coords
-    elif regime == "B":
-        if nu is None or nu < 0:
-            raise ValueError("regime B needs nu >= 0")
-        spec = RootSystemSpec.b(n, nu * strength, strength)
-        m = float(strength)
-        target = freezing_target(RootKind.B, n, nu).coords
-    elif regime == "B3":
-        if k1 is None or k1 < 0:
-            raise ValueError("regime B3 needs fixed k1 >= 0")
-        spec = RootSystemSpec.b(n, k1, strength)
-        m = float(strength)
-        target = freezing_target(RootKind.B, n, 0.0).coords
-    else:
+    if regime not in ("A", "B", "B3"):
         raise ValueError(f"unknown LLN regime {regime!r}")
-    batch = sample_exact(spec, t, count, seed, threads=threads)
-    scaled = batch.points / math.sqrt(m * t)
-    mean_dev = float(np.max(np.abs(scaled.mean(axis=0) - target)))
-    sup_dev = np.max(np.abs(scaled - target), axis=1)
+    if regime == "B" and (nu is None or nu < 0):
+        raise ValueError("regime B needs nu >= 0")
+    if regime == "B" and nu == 0 and k1 is None:
+        limit = FreezingRegime.from_theorem("B3", n, strength, k1=0.0)
+    else:  # FreezingRegime rejects a nu or k1 that its regime does not take
+        limit = FreezingRegime.from_theorem("B1" if regime == "B" else regime, n, strength, nu=nu, k1=k1)
+    batch = sample_exact(limit.spec, t, count, seed, threads=threads)
+    scaled = batch.points / math.sqrt(limit.m * t)
+    mean_dev = float(np.max(np.abs(scaled.mean(axis=0) - limit.target)))
+    sup_dev = np.max(np.abs(scaled - limit.target), axis=1)
     q95 = float(np.quantile(sup_dev, 0.95))
     passed = mean_dev < tol and q95 < tol
     return VerificationReport(
@@ -296,24 +242,16 @@ def clt_type_a_limit_check(
     Two-sample per-coordinate KS plus an energy-distance permutation test.
     """
     seed_b, seed_a, seed_perm = _spawn_seeds(seed, 3)
-    spec_b = RootSystemSpec.b(n, k1, k2)
-    batch_b = sample_exact(spec_b, t, count, seed_b, threads=threads)
-    shifted = batch_b.points - math.sqrt(2.0 * t * k1)
-    spec_a = RootSystemSpec.a(n, k2)
-    batch_a = sample_exact(spec_a, 0.5 * t, count, seed_a, threads=threads)
-    p_coord = [
-        float(ks_test_two_sample(shifted[:, i], batch_a.points[:, i])[1]) for i in range(n)
-    ]
-    _, p_energy = energy_distance_test(shifted, batch_a.points, n_permutations=n_permutations, seed=seed_perm)
-    passed = all(p > p_threshold for p in p_coord) and p_energy > p_threshold
-    return VerificationReport(
+    batch_b = sample_exact(RootSystemSpec.b(n, k1, k2), t, count, seed_b, threads=threads)
+    batch_a = sample_exact(RootSystemSpec.a(n, k2), 0.5 * t, count, seed_a, threads=threads)
+    report = two_sample_agreement(
+        batch_b.points - math.sqrt(2.0 * t * k1), batch_a.points,
         name="clt-B2-shifted-A",
         parameters={"n": n, "k1": k1, "k2": k2, "t": t, "count": count},
-        statistics={"per_coordinate_ks_p": p_coord, "energy_p": float(p_energy)},
-        tolerances={"p_threshold": p_threshold, "n_permutations": n_permutations},
-        passed=passed,
-        seed=seed,
+        seed=seed_perm, p_threshold=p_threshold, n_permutations=n_permutations,
     )
+    # the report records the caller's seed, from which seed_perm derives
+    return replace(report, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +272,14 @@ def one_sided_check(
 ) -> VerificationReport:
     """Half-space limit of B-type laws with large pair multiplicity.
 
-    Regime "B0" forces k1 = 0; regime "B3" keeps the passed k1 fixed.  The
-    batch is centered by sqrt(k2 t) times the D-type target (last coordinate
-    zero), then (a) the centered last coordinate must be nonnegative for
-    every sample, (b) it is KS-tested against sqrt(t * Sigma_D[n-1, n-1])
-    times chi with 2*k1 + 1 degrees of freedom, the law of the last diagonal
-    entry of the bidiagonal Laguerre model (``fixed_axis_ks_p``), and (c) the
-    first n-1 coordinates run the Gaussian battery against the matching block
-    of N(0, t*Sigma_D).
+    Regime "B0" is k1 = 0 and rejects any other k1; regime "B3" keeps the
+    passed k1 fixed.  Both use FreezingRegime B3: the batch is centered by
+    sqrt(k2 t) times the D-type target (last coordinate zero), then (a) the
+    centered last coordinate must be nonnegative for every sample, (b) it is
+    KS-tested against sqrt(t * Sigma_D[n-1, n-1]) times chi with 2*k1 + 1
+    degrees of freedom, the law of the last diagonal entry of the bidiagonal
+    Laguerre model (``fixed_axis_ks_p``), and (c) the first n-1 coordinates
+    run the Gaussian battery against the matching block of N(0, t*Sigma_D).
 
     At k1 = 0 the law in (b) is the half-normal with variance
     t * Sigma_D[n-1, n-1].  That half-normal KS p-value is also reported for
@@ -350,15 +288,14 @@ def one_sided_check(
     """
     if n < 2:
         raise ValueError("one-sided regimes need n >= 2")
-    if regime == "B0":
-        k1 = 0.0
-    elif regime != "B3":
+    if regime not in ("B0", "B3"):
         raise ValueError(f"unknown one-sided regime {regime!r}")
-    spec = RootSystemSpec.b(n, k1, k2)
-    target = freezing_target(RootKind.B, n, 0.0).coords
-    sigma_d = covariance(precision_matrix(RootKind.D, n))
-    batch = sample_exact(spec, t, count, seed, threads=threads)
-    centered = batch.points - math.sqrt(k2 * t) * target
+    if regime == "B0" and k1 != 0:
+        raise ValueError(f"regime B0 has k1 = 0, got k1 = {k1}")
+    limit = FreezingRegime.from_theorem("B3", n, k2, k1=k1)
+    sigma_d = limit.sigma
+    batch = sample_exact(limit.spec, t, count, seed, threads=threads)
+    centered = limit.center(batch.points, t)
     last = centered[:, -1]
     violations = int(np.count_nonzero(last < 0))
     scale = math.sqrt(t * sigma_d[n - 1, n - 1])

@@ -118,9 +118,9 @@ def test_sde_budget_exhaustion_exits_3(monkeypatch):
                  "--x0", "1,-1", "--steps", "100", "--paths", "100"]) == 3
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_target_past_the_precision_envelope_exits_3(capsys):
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["target", "--system", "B", "--n", "400", "--nu", "1"]) == 3
+    assert main(["target", "--system", "B", "--n", "400", "--nu", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "abort:" in captured.err
 

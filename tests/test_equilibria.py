@@ -128,17 +128,17 @@ def test_large_n_targets_pass_the_residual_gate():
         assert stationarity_residual(freezing_target(kind, 300, nu=nu)) < 1e-10
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nan_zeros_fail_loudly(monkeypatch):
     # the Newton recurrences overflow (Laguerre from n = 363, Hermite from
-    # n = 731); NaN zeros must fail the zero checks, and a NaN residual the
-    # stationarity gate
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(RuntimeError, match="degenerate"):
-            laguerre_zeros(400, 0.0)
-        with pytest.raises(RuntimeError, match="degenerate"):
-            freezing_target("B", 400, nu=1.0)
-        with pytest.raises(RuntimeError, match="not finite"):
-            hermite_zeros(731)
+    # n = 731); NaN zeros must fail the zero checks, with no numpy overflow
+    # warning on the way, and a NaN residual the stationarity gate
+    with pytest.raises(RuntimeError, match="degenerate"):
+        laguerre_zeros(400, 0.0)
+    with pytest.raises(RuntimeError, match="degenerate"):
+        freezing_target("B", 400, nu=1.0)
+    with pytest.raises(RuntimeError, match="not finite"):
+        hermite_zeros(731)
     monkeypatch.setattr(equilibria, "stationarity_residual", lambda target: math.nan)
     with pytest.raises(RuntimeError, match="stationarity residual nan"):
         freezing_target("B", 7, nu=3.25)

@@ -6,6 +6,7 @@ import pytest
 import freeze_bessel as fb
 from freeze_bessel.core import RootKind
 from freeze_bessel.equilibria import freezing_target
+from freeze_bessel import gaussian
 from freeze_bessel.gaussian import covariance, precision_matrix
 from freeze_bessel.verify import (
     SUITES,
@@ -37,6 +38,15 @@ def test_regime_scale_and_multiplicity_mappings():
     assert d.m == 9.0
     assert d.spec.k == 9.0
 
+    sigma_d = covariance(precision_matrix(RootKind.D, 3))
+    for k1 in (0.0, 1.0):
+        b3 = FreezingRegime.from_theorem("B3", 3, 50.0, k1=k1)
+        assert b3.spec == fb.RootSystemSpec.b(3, k1, 50.0)
+        assert b3.m == 50.0  # scale is k2
+        assert np.array_equal(b3.target, freezing_target(RootKind.B, 3, 0.0).coords)
+        assert np.array_equal(b3.sigma, sigma_d)
+    assert FreezingRegime is gaussian.FreezingRegime
+
 
 def test_regime_validation():
     with pytest.raises(ValueError):
@@ -45,6 +55,15 @@ def test_regime_validation():
         FreezingRegime.from_theorem("B1", 2, 100.0, nu=0.0)
     with pytest.raises(ValueError):
         FreezingRegime.from_theorem("Z", 2, 100.0)
+    with pytest.raises(ValueError):
+        FreezingRegime.from_theorem("B3", 2, 100.0)  # k1 missing
+    with pytest.raises(ValueError):
+        FreezingRegime.from_theorem("B3", 2, 100.0, k1=-1.0)
+    # a parameter the regime does not take is rejected, not ignored
+    for theorem, extra in (("A", {"nu": 1.0}), ("D", {"k1": 1.0}), ("B3", {"k1": 1.0, "nu": 1.0}),
+                           ("B1", {"nu": 1.0, "k1": 1.0}), ("A", {"k1": 0.0})):
+        with pytest.raises(ValueError, match="takes no"):
+            FreezingRegime.from_theorem(theorem, 2, 100.0, **extra)
 
 
 def test_regime_center_subtracts_scaled_target():
@@ -90,6 +109,14 @@ def test_lln_concentrates_at_high_multiplicity_only():
         lln_check("B3", 2, 100.0, 1.0)  # k1 missing
     with pytest.raises(ValueError):
         lln_check("Q", 2, 100.0, 1.0)
+    with pytest.raises(ValueError):
+        lln_check("B", 2, 100.0, 1.0, nu=1.0, k1=1.0)
+    with pytest.raises(ValueError):
+        lln_check("A", 2, 100.0, 1.0, nu=1.0)
+    # B at nu = 0 is the fixed-k1 regime B3 at k1 = 0
+    zero_axis = lln_check("B", 3, 10_000.0, 1.0, nu=0.0, count=2000, seed=5)
+    b3 = lln_check("B3", 3, 10_000.0, 1.0, k1=0.0, count=2000, seed=5)
+    assert zero_axis.statistics == b3.statistics
 
 
 def test_clt_check_validates_method_and_start():
@@ -120,6 +147,8 @@ def test_one_sided_check_on_zero_axis_multiplicity():
         one_sided_check("B7", 2, 200.0, 1.0, seed=0)
     with pytest.raises(ValueError):
         one_sided_check("B0", 1, 200.0, 1.0, seed=0)
+    with pytest.raises(ValueError, match="B0 has k1 = 0"):
+        one_sided_check("B0", 2, 200.0, 1.0, k1=1.0, seed=0)
 
 
 def test_two_sample_agreement_null_and_shift():
