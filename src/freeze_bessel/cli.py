@@ -29,7 +29,7 @@ from .manifest import (
     RunManifest,
     batch_csv_text,
     batch_json_text,
-    read_run_file,
+    read_manifest,
     reports_json_text,
     write_text,
 )
@@ -342,8 +342,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.replay:
-            info = read_run_file(args.replay)
-            manifest = info["manifest"]
+            manifest = read_manifest(args.replay)
             if manifest.command not in REGISTRY:
                 raise ValueError(f"manifest command {manifest.command!r} is not replayable")
             return REGISTRY[manifest.command](dict(manifest.parameters), args.threads)

@@ -1,10 +1,10 @@
 """Run manifests and file serialization for sample batches and reports.
 
 Every output file starts with (or embeds) a RunManifest recording the
-command, its full parameter map, the seed, the tool version, and a
-timestamp.  CSV files carry it as a first line ``# manifest: <json>``
-followed by one ``x1,...,xN`` row per sample; JSON files mirror the same
-structure field for field.  Replaying a manifest re-runs the command with
+command, its full parameter map, the seed, the tool, numpy and scipy
+versions, and a timestamp.  CSV files carry it as a first line
+``# manifest: <json>`` followed by one ``x1,...,xN`` row per sample; JSON
+files mirror the same structure field for field.  Replaying a manifest re-runs the command with
 the recorded parameters, reproducing the data section byte for byte.
 """
 
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from ._version import __version__
 from .report import VerificationReport, _plain
@@ -28,6 +29,7 @@ __all__ = [
     "batch_json_text",
     "reports_json_text",
     "write_text",
+    "read_manifest",
     "read_run_file",
     "data_section",
 ]
@@ -47,6 +49,8 @@ class RunManifest:
     parameters: dict
     seed: int | None
     version: str = __version__
+    numpy_version: str = np.__version__
+    scipy_version: str = scipy.__version__
     timestamp: str = field(default_factory=_utc_now)
 
     def to_dict(self) -> dict:
@@ -55,6 +59,8 @@ class RunManifest:
             "parameters": _plain(self.parameters),
             "seed": self.seed,
             "version": self.version,
+            "numpy_version": self.numpy_version,
+            "scipy_version": self.scipy_version,
             "timestamp": self.timestamp,
         }
 
@@ -68,6 +74,8 @@ class RunManifest:
             parameters=dict(d.get("parameters", {})),
             seed=d.get("seed"),
             version=d.get("version", __version__),
+            numpy_version=d.get("numpy_version", ""),
+            scipy_version=d.get("scipy_version", ""),
             timestamp=d.get("timestamp", ""),
         )
 
@@ -80,14 +88,10 @@ class RunManifest:
 # writers
 
 
-def _format_row(row: np.ndarray) -> str:
-    return ",".join(repr(float(v)) for v in row)
-
-
 def batch_csv_text(batch: SampleBatch, manifest: RunManifest) -> str:
     header = ",".join(f"x{i + 1}" for i in range(batch.points.shape[1]))
     lines = [MANIFEST_PREFIX + manifest.to_json(), header]
-    lines.extend(_format_row(row) for row in batch.points)
+    lines.extend(",".join(map(repr, row)) for row in batch.points.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -132,6 +136,30 @@ def data_section(text: str) -> str:
 # readers
 
 
+def _json_manifest(obj: dict, path) -> RunManifest:
+    if "command" in obj:
+        return RunManifest.from_dict(obj)
+    if "manifest" in obj:
+        return RunManifest.from_dict(obj["manifest"])
+    raise ValueError(f"{path}: unrecognized JSON layout")
+
+
+def read_manifest(path) -> RunManifest:
+    """The manifest of any output file, without parsing its data.
+
+    A CSV file's manifest is its first line; otherwise the file is read as
+    JSON, either a bare manifest or an object with a ``"manifest"`` entry.
+    """
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline()
+    if first.startswith(MANIFEST_PREFIX):
+        return RunManifest.from_json(first[len(MANIFEST_PREFIX):])
+    text = Path(path).read_text(encoding="utf-8")
+    if not text.lstrip().startswith("{"):
+        raise ValueError(f"{path}: missing '{MANIFEST_PREFIX.strip()}' header line")
+    return _json_manifest(json.loads(text), path)
+
+
 def read_run_file(path) -> dict:
     """Parse any output file; returns {"manifest": RunManifest, "kind": ..., ...}.
 
@@ -140,32 +168,21 @@ def read_run_file(path) -> dict:
     (a bare manifest).
     """
     text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         obj = json.loads(text)
+        manifest = _json_manifest(obj, path)
         if "batch" in obj:
             return {
-                "manifest": RunManifest.from_dict(obj["manifest"]),
+                "manifest": manifest,
                 "kind": "batch-json",
                 "batch": obj["batch"],
                 "points": np.asarray(obj["batch"]["points"], dtype=float),
             }
         if "reports" in obj:
-            return {
-                "manifest": RunManifest.from_dict(obj["manifest"]),
-                "kind": "reports-json",
-                "reports": obj["reports"],
-            }
-        if "command" in obj:
-            return {"manifest": RunManifest.from_dict(obj), "kind": "manifest-json"}
-        if "manifest" in obj:
-            return {"manifest": RunManifest.from_dict(obj["manifest"]), "kind": "manifest-json"}
-        raise ValueError(f"{path}: unrecognized JSON layout")
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(MANIFEST_PREFIX):
-        raise ValueError(f"{path}: missing '{MANIFEST_PREFIX.strip()}' header line")
-    manifest = RunManifest.from_json(lines[0][len(MANIFEST_PREFIX):])
-    body = [ln for ln in lines[1:] if ln.strip()]
+            return {"manifest": manifest, "kind": "reports-json", "reports": obj["reports"]}
+        return {"manifest": manifest, "kind": "manifest-json"}
+    manifest = read_manifest(path)
+    body = [ln for ln in text.splitlines()[1:] if ln.strip()]
     points = None
     if body:
         start = 1 if body[0].lstrip().startswith("x1") or body[0].lstrip().startswith("name") else 0

@@ -6,13 +6,18 @@ chamber, for one and two particles.  The integrator is a globally adaptive
 bisection scheme with an embedded 7/15-point Gauss pair per interval (the
 nodes come from ``numpy.polynomial.legendre``); nothing here shares code with
 the formulas being checked.
+
+Two-particle integrals are iterated: one adaptive integral over y1 per outer
+node y2.  Those inner integrals run batched, each with its own panel heap and
+stop test, and every refinement round evaluates the integrand once for all of
+them, so two-particle integrands must broadcast over ``y1`` of shape
+``(rows, nodes)`` and ``y2`` of shape ``(rows, 1)``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,24 +30,63 @@ __all__ = [
     "chamber_moment",
 ]
 
-
-@lru_cache(maxsize=None)
-def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+_N15, _W15 = np.polynomial.legendre.leggauss(15)
+_N7, _W7 = np.polynomial.legendre.leggauss(7)
+_NODES = np.concatenate([_N15, _N7])
 
 
-def _panel(f, a: float, b: float) -> tuple[float, float]:
-    """Integral estimate on [a, b] plus an error estimate from a 7/15 pair."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    n15, w15 = _gauss_rule(15)
-    n7, w7 = _gauss_rule(7)
-    x = mid + half * np.concatenate([n15, n7])
-    vals = np.asarray(f(x), dtype=float)
-    i15 = half * float(w15 @ vals[:15])
-    i7 = half * float(w7 @ vals[15:])
-    return i15, abs(i15 - i7)
+def _panels(f, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integral estimates on the panels [lo_j, hi_j] plus error estimates from a 7/15 pair.
+
+    ``f(x, rows)`` gets the nodes ``x`` of shape (panels, 22) and the row each
+    panel belongs to, and returns the integrand values at ``x``.
+    """
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    x = mid[:, None] + half[:, None] * _NODES
+    vals = np.asarray(f(x, rows), dtype=float)
+    i15 = half * (vals[:, :15] @ _W15)
+    i7 = half * (vals[:, 15:] @ _W7)
+    return i15, np.abs(i15 - i7)
+
+
+def _adaptive_rows(f, a, b, *, atol: float, rtol: float, max_panels: int) -> np.ndarray:
+    """Globally adaptive integrals over [a_r, b_r], one per row r, batched.
+
+    Each row keeps its own heap of panels and its own stop test.  A round
+    bisects the worst panel of every unfinished row and evaluates the halves
+    of all of them in one call of ``f`` (see ``_panels``).
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not np.all(b > a):
+        raise ValueError("need b > a")
+    heaps: list[list] = [[] for _ in range(a.size)]
+
+    def push(rows, lo, hi, vals, errs):
+        panels = zip(rows.tolist(), lo.tolist(), hi.tolist(), vals.tolist(), errs.tolist())
+        for r, p_lo, p_hi, p_v, p_e in panels:
+            heapq.heappush(heaps[r], (-p_e, p_lo, p_hi, p_v, p_e))
+
+    rows = np.arange(a.size)
+    totals, total_errs = _panels(f, a, b, rows)
+    push(rows, a, b, totals, total_errs)
+    n_panels = np.ones(a.size, dtype=int)
+    while True:
+        unfinished = total_errs > np.maximum(atol, rtol * np.abs(totals))
+        active = rows[unfinished & (n_panels < max_panels)]
+        if not active.size:
+            return totals
+        lo, hi, val, err = np.array([heapq.heappop(heaps[r])[1:] for r in active.tolist()]).T
+        mid = 0.5 * (lo + hi)
+        sub_rows = np.tile(active, 2)
+        sub_lo, sub_hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        v, e = _panels(f, sub_lo, sub_hi, sub_rows)
+        m = active.size
+        totals[active] += v[:m] + v[m:] - val
+        total_errs[active] += e[:m] + e[m:] - err
+        push(sub_rows, sub_lo, sub_hi, v, e)
+        n_panels[active] += 1
 
 
 def adaptive_gauss(
@@ -54,25 +98,14 @@ def adaptive_gauss(
     rtol: float = 1e-10,
     max_panels: int = 4000,
 ) -> float:
-    """Globally adaptive integral of a vectorized integrand on [a, b]."""
-    if not b > a:
-        raise ValueError("need b > a")
-    value, err = _panel(f, a, b)
-    heap = [(-err, a, b, value, err)]
-    total = value
-    total_err = err
-    panels = 1
-    while total_err > max(atol, rtol * abs(total)) and panels < max_panels:
-        _, lo, hi, val, err = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _panel(f, lo, mid)
-        v2, e2 = _panel(f, mid, hi)
-        total += v1 + v2 - val
-        total_err += e1 + e2 - err
-        heapq.heappush(heap, (-e1, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, mid, hi, v2, e2))
-        panels += 1
-    return total
+    """Globally adaptive integral of a vectorized integrand on [a, b].
+
+    ``f`` maps a 1-D array of nodes to the integrand values there.
+    """
+    return float(_adaptive_rows(
+        lambda x, rows: np.asarray(f(x.ravel()), dtype=float).reshape(x.shape),
+        [a], [b], atol=atol, rtol=rtol, max_panels=max_panels,
+    )[0])
 
 
 def ordered_integral_2d(
@@ -87,20 +120,23 @@ def ordered_integral_2d(
 ) -> float:
     """Integral of f(y1, y2) over {inner_lo(y2) <= y1 <= inner_hi, outer_lo <= y2 <= outer_hi}.
 
-    ``f`` must be vectorized in its first argument; ``inner_lo`` maps the
-    outer variable to the lower limit of the inner one (the chamber ordering
-    constraint).
+    ``f`` must broadcast over ``y1`` of shape (rows, nodes) and ``y2`` of
+    shape (rows, 1): one row per outer node, whose inner integrals are
+    refined together.  ``inner_lo`` maps the 1-D array of outer nodes to the
+    lower limits of the inner variable (the chamber ordering constraint);
+    where it reaches ``inner_hi`` the inner integral is 0.
     """
 
-    def outer_integrand(y2_vals):
-        out = np.empty_like(y2_vals)
-        for idx, y2 in enumerate(y2_vals):
-            lo = inner_lo(y2)
-            if lo >= inner_hi:
-                out[idx] = 0.0
-                continue
-            out[idx] = adaptive_gauss(
-                lambda y1: f(y1, y2), lo, inner_hi, atol=atol * 0.1, rtol=rtol * 0.1
+    def outer_integrand(y2):
+        lo = np.asarray(inner_lo(y2), dtype=float)
+        out = np.zeros_like(y2)
+        live = np.flatnonzero(~(lo >= inner_hi))  # a NaN limit stays live and fails the b > a check
+        if live.size:
+            y2_live = y2[live, None]
+            out[live] = _adaptive_rows(
+                lambda x, rows: f(x, y2_live[rows]),
+                lo[live], np.full(live.size, inner_hi),
+                atol=atol * 0.1, rtol=rtol * 0.1, max_panels=4000,
             )
         return out
 
@@ -113,7 +149,7 @@ def _truncation_radius(spec: RootSystemSpec) -> float:
 
 
 def _weight_factor(spec: RootSystemSpec, y1, y2):
-    """w_k(y1, y2) for two particles (vectorized in y1)."""
+    """w_k(y1, y2) for two particles (broadcast over y1 and y2)."""
     if spec.kind is RootKind.A:
         return (y1 - y2) ** (2.0 * spec.k) if spec.k > 0 else np.ones_like(y1)
     if spec.kind is RootKind.B:
@@ -154,13 +190,15 @@ def chamber_weight_integral(spec: RootSystemSpec, *, rtol: float = 1e-9) -> floa
         return ordered_integral_2d(density, -radius, radius, lambda y2: y2, radius, rtol=rtol)
     if spec.kind is RootKind.B:
         return ordered_integral_2d(density, 0.0, radius, lambda y2: y2, radius, rtol=rtol)
-    return ordered_integral_2d(density, -radius, radius, lambda y2: abs(y2), radius, rtol=rtol)
+    return ordered_integral_2d(density, -radius, radius, np.abs, radius, rtol=rtol)
 
 
 def chamber_moment(spec: RootSystemSpec, t: float, g, *, rtol: float = 1e-8) -> float:
     """E[g(y)] under the start-0 density at time t, by quadrature (n <= 2).
 
-    ``g`` takes (y1, y2) for two particles (vectorized in y1) or y for one.
+    ``g`` takes y for one particle (a 1-D array of nodes) or (y1, y2) for
+    two, broadcasting over ``y1`` of shape (rows, nodes) and ``y2`` of shape
+    (rows, 1) as in ``ordered_integral_2d``.
     Used to calibrate the exact samplers' scaling conventions.
     """
     if t <= 0:
@@ -195,7 +233,7 @@ def chamber_moment(spec: RootSystemSpec, t: float, g, *, rtol: float = 1e-8) -> 
     elif spec.kind is RootKind.B:
         outer_lo, inner_lo = 0.0, (lambda y2: y2)
     else:
-        outer_lo, inner_lo = -radius, (lambda y2: abs(y2))
+        outer_lo, inner_lo = -radius, np.abs
     num = ordered_integral_2d(
         lambda y1, y2: np.asarray(g(y1, y2), float) * rho2(y1, y2),
         outer_lo, radius, inner_lo, radius, rtol=rtol,

@@ -1,6 +1,8 @@
 import json
 
 import numpy as np
+import pytest
+import scipy
 
 import freeze_bessel as fb
 from freeze_bessel.manifest import (
@@ -9,6 +11,7 @@ from freeze_bessel.manifest import (
     batch_csv_text,
     batch_json_text,
     data_section,
+    read_manifest,
     read_run_file,
     reports_json_text,
     write_text,
@@ -32,8 +35,17 @@ def test_manifest_json_roundtrip():
     assert back.parameters["grid"] == [0, 1, 2]
     assert back.version == m.version
     assert back.timestamp == m.timestamp
+    assert (back.numpy_version, back.scipy_version) == (np.__version__, scipy.__version__)
     # the serialized form is plain JSON
     assert json.loads(m.to_json())["command"] == "verify"
+
+
+def test_manifest_without_library_versions_still_reads():
+    old = {"command": "sample", "parameters": {"n": 2}, "seed": 3, "version": "0.1.0",
+           "timestamp": "2026-01-01T00:00:00Z"}
+    back = RunManifest.from_dict(old)
+    assert (back.numpy_version, back.scipy_version) == ("", "")
+    assert back.parameters == {"n": 2} and back.timestamp == old["timestamp"]
 
 
 def test_csv_layout_and_data_section_stability():
@@ -98,3 +110,27 @@ def test_bare_manifest_file(tmp_path):
 
 def test_data_section_without_manifest_line_is_identity():
     assert data_section("x1,x2\n1.0,2.0\n") == "x1,x2\n1.0,2.0\n"
+
+
+def test_read_manifest_matches_read_run_file_for_every_layout(tmp_path):
+    batch = fb.sample_exact(fb.RootSystemSpec.a(2, 1.0), 1.0, 10, seed=5)
+    reports = fb.run_suite("identities", quick=True)
+    files = {
+        "batch.csv": batch_csv_text(batch, _manifest(kind="A")),
+        "batch.json": batch_json_text(batch, _manifest(kind="A")),
+        "reports.json": reports_json_text(reports, RunManifest("verify", {"suite": "identities"}, None)),
+        "manifest.json": _manifest(alpha=1).to_json() + "\n",
+    }
+    for name, text in files.items():
+        write_text(tmp_path / name, text)
+        assert read_manifest(tmp_path / name) == read_run_file(tmp_path / name)["manifest"], name
+
+
+def test_read_manifest_takes_the_csv_header_line(tmp_path):
+    path = tmp_path / "batch.csv"
+    m = _manifest(kind="A")
+    write_text(path, MANIFEST_PREFIX + m.to_json() + "\nx1,x2\nnot,a,number\n")
+    assert read_manifest(path) == m
+    write_text(path, "x1,x2\n1.0,2.0\n")
+    with pytest.raises(ValueError, match="header line"):
+        read_manifest(path)

@@ -1,9 +1,12 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
 
+from freeze_bessel import quadrature
 from freeze_bessel import (
+    RootKind,
     RootSystemSpec,
     adaptive_gauss,
     chamber_moment,
@@ -11,6 +14,62 @@ from freeze_bessel import (
     homogeneity_degree,
     log_norm_constant,
 )
+
+# the n = 2 settings of the identity suite's normalization-vs-quadrature check
+IDENTITY_GRID_N2 = (
+    [RootSystemSpec.a(2, k) for k in (0.5, 1.0, 2.5)]
+    + [RootSystemSpec.b(2, k1, k2) for k1, k2 in ((0.5, 0.5), (1.0, 1.0), (2.5, 0.5))]
+    + [RootSystemSpec.d(2, k) for k in (0.5, 1.0, 2.5)]
+)
+
+
+def _spec_id(spec):
+    return f"{spec.kind.value}{spec.multiplicity}".replace(" ", "")
+
+
+def _scalar_adaptive_gauss(f, a, b, *, atol, rtol, max_panels=4000):
+    """Reference: one scalar adaptive 7/15 Gauss loop per integral, one integrand call per panel."""
+    n15, w15 = np.polynomial.legendre.leggauss(15)
+    n7, w7 = np.polynomial.legendre.leggauss(7)
+
+    def panel(lo, hi):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        vals = np.asarray(f(mid + half * np.concatenate([n15, n7])), dtype=float)
+        i15 = half * float(w15 @ vals[:15])
+        return i15, abs(i15 - half * float(w7 @ vals[15:]))
+
+    value, err = panel(a, b)
+    heap = [(-err, a, b, value, err)]
+    total, total_err, panels = value, err, 1
+    while total_err > max(atol, rtol * abs(total)) and panels < max_panels:
+        _, lo, hi, val, err = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        v1, e1 = panel(lo, mid)
+        v2, e2 = panel(mid, hi)
+        total += v1 + v2 - val
+        total_err += e1 + e2 - err
+        heapq.heappush(heap, (-e1, lo, mid, v1, e1))
+        heapq.heappush(heap, (-e2, mid, hi, v2, e2))
+        panels += 1
+    return total
+
+
+def _nested_chamber_weight_integral(spec, rtol):
+    """Reference: the n = 2 chamber integral with one scalar inner integral per outer node."""
+    radius = quadrature._truncation_radius(spec)
+    outer_lo = 0.0 if spec.kind is RootKind.B else -radius
+    inner_lo = abs if spec.kind is RootKind.D else (lambda y2: y2)
+
+    def outer(y2_vals):
+        out = np.zeros_like(y2_vals)
+        for idx, y2 in enumerate(y2_vals):
+            out[idx] = _scalar_adaptive_gauss(
+                lambda y1: np.exp(-0.5 * (y1**2 + y2**2)) * quadrature._weight_factor(spec, y1, y2),
+                inner_lo(y2), radius, atol=1e-13, rtol=rtol * 0.1,
+            )
+        return out
+
+    return _scalar_adaptive_gauss(outer, outer_lo, radius, atol=1e-12, rtol=rtol)
 
 
 def test_adaptive_gauss_polynomials_exact():
@@ -78,3 +137,42 @@ def test_chamber_moment_t_scaling():
     m1 = chamber_moment(spec, 1.0, lambda y1, y2: y1)
     m4 = chamber_moment(spec, 4.0, lambda y1, y2: y1)
     assert m4 == pytest.approx(2.0 * m1, rel=1e-7)
+
+
+@pytest.mark.parametrize("spec", IDENTITY_GRID_N2, ids=_spec_id)
+def test_batched_inner_integrals_match_nested_scalar_reference(spec):
+    got = chamber_weight_integral(spec, rtol=1e-8)
+    ref = _nested_chamber_weight_integral(spec, 1e-8)
+    assert abs(got - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("spec", IDENTITY_GRID_N2, ids=_spec_id)
+def test_identity_grid_integrand_call_budget(spec, monkeypatch):
+    # one integrand call per refinement round for all inner integrals, not one per panel
+    calls = []
+    weight = quadrature._weight_factor
+
+    def counted(*args):
+        calls.append(1)
+        return weight(*args)
+
+    monkeypatch.setattr(quadrature, "_weight_factor", counted)
+    chamber_weight_integral(spec, rtol=1e-8)
+    assert 0 < len(calls) <= 200
+
+
+def test_chamber_moment_of_y2_dependent_function():
+    # A, n = 2: y1*y2 = (s^2 - d^2)/2 with s, d the centre and spread coordinates,
+    # E[s^2] = t and E[d^2] = t(2k + 1), so E[y1*y2] = -k t; for D, n = 2 it is 0 by symmetry
+    for t in (0.5, 2.0):
+        got = chamber_moment(RootSystemSpec.a(2, 1.5), t, lambda y1, y2: y1 * y2)
+        assert got == pytest.approx(-1.5 * t, rel=1e-8)
+        got = chamber_moment(RootSystemSpec.d(2, 1.0), t, lambda y1, y2: y1 * y2)
+        assert got == pytest.approx(0.0, abs=1e-8 * t)
+
+
+def test_ordered_integral_inner_range_empty_on_part_of_outer_range():
+    # the inner range [2*y2, 1] is empty for y2 > 1/2, where the inner integral is 0:
+    # int_0^1/2 y2 int_{2 y2}^1 y1 dy1 dy2 = 1/32
+    got = quadrature.ordered_integral_2d(lambda y1, y2: y1 * y2, 0.0, 1.0, lambda y2: 2.0 * y2, 1.0)
+    assert got == pytest.approx(1.0 / 32.0, rel=1e-9)
