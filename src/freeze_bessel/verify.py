@@ -16,7 +16,8 @@ and are arguments, not constants.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,6 +40,8 @@ from .stat_tests import (
 
 __all__ = [
     "SUITES",
+    "SUITE_TABLE",
+    "SuiteRow",
     "DEFAULT_COUNT",
     "FreezingRegime",
     "gaussian_battery",
@@ -463,6 +466,17 @@ def covariance_error_trend(
 # deterministic identity reports
 
 
+# the log_norm_constant family of each root kind, and the spec fields it takes
+_NORM_FAMILY = {RootKind.A: ("cA", ("k",)), RootKind.B: ("cB", ("k1", "k2")), RootKind.D: ("cD", ("k",))}
+
+
+def _worst_of_grid(name: str, parameters: dict, values, key: str, tol: float, **flags) -> VerificationReport:
+    """One report for a grid: the worst ``key`` below ``tol``, and every flag true."""
+    worst = float(np.max(list(values)))
+    return VerificationReport(name, parameters, {f"max_{key}": worst, **flags}, {key: tol},
+                              passed=worst < tol and all(flags.values()))
+
+
 def identity_reports(
     *,
     n_max_det: int = 12,
@@ -474,119 +488,157 @@ def identity_reports(
     tilde_n_max: int = 6,
 ) -> list[VerificationReport]:
     """All closed-form checks: determinants, residuals, potentials, constants."""
-    reports: list[VerificationReport] = []
+    targets = [(RootKind.A, None), *((RootKind.B, nu) for nu in (0.1, 0.5, 1.0, 2.5, 10.0)), (RootKind.D, None)]
+    potentials = [("A_at_half", None), ("A_sumsq", None), *((k, nu) for nu in nu_grid for k in ("B_full", "B_norm"))]
+    quad_specs = [spec for i in quadrature_n for spec in (
+        *(RootSystemSpec.a(i, k) for k in (0.5, 1.0, 2.5)),
+        *(RootSystemSpec.b(i, k1, k2) for k1, k2 in ((0.5, 0.5), (1.0, 1.0), (2.5, 0.5))),
+        *(RootSystemSpec.d(i, k) for k in (0.5, 1.0, 2.5) if i >= 2),
+    )]
 
-    worst_a = max(
-        (determinant_identity(RootKind.A, i).statistics["rel_err"] for i in range(1, n_max_det + 1))
-    )
-    reports.append(VerificationReport(
-        name="determinant-identity-A",
-        parameters={"n_max": n_max_det},
-        statistics={"max_rel_err": worst_a},
-        tolerances={"rel_err": 1e-8},
-        passed=worst_a < 1e-8,
-        seed=None,
-    ))
-    worst_b = max(
-        determinant_identity(RootKind.B, i, nu).statistics["rel_err"]
-        for i in range(1, n_max_det + 1)
-        for nu in nu_grid
-    )
-    reports.append(VerificationReport(
-        name="determinant-identity-B",
-        parameters={"n_max": n_max_det, "nu_grid": list(nu_grid)},
-        statistics={"max_rel_err": worst_b},
-        tolerances={"rel_err": 1e-8},
-        passed=worst_b < 1e-8,
-        seed=None,
-    ))
-
-    residuals = []
-    for i in range(1, n_max_residual + 1):
-        residuals.append(stationarity_residual(freezing_target(RootKind.A, i)))
-        for nu in (0.1, 0.5, 1.0, 2.5, 10.0):
-            residuals.append(stationarity_residual(freezing_target(RootKind.B, i, nu)))
-        if i >= 2:
-            residuals.append(stationarity_residual(freezing_target(RootKind.D, i)))
-    worst_res = float(max(residuals))
-    reports.append(VerificationReport(
-        name="stationarity-residuals",
-        parameters={"n_max": n_max_residual},
-        statistics={"max_residual": worst_res},
-        tolerances={"residual": 1e-10},
-        passed=worst_res < 1e-10,
-        seed=None,
-    ))
-
-    pot_reports = []
-    for i in range(1, n_max_potential + 1):
-        pot_reports.append(potential_identity_check("A_at_half", i))
-        pot_reports.append(potential_identity_check("A_sumsq", i))
-        for nu in nu_grid:
-            pot_reports.append(potential_identity_check("B_full", i, nu))
-            pot_reports.append(potential_identity_check("B_norm", i, nu))
-    worst_pot = max(r.statistics["abs_diff"] for r in pot_reports)
-    reports.append(VerificationReport(
-        name="potential-identities",
-        parameters={"n_max": n_max_potential, "nu_grid": list(nu_grid)},
-        statistics={"max_abs_err": float(worst_pot)},
-        tolerances={"abs_err": 1e-9},
-        passed=all(r.passed for r in pot_reports),
-        seed=None,
-    ))
-
-    quad_settings = []
-    for i in quadrature_n:
-        for k in (0.5, 1.0, 2.5):
-            quad_settings.append(RootSystemSpec.a(i, k))
-        for pair in ((0.5, 0.5), (1.0, 1.0), (2.5, 0.5)):
-            quad_settings.append(RootSystemSpec.b(i, *pair))
-        if i >= 2:
-            for k in (0.5, 1.0, 2.5):
-                quad_settings.append(RootSystemSpec.d(i, k))
-    worst_quad = 0.0
-    for spec in quad_settings:
+    def quadrature_rel_err(spec: RootSystemSpec) -> float:
         integral = chamber_weight_integral(spec, rtol=quadrature_rtol)
-        if spec.kind is RootKind.A:
-            log_c = log_norm_constant("cA", n=spec.n, k=spec.k).log_value
-        elif spec.kind is RootKind.B:
-            log_c = log_norm_constant("cB", n=spec.n, k1=spec.k1, k2=spec.k2).log_value
-        else:
-            log_c = log_norm_constant("cD", n=spec.n, k=spec.k).log_value
-        rel = abs(integral * math.exp(log_c) - 1.0)
-        worst_quad = max(worst_quad, rel)
-    reports.append(VerificationReport(
-        name="normalization-vs-quadrature",
-        parameters={"n_values": list(quadrature_n), "settings": len(quad_settings)},
-        statistics={"max_rel_err": worst_quad},
-        tolerances={"rel_err": 1e-6},
-        passed=worst_quad < 1e-6,
-        seed=None,
-    ))
+        family, fields = _NORM_FAMILY[spec.kind]
+        log_c = log_norm_constant(family, n=spec.n, **{f: getattr(spec, f) for f in fields}).log_value
+        return abs(integral * math.exp(log_c) - 1.0)
 
-    for family in ("tildeA", "tildeB"):
-        worst_final = 0.0
-        monotone = True
-        for i in range(1, tilde_n_max + 1):
-            rep = proof_constant_limit(family, n=i, nu=1.0 if family == "tildeB" else None)
-            worst_final = max(worst_final, rep.statistics["final_rel_err"])
-            monotone = monotone and rep.passed
-        reports.append(VerificationReport(
-            name=f"proof-constant-limit-{family}",
-            parameters={"n_max": tilde_n_max},
-            statistics={"max_final_rel_err": float(worst_final), "monotone": monotone},
-            tolerances={"final_rel_err": 5e-3},
-            passed=monotone and worst_final < 5e-3,
-            seed=None,
-        ))
-    return reports
+    proofs = {
+        family: [proof_constant_limit(family, n=i, nu=nu) for i in range(1, tilde_n_max + 1)]
+        for family, nu in (("tildeA", None), ("tildeB", 1.0))
+    }
+    return [
+        _worst_of_grid(
+            "determinant-identity-A", {"n_max": n_max_det},
+            (determinant_identity(RootKind.A, i).statistics["rel_err"] for i in range(1, n_max_det + 1)),
+            "rel_err", 1e-8,
+        ),
+        _worst_of_grid(
+            "determinant-identity-B", {"n_max": n_max_det, "nu_grid": list(nu_grid)},
+            (determinant_identity(RootKind.B, i, nu).statistics["rel_err"]
+             for i in range(1, n_max_det + 1) for nu in nu_grid),
+            "rel_err", 1e-8,
+        ),
+        _worst_of_grid(
+            "stationarity-residuals", {"n_max": n_max_residual},
+            (stationarity_residual(freezing_target(kind, i, nu))
+             for i in range(1, n_max_residual + 1) for kind, nu in targets if kind is not RootKind.D or i >= 2),
+            "residual", 1e-10,
+        ),
+        _worst_of_grid(
+            "potential-identities", {"n_max": n_max_potential, "nu_grid": list(nu_grid)},
+            (potential_identity_check(kind, i, nu).statistics["abs_diff"]
+             for i in range(1, n_max_potential + 1) for kind, nu in potentials),
+            "abs_err", 1e-9,
+        ),
+        _worst_of_grid(
+            "normalization-vs-quadrature", {"n_values": list(quadrature_n), "settings": len(quad_specs)},
+            map(quadrature_rel_err, quad_specs), "rel_err", 1e-6,
+        ),
+        *(
+            _worst_of_grid(
+                f"proof-constant-limit-{family}", {"n_max": tilde_n_max},
+                (rep.statistics["final_rel_err"] for rep in reps), "final_rel_err", 5e-3,
+                monotone=all(rep.passed for rep in reps),
+            )
+            for family, reps in proofs.items()
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # suites
 
 
-SUITES = ("identities", "lln", "clt-a", "clt-b1", "clt-b2", "clt-d", "one-sided", "start-dist", "all")
+def _start_point(n: int) -> np.ndarray:
+    # Keep fixed starts close to the origin: by the Ito identity for
+    # E|x_t|^2 a start x0 leaves a permanent |x0|^2 excess in the second
+    # moment, so large starts shift the centered mean at finite beta.
+    return 0.2 * np.arange(n, 0, -1, dtype=float)
+
+
+def _b1_start_agreement(n, beta, t, *, nu, start, steps, count, seed, threads=None) -> VerificationReport:
+    """Centered exact start-0 draws against centered SDE endpoints from ``start``.
+
+    ``seed`` holds three streams: exact draws, SDE paths and permutations.
+    """
+    seed_exact, seed_sde, seed_perm = seed
+    regime = FreezingRegime.from_theorem("B1", n, beta, nu=nu)
+    batch_e = sample_exact(regime.spec, t, count, seed_exact, threads=threads)
+    cfg = SdeConfig(spec=regime.spec, x0=StartDistribution.at_point(start), t=t,
+                    seed=seed_sde, steps=steps, paths=count, threads=threads)
+    batch_s = simulate_endpoints(cfg)
+    return two_sample_agreement(
+        regime.center(batch_e.points, t), regime.center(batch_s.points, t),
+        name="clt-B1-start-agreement",
+        parameters={"n": n, "beta": beta, "nu": nu, "t": t, "count": count},
+        seed=seed_perm,
+    )
+
+
+@dataclass(frozen=True)
+class SuiteRow:
+    """One check of a named suite: ``run_suite`` calls ``check(**args)``.
+
+    Quick mode merges ``quick`` into ``args``; ``takes`` maps each override
+    the row accepts ("n", "strength", "n_max") to the arguments it replaces;
+    a callable argument is replaced by its value at the row's n.  A
+    randomized row (``streams`` > 0) also gets ``t``, ``count``, ``threads``
+    and ``seed``, a list of seeds when ``streams`` > 1.
+    """
+
+    suite: str
+    check: Callable
+    args: dict
+    quick: dict = field(default_factory=dict)
+    takes: dict = field(default_factory=lambda: {"n": ("n",), "strength": ("strength",)})
+    full_only: bool = False
+    streams: int = 1
+
+
+def _strength_as(keyword: str) -> dict:
+    return {"n": ("n",), "strength": (keyword,)}
+
+
+# SDE rows keep full step resolution in quick mode, which cuts only paths: at
+# strong coupling the drift needs h <= ~5e-4 before the step bias clears the
+# battery.  The start-dist suite runs only its first start in quick mode.
+_B1_SDE = {"start": lambda n: np.linspace(n, 1, n) / 2.0, "steps": 2000}
+_STARTS = (
+    lambda n: StartDistribution.at_point(_start_point(n)),
+    lambda n: StartDistribution.uniform(0.9 * _start_point(n), 1.1 * _start_point(n)),
+    lambda n: StartDistribution.mixture(np.stack([_start_point(n), 1.5 * _start_point(n)]), [0.5, 0.5]),
+)
+_LLN_QUICK = {"strength": 2000.0}
+
+SUITE_TABLE = (
+    SuiteRow("identities", identity_reports, {"n_max_det": 12, "n_max_residual": 50, "n_max_potential": 30},
+             {"n_max_det": 8, "n_max_residual": 12, "n_max_potential": 12, "quadrature_n": (1,), "tilde_n_max": 3},
+             takes={"n_max": ("n_max_det", "n_max_residual", "n_max_potential")}, streams=0),
+    SuiteRow("lln", lln_check, {"regime": "A", "n": 2, "strength": 10_000.0}, _LLN_QUICK),
+    SuiteRow("lln", lln_check, {"regime": "B", "n": 2, "strength": 10_000.0, "nu": 1.0}, _LLN_QUICK),
+    SuiteRow("lln", lln_check, {"regime": "B3", "n": 2, "strength": 10_000.0, "k1": 1.0}, _LLN_QUICK),
+    SuiteRow("clt-a", clt_gaussian_check, {"theorem": "A", "n": 3, "strength": 200.0}),
+    SuiteRow("clt-a", covariance_error_trend, {"theorem": "A", "n": 3}, takes={"n": ("n",)}, full_only=True),
+    SuiteRow("clt-b1", clt_gaussian_check, {"theorem": "B1", "n": 2, "strength": 200.0, "nu": 1.0}),
+    SuiteRow("clt-b1", clt_gaussian_check, {"theorem": "B1", "n": 2, "strength": 200.0, "nu": 1.0, "method": "sde",
+                                            **_B1_SDE}, full_only=True),
+    SuiteRow("clt-b1", _b1_start_agreement, {"n": 2, "beta": 200.0, "nu": 1.0, **_B1_SDE},
+             takes=_strength_as("beta"), full_only=True, streams=3),
+    SuiteRow("clt-b2", clt_type_a_limit_check, {"n": 2, "k1": 5000.0, "k2": 1.0}, takes=_strength_as("k1")),
+    SuiteRow("clt-d", clt_gaussian_check, {"theorem": "D", "n": 2, "strength": 200.0}),
+    SuiteRow("one-sided", one_sided_check, {"regime": "B0", "n": 2, "k2": 200.0}, takes=_strength_as("k2")),
+    SuiteRow("one-sided", one_sided_check, {"regime": "B3", "n": 2, "k2": 200.0, "k1": 1.0},
+             takes=_strength_as("k2")),
+    *(SuiteRow("start-dist", start_distribution_check, {"n": 2, "nu": 1.0, "beta": 200.0, "mu": mu, "steps": 2000},
+               takes=_strength_as("beta"), full_only=i > 0) for i, mu in enumerate(_STARTS)),
+)
+
+SUITES = (*dict.fromkeys(row.suite for row in SUITE_TABLE), "all")
+
+
+def _suite_seeds(seed: int, suite: str, count: int) -> list[int]:
+    """The first ``count`` seed streams of ``suite``."""
+    return _spawn_seeds(seed, count)
 
 
 def run_suite(
@@ -602,107 +654,38 @@ def run_suite(
 ) -> list[VerificationReport]:
     """Run one named verification suite and return its reports.
 
-    Every randomized suite requires an explicit seed; "identities" is fully
-    deterministic and exempt.  ``quick`` shrinks sample counts and grids so a
-    full pass stays in the minutes range; ``n_max`` overrides the identity
-    grids.
+    "all" runs every suite in ``SUITES`` order.  Every randomized suite
+    requires an explicit seed; "identities" is fully deterministic and exempt.
+    ``quick`` shrinks sample counts and grids so a full pass stays in the
+    minutes range.  ``n`` and ``strength`` override the randomized checks and
+    ``n_max`` the identity grids; an override that a selected row does not
+    take raises ValueError.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    if suite == "all":
-        reports: list[VerificationReport] = []
-        for name in SUITES[:-1]:
-            sub_seed = seed if name != "identities" else None
-            reports.extend(run_suite(name, seed=sub_seed, quick=quick, threads=threads, t=t, n_max=n_max))
-        return reports
-    if suite == "identities":
-        if quick:
-            return identity_reports(
-                n_max_det=n_max or 8, n_max_residual=n_max or 12, n_max_potential=n_max or 12,
-                quadrature_n=(1,), tilde_n_max=3,
-            )
-        return identity_reports(
-            n_max_det=n_max or 12, n_max_residual=n_max or 50, n_max_potential=n_max or 30,
-        )
-    if seed is None:
+    overrides = {key: value for key, value in (("n", n), ("strength", strength), ("n_max", n_max))
+                 if value is not None}
+    plan, streams = [], dict.fromkeys(SUITES, 0)
+    for row in SUITE_TABLE:  # a row keeps its streams whether or not this run selects it
+        if suite in ("all", row.suite) and not (quick and row.full_only):
+            plan.append((row, streams[row.suite]))
+        streams[row.suite] += row.streams
+    for row, _ in plan:
+        refused = [key for key in overrides if key not in row.takes]
+        if refused:
+            raise ValueError(f"{row.check.__name__} in suite {row.suite!r} takes no {', '.join(refused)} override")
+    if seed is None and any(row.streams for row, _ in plan):
         raise ValueError(f"suite {suite!r} is randomized and requires a seed")
     count = _QUICK_COUNT if quick else DEFAULT_COUNT
-    seeds = _spawn_seeds(seed, 8)
-
-    if suite == "lln":
-        k_big = 2000.0 if quick else 10_000.0
-        nn = n or 2
-        return [
-            lln_check("A", nn, strength or k_big, t, count=count, seed=seeds[0], threads=threads),
-            lln_check("B", nn, strength or k_big, t, nu=1.0, count=count, seed=seeds[1], threads=threads),
-            lln_check("B3", nn, strength or k_big, t, k1=1.0, count=count, seed=seeds[2], threads=threads),
-        ]
-    if suite == "clt-a":
-        nn = n or 3
-        k = strength or 200.0
-        reports = [clt_gaussian_check("A", nn, k, t, count=count, seed=seeds[0], threads=threads)]
-        if not quick:
-            reports.append(covariance_error_trend("A", nn, t, count=count, seed=seeds[1], threads=threads))
-        return reports
-    if suite == "clt-b1":
-        nn = n or 2
-        beta = strength or 200.0
-        exact = clt_gaussian_check("B1", nn, beta, t, nu=1.0, count=count, seed=seeds[0], threads=threads)
-        reports = [exact]
-        if not quick:
-            start = np.array([1.0, 0.5]) if nn == 2 else np.linspace(nn, 1, nn) / 2.0
-            sde = clt_gaussian_check(
-                "B1", nn, beta, t, nu=1.0, count=count, seed=seeds[1],
-                method="sde", start=start, steps=2000, threads=threads,
-            )
-            reports.append(sde)
-            regime = FreezingRegime.from_theorem("B1", nn, beta, nu=1.0)
-            batch_e = sample_exact(regime.spec, t, count, seeds[2], threads=threads)
-            cfg = SdeConfig(spec=regime.spec, x0=StartDistribution.at_point(start), t=t,
-                            seed=seeds[3], steps=2000, paths=count, threads=threads)
-            batch_s = simulate_endpoints(cfg)
-            reports.append(two_sample_agreement(
-                regime.center(batch_e.points, t), regime.center(batch_s.points, t),
-                name="clt-B1-start-agreement",
-                parameters={"n": nn, "beta": beta, "nu": 1.0, "t": t, "count": count},
-                seed=seeds[4],
-            ))
-        return reports
-    if suite == "clt-b2":
-        return [clt_type_a_limit_check(
-            n or 2, strength or 5000.0, 1.0, t, count=count, seed=seeds[0], threads=threads,
-        )]
-    if suite == "clt-d":
-        return [clt_gaussian_check("D", n or 2, strength or 200.0, t, count=count, seed=seeds[0], threads=threads)]
-    if suite == "one-sided":
-        nn = n or 2
-        k2 = strength or 200.0
-        return [
-            one_sided_check("B0", nn, k2, t, count=count, seed=seeds[0], threads=threads),
-            one_sided_check("B3", nn, k2, t, k1=1.0, count=count, seed=seeds[1], threads=threads),
-        ]
-    if suite == "start-dist":
-        nn = n or 2
-        beta = strength or 200.0
-        paths = count
-        # Keep fixed starts close to the origin: by the Ito identity for
-        # E|x_t|^2 a start x0 leaves a permanent |x0|^2 excess in the second
-        # moment, so large starts shift the centered mean at finite beta.
-        point = 0.2 * np.arange(nn, 0, -1, dtype=float)
-        mixtures = [
-            StartDistribution.at_point(point),
-            StartDistribution.uniform(0.9 * point, 1.1 * point),
-            StartDistribution.mixture(np.stack([point, 1.5 * point]), [0.5, 0.5]),
-        ]
-        reports = []
-        for mu, s in zip(mixtures, seeds):
-            # quick mode cuts paths, never steps: at strong coupling the
-            # drift needs h <= ~5e-4 before the step bias clears the battery
-            reports.append(start_distribution_check(
-                nn, 1.0, beta, t, mu, count=paths, steps=2000,
-                seed=s, threads=threads,
-            ))
-            if quick:
-                break
-        return reports
-    raise AssertionError("unreachable")
+    reports: list[VerificationReport] = []
+    for row, first in plan:
+        args = {**row.args, **(row.quick if quick else {})}
+        for key, value in overrides.items():
+            args.update(dict.fromkeys(row.takes[key], value))
+        args = {key: value(args["n"]) if callable(value) else value for key, value in args.items()}
+        if row.streams:
+            seeds = _suite_seeds(seed, row.suite, first + row.streams)[first:]
+            args.update(t=t, count=count, threads=threads, seed=seeds[0] if row.streams == 1 else seeds)
+        result = row.check(**args)
+        reports.extend(result if isinstance(result, list) else [result])
+    return reports

@@ -9,6 +9,7 @@ from freeze_bessel.equilibria import freezing_target
 from freeze_bessel import gaussian
 from freeze_bessel.gaussian import covariance, precision_matrix
 from freeze_bessel.verify import (
+    SUITE_TABLE,
     SUITES,
     FreezingRegime,
     calibration_check,
@@ -218,6 +219,9 @@ def test_suite_registry_names():
         "start-dist",
         "all",
     )
+    # every suite but "all" is rows of the table, in SUITES order
+    table_suites = [row.suite for row in SUITE_TABLE]
+    assert list(dict.fromkeys(table_suites)) == list(SUITES[:-1])
 
 
 def test_reports_serialize_to_plain_json_types():
