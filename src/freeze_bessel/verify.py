@@ -16,6 +16,7 @@ and are arguments, not constants.
 from __future__ import annotations
 
 import math
+import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -191,6 +192,8 @@ def clt_gaussian_check(
     method "exact" draws start-0 samples from the matrix models, "metropolis"
     from the density sampler, and "sde" simulates paths from ``start`` (a
     point or a StartDistribution), exercising the fixed-start statements.
+    The report is named ``clt-<theorem>``, suffixed ``-<method>`` unless the
+    method is "exact".
     """
     regime = FreezingRegime.from_theorem(theorem, n, strength, nu=nu)
     if method == "exact":
@@ -211,7 +214,7 @@ def clt_gaussian_check(
     )
     stats["method"] = method
     return VerificationReport(
-        name=f"clt-{theorem}",
+        name=f"clt-{theorem}" if method == "exact" else f"clt-{theorem}-{method}",
         parameters={
             "n": n, "strength": strength, "nu": nu, "t": t, "count": count,
             "method": method, "start": None if start is None else np.asarray(
@@ -342,14 +345,17 @@ def start_distribution_check(
     threads: int | None = None,
     p_threshold: float = P_THRESHOLD,
 ) -> VerificationReport:
-    """The Gaussian limit is insensitive to the (interior) starting law."""
+    """The Gaussian limit is insensitive to the (interior) starting law.
+
+    The report is named ``start-distribution-B1-<kind>`` after ``mu.kind``.
+    """
     regime = FreezingRegime.from_theorem("B1", n, beta, nu=nu)
     cfg = SdeConfig(spec=regime.spec, x0=mu, t=t, seed=seed, steps=steps, paths=count, threads=threads)
     batch = simulate_endpoints(cfg)
     stats, passed = gaussian_battery(regime.center(batch.points, t), t, regime.sigma, p_threshold=p_threshold)
     stats["start_kind"] = mu.kind
     return VerificationReport(
-        name="start-distribution-B1",
+        name=f"start-distribution-B1-{mu.kind}",
         parameters={"n": n, "nu": nu, "beta": beta, "t": t, "count": count, "start_kind": mu.kind},
         statistics=stats,
         tolerances=_battery_tolerances(p_threshold),
@@ -471,7 +477,7 @@ _NORM_FAMILY = {RootKind.A: ("cA", ("k",)), RootKind.B: ("cB", ("k1", "k2")), Ro
 
 
 def _worst_of_grid(name: str, parameters: dict, values, key: str, tol: float, **flags) -> VerificationReport:
-    """One report for a grid: the worst ``key`` below ``tol``, and every flag true."""
+    """One report for a grid: the worst ``key`` (NaN if any is) below ``tol``, and every flag true."""
     worst = float(np.max(list(values)))
     return VerificationReport(name, parameters, {f"max_{key}": worst, **flags}, {key: tol},
                               passed=worst < tol and all(flags.values()))
@@ -601,7 +607,7 @@ def _strength_as(keyword: str) -> dict:
 
 # SDE rows keep full step resolution in quick mode, which cuts only paths: at
 # strong coupling the drift needs h <= ~5e-4 before the step bias clears the
-# battery.  The start-dist suite runs only its first start in quick mode.
+# battery
 _B1_SDE = {"start": lambda n: np.linspace(n, 1, n) / 2.0, "steps": 2000}
 _STARTS = (
     lambda n: StartDistribution.at_point(_start_point(n)),
@@ -637,8 +643,9 @@ SUITES = (*dict.fromkeys(row.suite for row in SUITE_TABLE), "all")
 
 
 def _suite_seeds(seed: int, suite: str, count: int) -> list[int]:
-    """The first ``count`` seed streams of ``suite``."""
-    return _spawn_seeds(seed, count)
+    """The first ``count`` seed streams of ``suite``, spawned from (seed, crc32 of its name)."""
+    children = np.random.SeedSequence([int(seed), zlib.crc32(suite.encode())]).spawn(count)
+    return [int(child.generate_state(1)[0]) for child in children]
 
 
 def run_suite(
@@ -665,11 +672,11 @@ def run_suite(
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     overrides = {key: value for key, value in (("n", n), ("strength", strength), ("n_max", n_max))
                  if value is not None}
-    plan, streams = [], dict.fromkeys(SUITES, 0)
+    plan, next_stream = [], dict.fromkeys(SUITES, 0)
     for row in SUITE_TABLE:  # a row keeps its streams whether or not this run selects it
         if suite in ("all", row.suite) and not (quick and row.full_only):
-            plan.append((row, streams[row.suite]))
-        streams[row.suite] += row.streams
+            plan.append((row, next_stream[row.suite]))
+        next_stream[row.suite] += row.streams
     for row, _ in plan:
         refused = [key for key in overrides if key not in row.takes]
         if refused:

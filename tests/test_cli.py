@@ -162,6 +162,12 @@ def test_verify_randomized_suite_requires_seed(capsys):
     assert "--seed" in err
 
 
+def test_verify_override_a_suite_does_not_take_exits_2(capsys):
+    # "all" includes identities, which takes no --n
+    assert main(["verify", "--suite", "all", "--seed", "0", "--quick", "--n", "5"]) == 2
+    assert "takes no n override" in capsys.readouterr().err
+
+
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
     assert "usage" in capsys.readouterr().out.lower()

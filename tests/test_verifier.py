@@ -8,6 +8,7 @@ from freeze_bessel.core import RootKind
 from freeze_bessel.equilibria import freezing_target
 from freeze_bessel import gaussian
 from freeze_bessel.gaussian import covariance, precision_matrix
+from freeze_bessel.sde import StartDistribution
 from freeze_bessel.verify import (
     SUITE_TABLE,
     SUITES,
@@ -19,6 +20,7 @@ from freeze_bessel.verify import (
     lln_check,
     one_sided_check,
     run_suite,
+    start_distribution_check,
     two_sample_agreement,
 )
 
@@ -189,6 +191,17 @@ def test_identity_reports_all_pass_without_seed():
         assert r.seed is None
 
 
+def test_identity_report_fails_on_a_nan_grid_value(monkeypatch):
+    # a NaN anywhere in the grid is the worst value, not one max() skips
+    from freeze_bessel import verify
+
+    monkeypatch.setattr(verify, "chamber_weight_integral", lambda spec, **kw: math.nan if spec.n == 1 else 1.0)
+    reports = identity_reports(n_max_det=2, n_max_residual=2, n_max_potential=2, quadrature_n=(1,), tilde_n_max=2)
+    quad = next(r for r in reports if r.name == "normalization-vs-quadrature")
+    assert not quad.passed
+    assert math.isnan(quad.statistics["max_rel_err"])
+
+
 def test_run_suite_requires_seed_for_randomized_suites():
     with pytest.raises(ValueError, match="seed"):
         run_suite("lln")
@@ -205,6 +218,34 @@ def test_start_distribution_suite_quick():
     reports = run_suite("start-dist", seed=0, quick=True)
     assert reports and all(r.passed for r in reports)
     assert reports[0].statistics["start_kind"] == "point"
+
+
+def test_suite_reports_draw_independent_seeds():
+    # each suite spawns its streams from (seed, suite name), so no two
+    # randomized reports share draws (clt-D and one-sided-B0 used to)
+    seeds = [r.seed for r in run_suite("all", seed=0, quick=True) if r.seed is not None]
+    assert len(seeds) == 10
+    assert len(set(seeds)) == len(seeds)
+
+
+def test_run_suite_refuses_overrides_a_row_does_not_take():
+    with pytest.raises(ValueError, match="takes no n override"):
+        run_suite("identities", n=3)
+    with pytest.raises(ValueError, match="takes no n_max override"):
+        run_suite("lln", seed=0, quick=True, n_max=5)
+    # full clt-a runs the covariance trend, which sweeps its own strengths
+    with pytest.raises(ValueError, match="covariance_error_trend"):
+        run_suite("clt-a", seed=0, strength=300.0)
+
+
+def test_report_names_carry_method_and_start_kind():
+    sde = clt_gaussian_check(
+        "B1", 2, 200.0, 1.0, nu=1.0, count=1000, seed=0, method="sde", start=[1.0, 0.5], steps=200
+    )
+    assert sde.name == "clt-B1-sde"
+    mu = StartDistribution.uniform([0.36, 0.18], [0.44, 0.22])
+    start = start_distribution_check(2, 1.0, 200.0, 1.0, mu, count=1000, steps=200, seed=0)
+    assert start.name == "start-distribution-B1-uniform"
 
 
 def test_suite_registry_names():
