@@ -260,7 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--replay", metavar="FILE", help="re-run the command recorded in FILE's manifest")
-    parser.add_argument("--threads", type=int, default=None, help="cap worker threads (default: single-threaded)")
+    parser.add_argument(
+        "--threads", type=int, default=None,
+        help="most worker threads a run may start (default: every usable core for the n >= 16 "
+        "eigensolve of exact sampling, one thread for everything else)",
+    )
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("zeros", help="classical orthogonal polynomial zeros")

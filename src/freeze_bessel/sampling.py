@@ -13,6 +13,11 @@ seeded through ``SeedSequence``: a batch is regenerable bit-for-bit from
 merged in order, so results do not depend on how many worker threads ran them.
 
 The matrix models' eigenvalues come from ``tridiagonal.tridiagonal_eigenvalues``.
+``threads`` is the most worker threads a sampler call may start.  None lets
+that eigensolve spread its rows over every usable core (from n = 16 up, where
+it runs without the GIL); an explicit ``threads`` > 1 runs the 4096-row
+sub-batches on that many threads instead, each solving on one, so thread
+pools are never nested.
 """
 
 from __future__ import annotations
@@ -121,12 +126,18 @@ def _spawn_seeds(seed: int, count: int) -> list[int]:
 
 
 def _map_subbatches(fn, seed: int, count: int, threads: int | None):
+    """Stack ``fn(child, size, threads)`` over the sub-batches, in order.
+
+    An explicit ``threads`` > 1 runs the sub-batches on that many threads and
+    hands each ``threads=1``; otherwise they run one after another, each
+    handed ``threads`` as given.
+    """
     jobs = _spawned_children(seed, count)
     if threads is not None and threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            parts = list(pool.map(lambda job: fn(*job), jobs))
+            parts = list(pool.map(lambda job: fn(*job, 1), jobs))
     else:
-        parts = [fn(*job) for job in jobs]
+        parts = [fn(*job, threads) for job in jobs]
     return np.vstack(parts)
 
 
@@ -155,11 +166,11 @@ def sample_tridiag_a(
     beta = 2.0 * k
     off_dofs = beta * np.arange(n - 1, 0, -1)
 
-    def one(child, size):
+    def one(child, size, threads):
         rng = np.random.default_rng(child)
         diag = rng.standard_normal((size, n))
         off = _chi_matrix(rng, off_dofs, size) / math.sqrt(2.0)
-        return math.sqrt(t) * tridiagonal_eigenvalues(diag, off)
+        return math.sqrt(t) * tridiagonal_eigenvalues(diag, off, threads=threads)
 
     pts = _map_subbatches(one, seed, count, threads)
     spec = RootSystemSpec.a(n, k)
@@ -167,7 +178,7 @@ def sample_tridiag_a(
     return SampleBatch(spec, float(t), SampleMethod.TRIDIAG_A, int(seed), pts, diag)
 
 
-def _laguerre_tridiag_eigs(rng, n: int, k1: float, k2: float, size: int) -> np.ndarray:
+def _laguerre_tridiag_eigs(rng, n: int, k1: float, k2: float, size: int, threads: int | None) -> np.ndarray:
     """Eigenvalues (descending) of the bidiagonal-squared beta-Laguerre model."""
     i = np.arange(1, n + 1)
     diag_dofs = 2.0 * k1 + 1.0 + 2.0 * k2 * (n - i)
@@ -179,7 +190,7 @@ def _laguerre_tridiag_eigs(rng, n: int, k1: float, k2: float, size: int) -> np.n
     diag[:, 1:] += s**2
     # B B^T is positive semidefinite; rounding can leave its smallest
     # eigenvalue slightly negative, which the callers' sqrt would turn to NaN
-    lam = tridiagonal_eigenvalues(diag, d[:, :-1] * s)
+    lam = tridiagonal_eigenvalues(diag, d[:, :-1] * s, threads=threads)
     return np.maximum(lam, 0.0, out=lam)
 
 
@@ -199,9 +210,9 @@ def sample_tridiag_b(
         raise ValueError("need k1, k2 >= 0, t > 0, count >= 1")
     n = int(n)
 
-    def one(child, size):
+    def one(child, size, threads):
         rng = np.random.default_rng(child)
-        lam = _laguerre_tridiag_eigs(rng, n, k1, k2, size)
+        lam = _laguerre_tridiag_eigs(rng, n, k1, k2, size, threads)
         return np.sqrt(t * lam)
 
     pts = _map_subbatches(one, seed, count, threads)
@@ -224,9 +235,9 @@ def sample_exact(
     if spec.kind is RootKind.B:
         return sample_tridiag_b(spec.n, spec.k1, spec.k2, t, count, seed, threads=threads)
 
-    def one(child, size):
+    def one(child, size, threads):
         rng = np.random.default_rng(child)
-        lam = _laguerre_tridiag_eigs(rng, spec.n, 0.0, spec.k, size)
+        lam = _laguerre_tridiag_eigs(rng, spec.n, 0.0, spec.k, size, threads)
         pts = np.sqrt(t * lam)
         flip = rng.random(size) < 0.5
         pts[flip, -1] = -pts[flip, -1]

@@ -228,7 +228,11 @@ class SdeConfig:
 
     ``steps`` defaults to 2000 per unit of time; ``budget`` caps
     steps * paths and defaults to the FREEZE_BESSEL_BUDGET environment
-    variable (or 2e8 when unset).
+    variable (or 2e8 when unset).  ``threads`` > 1 runs the 4096-path
+    sub-batches on that many threads; the default runs them one after
+    another, because the pool is slower: B n=2 (k1 = k2 = 200), 16 384 paths,
+    t = 0.1 took 0.44-0.54 s serially and 0.62-0.64 s with ``threads=2`` on
+    a 2-core x86_64 container.
     """
 
     spec: RootSystemSpec
@@ -302,7 +306,9 @@ def simulate_endpoints(cfg: SdeConfig) -> SampleBatch:
             f"steps*paths = {steps * cfg.paths} exceeds budget {cfg.resolved_budget} "
             f"(raise {BUDGET_ENV_VAR} or lower the workload)"
         )
-    pts = _map_subbatches(lambda child, size: _simulate_block(cfg, child, size), cfg.seed, cfg.paths, cfg.threads)
+    pts = _map_subbatches(
+        lambda child, size, _threads: _simulate_block(cfg, child, size), cfg.seed, cfg.paths, cfg.threads
+    )
     bad = ~np.all(np.isfinite(pts), axis=1)
     dropped = int(np.count_nonzero(bad))
     if dropped == cfg.paths:

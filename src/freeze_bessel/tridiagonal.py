@@ -3,31 +3,92 @@
 It serves the exact samplers (batches of beta-Hermite and beta-Laguerre
 matrices) and the freezing targets (one-row batches of the recurrence Jacobi
 matrices whose spectra are the Hermite and Laguerre zeros).
+
+From n = 16 up, every row goes through LAPACK ``dsterf``, called through
+ctypes on the function pointer that ``scipy.linalg.cython_lapack`` exports.
+A ctypes call releases the GIL, so contiguous chunks of rows run on a thread
+pool; each row meets the same routine however the rows are chunked, so the
+bytes do not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
-from scipy.linalg.lapack import dsterf
+from scipy.linalg import cython_lapack
 
 __all__ = ["tridiagonal_eigenvalues"]
 
 # Smallest n at which the per-matrix dsterf loop beats the batched dense
-# eigvalsh (single thread, 4096 rows: equal within noise at n = 14-16, dense
-# 1.25x faster at n = 8, dsterf 1.8x faster at n = 50).
+# eigvalsh.  Measured on one thread with 4096 rows through the ctypes
+# binding, over two runs: equal within noise at n = 8-10 (dense/dsterf time
+# 0.93-1.02), dsterf 1.1-1.2x faster at n = 12-16 and 1.6-1.8x at n = 50.
+# Both paths give the same bytes; n = 16 is kept, as moving it to 12 would
+# gain at most 1.2x on n = 12-15, which no sampler default or check runs.
 _STERF_MIN_N = 16
 
 
-def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+def _capsule_function(capsule, prototype):
+    """The C function that a Cython ``__pyx_capi__`` capsule points to."""
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
+    return prototype(get_pointer(capsule, get_name(capsule)))
+
+
+_INT_P = ctypes.POINTER(ctypes.c_int)
+# dsterf(n, d, e, info): d and e are raw addresses of float64 rows
+_DSTERF = _capsule_function(
+    cython_lapack.__pyx_capi__["dsterf"],
+    ctypes.CFUNCTYPE(None, _INT_P, ctypes.c_void_p, ctypes.c_void_p, _INT_P),
+)
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _sterf_rows(d: np.ndarray, e: np.ndarray, start: int, stop: int) -> int:
+    """Overwrite rows ``start:stop`` of the C-contiguous float64 ``d`` (rows, n)
+    with their ascending eigenvalues (``e`` (rows, n-1) is destroyed).
+
+    Returns 0, or the ``info`` of the first row that ``dsterf`` failed on.
+    """
+    n = d.shape[1]
+    n_c, info = ctypes.c_int(n), ctypes.c_int(0)
+    d_addr, e_addr = d.ctypes.data, e.ctypes.data
+    for row in range(start, stop):
+        _DSTERF(n_c, d_addr + 8 * n * row, e_addr + 8 * (n - 1) * row, info)
+        if info.value:
+            return info.value
+    return 0
+
+
+def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, *, threads: int | None = None) -> np.ndarray:
     """Descending eigenvalues of the symmetric tridiagonals with rows ``diag``
     (size, n) on the diagonal and ``off`` (size, n-1) beside it.
 
     numpy's ``eigvalsh`` (LAPACK ``dsyevd``) leaves an already tridiagonal
     matrix as it is and hands its diagonals to ``dsterf``, so calling
     ``dsterf`` directly gives the same bytes without the (size, n, n) matrices.
-    Raises ``RuntimeError`` if ``dsterf`` reports a failure.
+    ``threads`` caps the worker threads of the ``dsterf`` path; None means
+    every usable core.  The inputs are not modified.  Raises ``ValueError``
+    on mismatched shapes and ``RuntimeError`` if ``dsterf`` reports a failure.
     """
+    diag = np.asarray(diag)
+    off = np.asarray(off)
+    if diag.ndim != 2:
+        raise ValueError(f"diag must be (size, n), got shape {diag.shape}")
     size, n = diag.shape
+    if off.shape != (size, max(n - 1, 0)):
+        raise ValueError(f"off must be ({size}, {max(n - 1, 0)}) beside a {diag.shape} diag, got {off.shape}")
     if n < _STERF_MIN_N:
         mats = np.zeros((size, n, n))
         idx = np.arange(n)
@@ -35,12 +96,19 @@ def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
         j = idx[:-1]
         mats[:, j, j + 1] = off
         mats[:, j + 1, j] = off
-        vals = np.linalg.eigvalsh(mats)
+        return np.linalg.eigvalsh(mats)[:, ::-1]
+    # dsterf works in place: solve on private C-ordered float64 copies
+    d = np.array(diag, dtype=np.float64, order="C")
+    e = np.array(off, dtype=np.float64, order="C")
+    workers = max(1, min(_usable_cores() if threads is None else int(threads), size))
+    bounds = [size * i // workers for i in range(workers + 1)]
+    chunks = list(zip(bounds[:-1], bounds[1:]))
+    if workers == 1:
+        infos = [_sterf_rows(d, e, *chunks[0])]
     else:
-        vals = np.empty((size, n))
-        for row in range(size):
-            lam, info = dsterf(diag[row], off[row])
-            if info != 0:
-                raise RuntimeError(f"LAPACK dsterf failed with info={info} on a {n}x{n} tridiagonal")
-            vals[row] = lam
-    return vals[:, ::-1]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            infos = list(pool.map(lambda chunk: _sterf_rows(d, e, *chunk), chunks))
+    info = next((i for i in infos if i), 0)
+    if info:
+        raise RuntimeError(f"LAPACK dsterf failed with info={info} on a {n}x{n} tridiagonal")
+    return d[:, ::-1]

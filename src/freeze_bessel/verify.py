@@ -665,8 +665,9 @@ def run_suite(
     requires an explicit seed; "identities" is fully deterministic and exempt.
     ``quick`` shrinks sample counts and grids so a full pass stays in the
     minutes range.  ``n`` and ``strength`` override the randomized checks and
-    ``n_max`` the identity grids; an override that a selected row does not
-    take raises ValueError.
+    ``n_max`` the identity grids, and ``t`` sets the time of the randomized
+    rows.  An override that a selected row does not take raises ValueError,
+    and so does a ``t`` other than 1.0 when no selected row is randomized.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
@@ -681,7 +682,10 @@ def run_suite(
         refused = [key for key in overrides if key not in row.takes]
         if refused:
             raise ValueError(f"{row.check.__name__} in suite {row.suite!r} takes no {', '.join(refused)} override")
-    if seed is None and any(row.streams for row, _ in plan):
+    randomized = any(row.streams for row, _ in plan)
+    if t != 1.0 and not randomized:
+        raise ValueError(f"suite {suite!r} draws no samples and takes no t override")
+    if seed is None and randomized:
         raise ValueError(f"suite {suite!r} is randomized and requires a seed")
     count = _QUICK_COUNT if quick else DEFAULT_COUNT
     reports: list[VerificationReport] = []

@@ -128,9 +128,41 @@ def test_target_past_the_precision_envelope_exits_3(capsys):
 def test_lapack_failure_exits_3(monkeypatch, capsys):
     import freeze_bessel.tridiagonal as tridiagonal
 
-    monkeypatch.setattr(tridiagonal, "dsterf", lambda d, e: (d, 1))
+    monkeypatch.setattr(tridiagonal, "_sterf_rows", lambda d, e, start, stop: 1)
     assert main(["sample", "--system", "A", "--n", "20", "--k", "5", "--count", "10"]) == 3
     assert "dsterf failed with info=1" in capsys.readouterr().err
+
+
+def test_lapack_failure_in_a_worker_thread_exits_3(monkeypatch, capsys):
+    import freeze_bessel.tridiagonal as tridiagonal
+
+    solve = tridiagonal._sterf_rows
+    starts = []
+
+    def fail_second_chunk(d, e, start, stop):
+        starts.append(start)
+        return 1 if start > 0 else solve(d, e, start, stop)
+
+    monkeypatch.setattr(tridiagonal, "_sterf_rows", fail_second_chunk)
+    assert main(["--threads", "2", "sample", "--system", "A", "--n", "50", "--k", "5", "--count", "10"]) == 3
+    assert "dsterf failed with info=1" in capsys.readouterr().err
+    assert sorted(starts) == [0, 5]
+
+
+def test_verify_t_on_a_suite_without_draws_exits_2(tmp_path, capsys):
+    assert main(["verify", "--suite", "identities", "--quick", "--t", "5"]) == 2
+    assert "takes no t override" in capsys.readouterr().err
+    # a manifest written before the refusal records the default t = 1.0 and
+    # still replays byte for byte
+    path = tmp_path / "reports.json"
+    assert main(["verify", "--suite", "identities", "--quick", "--out", str(path)]) == 0
+    original = path.read_text()
+    assert json.loads(original)["manifest"]["parameters"]["t"] == 1.0
+    copy = tmp_path / "copy.json"
+    copy.write_text(original)
+    path.unlink()
+    assert main(["--replay", str(copy)]) == 0
+    assert path.read_text().split('"reports"', 1)[1] == original.split('"reports"', 1)[1]
 
 
 def test_verify_identities_exit_0(tmp_path, capsys):

@@ -53,6 +53,20 @@ def test_threads_do_not_change_the_output():
     assert np.array_equal(serial.points, threaded.points)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [RootSystemSpec.a(50, 1.0), RootSystemSpec.b(100, 1.0, 1.0), RootSystemSpec.d(20, 1.0)],
+    ids=["A50", "B100", "D20"],
+)
+def test_exact_sampling_bytes_do_not_depend_on_threads(spec):
+    # the default spreads the n >= 16 eigensolve over every usable core;
+    # threads=2 runs the three sub-batches (4096, 4096, 7) on two threads
+    count = 2 * 4096 + 7
+    serial = sample_exact(spec, 1.0, count, seed=11, threads=1).points
+    for threads in (None, 2):
+        assert sample_exact(spec, 1.0, count, seed=11, threads=threads).points.tobytes() == serial.tobytes()
+
+
 def test_large_n_sampling_memory_stays_linear_in_n():
     # dense (512, 200, 200) matrices alone would take 156 MiB
     tracemalloc.start()

@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dsterf
 
 from freeze_bessel.tridiagonal import _STERF_MIN_N, tridiagonal_eigenvalues
 
@@ -90,3 +93,63 @@ def test_shape_validation():
         with pytest.raises(ValueError):
             tridiagonal_eigenvalues(np.ones((1, n)), np.ones((1, n)))
     assert tridiagonal_eigenvalues(np.empty((1, 0)), np.empty((1, 0))).shape == (1, 0)
+    # dsterf reads raw rows, so every mismatch is refused before it runs
+    for diag, off in (
+        (np.ones((3, 50)), np.ones((3, 50))),
+        (np.ones((3, 50)), np.ones((2, 49))),
+        (np.ones((3, 50)), np.ones((3, 48))),
+        (np.ones(50), np.ones(49)),
+    ):
+        with pytest.raises(ValueError):
+            tridiagonal_eigenvalues(diag, off)
+
+
+def _hermite_rows(rng, rows, n):
+    return (
+        rng.standard_normal((rows, n)),
+        np.sqrt(rng.chisquare(2.0 * np.arange(n - 1, 0, -1), size=(rows, n - 1))) / np.sqrt(2.0),
+    )
+
+
+@pytest.mark.parametrize("n", [16, 50, 200])
+@pytest.mark.parametrize("rows", [1, 3, 4097])
+def test_threaded_solver_matches_f2py_dsterf_bytes(n, rows):
+    # scipy's f2py dsterf wrapper, row by row, is the independent reference;
+    # 1 and 3 rows leave threads idle, 4097 rows split unevenly
+    diag, off = _hermite_rows(np.random.default_rng(1000 * n + rows), rows, n)
+    want = np.empty((rows, n))
+    for row in range(rows):
+        lam, info = dsterf(diag[row], off[row])
+        assert info == 0
+        want[row] = lam[::-1]
+    for threads in (1, 2, 3, None):
+        assert tridiagonal_eigenvalues(diag, off, threads=threads).tobytes() == want.tobytes()
+
+
+def test_strided_inputs_give_the_same_bytes_and_stay_unmodified():
+    rng = np.random.default_rng(5)
+    diag, off = _hermite_rows(rng, 40, 30)
+    want = tridiagonal_eigenvalues(diag, off)
+    wide = np.zeros((40, 60))
+    wide[:, ::2] = diag
+    fortran = np.asfortranarray(off)
+    before = (wide.copy(), fortran.copy())
+    for threads in (1, 2):
+        got = tridiagonal_eigenvalues(wide[:, ::2], fortran, threads=threads)
+        assert got.tobytes() == want.tobytes()
+        got = tridiagonal_eigenvalues(diag[::-1], off[::-1], threads=threads)
+        assert got.tobytes() == want[::-1].tobytes()
+    assert np.array_equal(wide, before[0]) and np.array_equal(fortran, before[1])
+    assert np.array_equal(tridiagonal_eigenvalues(diag, off), want)
+
+
+def test_more_threads_than_cores_with_fast_switching_keep_the_bytes():
+    diag, off = _hermite_rows(np.random.default_rng(9), 1001, 20)
+    want = tridiagonal_eigenvalues(diag, off, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert tridiagonal_eigenvalues(diag, off, threads=8).tobytes() == want.tobytes()
+    finally:
+        sys.setswitchinterval(interval)

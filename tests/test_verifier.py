@@ -236,6 +236,9 @@ def test_run_suite_refuses_overrides_a_row_does_not_take():
     # full clt-a runs the covariance trend, which sweeps its own strengths
     with pytest.raises(ValueError, match="covariance_error_trend"):
         run_suite("clt-a", seed=0, strength=300.0)
+    # identities draws nothing, so a time other than the default is refused
+    with pytest.raises(ValueError, match="takes no t override"):
+        run_suite("identities", quick=True, t=5.0)
 
 
 def test_report_names_carry_method_and_start_kind():
