@@ -23,7 +23,7 @@ from .equilibria import (
     laguerre_minus_one_zeros,
     laguerre_zeros,
 )
-from .gaussian import covariance, log_norm_constant, precision_matrix
+from .gaussian import _FAMILY_PARAMS, covariance, log_norm_constant, precision_matrix
 from .manifest import (
     MANIFEST_PREFIX,
     RunManifest,
@@ -55,15 +55,15 @@ def _spec_from_params(params: dict) -> RootSystemSpec:
     system = str(params["system"]).upper()
     n = int(params["n"])
     if system == "A":
-        if params.get("k") is None:
+        if params["k"] is None:
             raise ValueError("system A needs --k")
         return RootSystemSpec.a(n, float(params["k"]))
     if system == "B":
-        if params.get("k1") is None or params.get("k2") is None:
+        if params["k1"] is None or params["k2"] is None:
             raise ValueError("system B needs --k1 and --k2")
         return RootSystemSpec.b(n, float(params["k1"]), float(params["k2"]))
     if system == "D":
-        if params.get("k") is None:
+        if params["k"] is None:
             raise ValueError("system D needs --k")
         return RootSystemSpec.d(n, float(params["k"]))
     raise ValueError(f"unknown system {system!r}")
@@ -87,14 +87,14 @@ def cmd_zeros(params: dict, threads: int | None = None) -> int:
     if family == "hermite":
         zeros = hermite_zeros(n)
     elif family == "laguerre":
-        zeros = laguerre_zeros(n, float(params.get("alpha") or 0.0))
+        zeros = laguerre_zeros(n, float(params["alpha"]))
     elif family == "laguerre-1":
         zeros = laguerre_minus_one_zeros(n)
     else:
         raise ValueError(f"unknown zero family {family!r}")
     manifest = RunManifest("zeros", params, seed=None)
-    out = params.get("out")
-    if params.get("format") == "csv" and out:
+    out = params["out"]
+    if params["format"] == "csv" and out:
         lines = [MANIFEST_PREFIX + manifest.to_json(), "zero"]
         lines.extend(repr(float(z)) for z in zeros)
         write_text(out, "\n".join(lines) + "\n")
@@ -107,7 +107,7 @@ def cmd_zeros(params: dict, threads: int | None = None) -> int:
 
 def cmd_target(params: dict, threads: int | None = None) -> int:
     kind = RootKind(str(params["system"]).upper())
-    nu = params.get("nu")
+    nu = params["nu"]
     ft = freezing_target(kind, int(params["n"]), None if nu is None else float(nu))
     obj = {
         "system": kind.value,
@@ -116,13 +116,13 @@ def cmd_target(params: dict, threads: int | None = None) -> int:
         "source": ft.source.value,
         "target": ft.coords.tolist(),
     }
-    _emit_json(obj, params.get("out"), RunManifest("target", params, seed=None))
+    _emit_json(obj, params["out"], RunManifest("target", params, seed=None))
     return 0
 
 
 def cmd_sigma(params: dict, threads: int | None = None) -> int:
     kind = RootKind(str(params["system"]).upper())
-    nu = params.get("nu")
+    nu = params["nu"]
     pm = precision_matrix(kind, int(params["n"]), None if nu is None else float(nu))
     obj = {
         "system": kind.value,
@@ -133,49 +133,39 @@ def cmd_sigma(params: dict, threads: int | None = None) -> int:
         "det_S": pm.det,
         "log_det_S": pm.log_det,
     }
-    _emit_json(obj, params.get("out"), RunManifest("sigma", params, seed=None))
+    _emit_json(obj, params["out"], RunManifest("sigma", params, seed=None))
     return 0
 
 
 def cmd_constants(params: dict, threads: int | None = None) -> int:
     family = params["family"]
-    kwargs: dict = {"n": int(params["n"])}
-    if family in ("cA", "cD", "tildeA"):
-        if params.get("k") is None:
-            raise ValueError(f"family {family} needs --k")
-        kwargs["k"] = float(params["k"])
-    elif family == "cB":
-        if params.get("k1") is None or params.get("k2") is None:
-            raise ValueError("family cB needs --k1 and --k2")
-        kwargs["k1"] = float(params["k1"])
-        kwargs["k2"] = float(params["k2"])
-    elif family == "tildeB":
-        if params.get("nu") is None or params.get("beta") is None:
-            raise ValueError("family tildeB needs --nu and --beta")
-        kwargs["nu"] = float(params["nu"])
-        kwargs["beta"] = float(params["beta"])
-        if params.get("x") is not None:
-            kwargs["x"] = _parse_vector(params["x"]).tolist()
-    else:
+    if family not in _FAMILY_PARAMS:
         raise ValueError(f"unknown constant family {family!r}")
+    names = _FAMILY_PARAMS[family]
+    missing = [f"--{name}" for name in names if params[name] is None]
+    if missing:
+        raise ValueError(f"family {family} needs {' and '.join(missing)}")
+    kwargs: dict = {name: int(params[name]) if name == "n" else float(params[name]) for name in names}
+    if family == "tildeB" and params["x"] is not None:
+        kwargs["x"] = _parse_vector(params["x"]).tolist()
     const = log_norm_constant(family, **kwargs)
     try:
         value = math.exp(const.log_value)
     except OverflowError:
         value = math.inf
     obj = {"family": family, "params": kwargs, "log_value": const.log_value, "value": value}
-    _emit_json(obj, params.get("out"), RunManifest("constants", params, seed=None))
+    _emit_json(obj, params["out"], RunManifest("constants", params, seed=None))
     return 0
 
 
 def _write_batch(batch, params: dict, command: str) -> None:
-    manifest = RunManifest(command, params, seed=int(params.get("seed") or 0))
+    manifest = RunManifest(command, params, seed=int(params["seed"]))
     text = (
         batch_json_text(batch, manifest)
-        if params.get("format") == "json"
+        if params["format"] == "json"
         else batch_csv_text(batch, manifest)
     )
-    out = params.get("out")
+    out = params["out"]
     if out:
         write_text(out, text)
     else:
@@ -184,10 +174,10 @@ def _write_batch(batch, params: dict, command: str) -> None:
 
 def cmd_sample(params: dict, threads: int | None = None) -> int:
     spec = _spec_from_params(params)
-    t = float(params.get("t") or 1.0)
-    count = int(params.get("count") or 20000)
-    seed = int(params.get("seed") or 0)
-    method = params.get("method") or "exact"
+    t = float(params["t"])
+    count = int(params["count"])
+    seed = int(params["seed"])
+    method = params["method"]
     if method == "exact":
         batch = sample_exact(spec, t, count, seed, threads=threads)
     elif method == "metropolis":
@@ -204,10 +194,10 @@ def cmd_sde(params: dict, threads: int | None = None) -> int:
     cfg = SdeConfig(
         spec=spec,
         x0=StartDistribution.at_point(x0),
-        t=float(params.get("t") or 1.0),
-        seed=int(params.get("seed") or 0),
-        steps=None if params.get("steps") is None else int(params["steps"]),
-        paths=int(params.get("paths") or 20000),
+        t=float(params["t"]),
+        seed=int(params["seed"]),
+        steps=None if params["steps"] is None else int(params["steps"]),
+        paths=int(params["paths"]),
         threads=threads,
     )
     batch = simulate_endpoints(cfg)
@@ -217,22 +207,22 @@ def cmd_sde(params: dict, threads: int | None = None) -> int:
 
 def cmd_verify(params: dict, threads: int | None = None) -> int:
     suite = params["suite"]
-    seed = params.get("seed")
+    seed = params["seed"]
     if seed is None and suite != "identities":
         raise ValueError(f"suite {suite!r} is randomized: pass --seed for a reproducible run")
     reports = run_suite(
         suite,
         seed=None if seed is None else int(seed),
-        quick=bool(params.get("quick")),
+        quick=bool(params["quick"]),
         threads=threads,
-        n=None if params.get("n") is None else int(params["n"]),
-        strength=None if params.get("k") is None else float(params["k"]),
-        t=float(params.get("t") or 1.0),
-        n_max=None if params.get("n_max") is None else int(params["n_max"]),
+        n=None if params["n"] is None else int(params["n"]),
+        strength=None if params["k"] is None else float(params["k"]),
+        t=float(params["t"]),
+        n_max=None if params["n_max"] is None else int(params["n_max"]),
     )
     for report in reports:
         print(report.summary_line())
-    out = params.get("out")
+    out = params["out"]
     if out:
         manifest = RunManifest("verify", params, seed=None if seed is None else int(seed))
         write_text(out, reports_json_text(reports, manifest))
@@ -252,6 +242,20 @@ REGISTRY = {
 _GLOBAL_KEYS = {"command", "replay", "threads"}
 
 
+class _Params(dict):
+    """A command's parameter map; a key it lacks (an edited or older manifest) is bad input."""
+
+    def __missing__(self, key):
+        raise ValueError(f"run parameters lack {key!r}")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freeze-bessel",
@@ -261,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--replay", metavar="FILE", help="re-run the command recorded in FILE's manifest")
     parser.add_argument(
-        "--threads", type=int, default=None,
+        "--threads", type=_positive_int, default=None,
         help="most worker threads a run may start (default: every usable core for the n >= 16 "
         "eigensolve of exact sampling, one thread for everything else)",
     )
@@ -347,11 +351,11 @@ def main(argv=None) -> int:
             manifest = read_manifest(args.replay)
             if manifest.command not in REGISTRY:
                 raise ValueError(f"manifest command {manifest.command!r} is not replayable")
-            return REGISTRY[manifest.command](dict(manifest.parameters), args.threads)
+            return REGISTRY[manifest.command](_Params(manifest.parameters), args.threads)
         if not args.command:
             parser.print_help()
             return 2
-        return REGISTRY[args.command](_params_from_args(args), args.threads)
+        return REGISTRY[args.command](_Params(_params_from_args(args)), args.threads)
     except RuntimeError as exc:  # SamplerAbort, BudgetExceeded and numerical failures
         print(f"abort: {exc}", file=sys.stderr)
         return 3

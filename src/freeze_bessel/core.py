@@ -34,7 +34,6 @@ __all__ = [
     "log_weight",
     "log_weight_batch",
     "freezing_potential",
-    "freezing_potential_b",
 ]
 
 
@@ -145,26 +144,24 @@ def _coords(y) -> np.ndarray:
     return np.asarray(y, dtype=float)
 
 
+def _chamber_order(kind: RootKind, x: np.ndarray, holds) -> np.ndarray:
+    """``holds`` (``np.greater_equal`` or ``np.greater``) across the simple roots.
+
+    x_i vs x_{i+1}, then kind B adds x_n vs 0 and kind D adds x_{n-1} vs
+    -x_n; D's x_{n-1} >= |x_n| is the pair x_{n-1} >= x_n, x_{n-1} >= -x_n.
+    Each side is a view or one column, so no (rows, n + 1) array is built.
+    """
+    ok = np.all(holds(x[..., :-1], x[..., 1:]), axis=-1)
+    if kind is RootKind.B:
+        ok &= holds(x[..., -1], 0.0)
+    elif kind is RootKind.D:
+        ok &= holds(x[..., -2], -x[..., -1])
+    return ok
+
+
 def in_chamber(kind, pts) -> np.ndarray | bool:
     """Whether point(s) lie in the closed chamber.  Vectorized over leading axes."""
-    kind = _as_kind(kind)
-    x = _coords(pts)
-    n = x.shape[-1]
-    if n == 1:
-        ordered = np.ones(x.shape[:-1], dtype=bool)
-    else:
-        ordered = np.all(x[..., :-1] >= x[..., 1:], axis=-1)
-    if kind is RootKind.B:
-        ordered = ordered & (x[..., -1] >= 0.0)
-    elif kind is RootKind.D:
-        # descending on the first n-1 coordinates, last bounded by |.|
-        if n == 2:
-            ordered = x[..., 0] >= np.abs(x[..., 1])
-        else:
-            ordered = (
-                np.all(x[..., :-2] >= x[..., 1:-1], axis=-1)
-                & (x[..., -2] >= np.abs(x[..., -1]))
-            )
+    ordered = _chamber_order(_as_kind(kind), _coords(pts), np.greater_equal)
     if ordered.ndim == 0:
         return bool(ordered)
     return ordered
@@ -273,61 +270,25 @@ def log_weight(spec: RootSystemSpec, y) -> float:
     return float(log_weight_batch(spec, _coords(y)))
 
 
-def _log_gaps_sum(x: np.ndarray, squared: bool) -> float:
-    n = x.size
-    if n < 2:
-        return 0.0
-    iu, ju = _pair_indices(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if squared:
-            vals = np.log(x[iu] ** 2 - x[ju] ** 2)
-        else:
-            vals = np.log(x[iu] - x[ju])
-    s = float(np.sum(vals))
-    return s if not math.isnan(s) else -math.inf
-
-
-def freezing_potential_b(y, nu: float) -> float:
-    """B-type freezing potential W(y) = 2*sum log(yi^2-yj^2) + 2*nu*sum log yi - |y|^2/2."""
-    x = _coords(y)
-    if not in_chamber(RootKind.B, x):
-        return -math.inf
-    if float(nu) < 0:
-        raise ValueError("nu must be >= 0")
-    w = 2.0 * _log_gaps_sum(x, squared=True) - 0.5 * float(x @ x)
-    if nu > 0:
-        with np.errstate(divide="ignore"):
-            logs = np.log(x)
-        w += 2.0 * float(nu) * float(np.sum(logs))
-    return w if not math.isnan(w) else -math.inf
-
-
 def freezing_potential(spec: RootSystemSpec, y, *, nu: float | None = None) -> float:
     """Log-scale potential of the frozen particle configuration.
 
-    W_A(y) = 2 sum_{i<j} log(y_i - y_j) - |y|^2/2, W_B adds the squared-gap
-    and axis terms (see freezing_potential_b), W_D is W_B without the axis
-    term.  For kinds B and D the chamber maximizer is the freezing target;
-    for kind A this normalization puts the maximizer at sqrt(2) times the
-    target vector.  For kind B the potential is parameterized by ``nu``;
-    when ``nu`` is not given it defaults to ``k1/k2`` of the spec.
+    W(y) = log w(y) - |y|^2/2 with the weight at unit pair multiplicity and,
+    for kind B, axis multiplicity ``nu`` (default ``k1/k2`` of the spec):
+    W_A(y) = 2 sum_{i<j} log(y_i - y_j) - |y|^2/2,
+    W_B(y) = 2 sum_{i<j} log(y_i^2 - y_j^2) + 2 nu sum_i log y_i - |y|^2/2,
+    and W_D is W_B without the axis term.  For kinds B and D the chamber
+    maximizer is the freezing target; for kind A this normalization puts the
+    maximizer at sqrt(2) times the target vector.
     """
     x = _coords(y)
-    if x.size != spec.n:
-        raise ValueError(f"expected {spec.n} coordinates, got {x.size}")
-    if spec.kind is RootKind.A:
-        if not in_chamber(RootKind.A, x):
-            return -math.inf
-        w = 2.0 * _log_gaps_sum(x, squared=False) - 0.5 * float(x @ x)
-        return w if not math.isnan(w) else -math.inf
     if spec.kind is RootKind.B:
         if nu is None:
             if spec.k2 == 0:
                 raise ValueError("nu undefined: k2 == 0 and no explicit nu given")
             nu = spec.k1 / spec.k2
-        return freezing_potential_b(x, nu)
-    # kind D
-    if not in_chamber(RootKind.D, x):
-        return -math.inf
-    w = 2.0 * _log_gaps_sum(x, squared=True) - 0.5 * float(x @ x)
+        unit = RootSystemSpec.b(spec.n, nu, 1.0)
+    else:
+        unit = RootSystemSpec(spec.kind, spec.n, 1.0)
+    w = float(log_weight_batch(unit, x)) - 0.5 * float(x @ x)
     return w if not math.isnan(w) else -math.inf

@@ -259,6 +259,13 @@ def _log_tilde_b_limit(n: int, x_norm_sq: float) -> float:
     return _log_tilde_a_limit(n) + 0.5 * n * math.log(2.0) - 0.5 * x_norm_sq
 
 
+# the parameters each log_norm_constant family requires (tildeB also takes an optional x)
+_FAMILY_PARAMS = {
+    "cA": ("n", "k"), "cB": ("n", "k1", "k2"), "cD": ("n", "k"),
+    "tildeA": ("n", "k"), "tildeB": ("n", "nu", "beta"),
+}
+
+
 def log_norm_constant(family: str, **params) -> NormalizationConstant:
     """Closed-form constant, assembled in log space.
 
@@ -270,13 +277,9 @@ def log_norm_constant(family: str, **params) -> NormalizationConstant:
     * ``tildeB(n, nu, beta, x=None)``: its B-type analogue (x a start vector,
       defaults to the origin).
     """
-    required = {
-        "cA": ("n", "k"), "cB": ("n", "k1", "k2"), "cD": ("n", "k"),
-        "tildeA": ("n", "k"), "tildeB": ("n", "nu", "beta"),
-    }
-    if family not in required:
+    if family not in _FAMILY_PARAMS:
         raise ValueError(f"unknown constant family {family!r}")
-    missing = [name for name in required[family] if name not in params]
+    missing = [name for name in _FAMILY_PARAMS[family] if name not in params]
     if missing:
         raise ValueError(f"family {family!r} needs parameters {missing}")
     if family == "cA":

@@ -162,35 +162,42 @@ def _weight_factor(spec: RootSystemSpec, y1, y2):
     return (y1**2 - y2**2) ** (2.0 * spec.k) if spec.k > 0 else np.ones_like(y1)
 
 
+def _chamber_integral(spec: RootSystemSpec, t: float, radius: float, rtol: float, g=None) -> float:
+    """int over the chamber (truncated at ``radius``) of g(y) exp(-|y|^2/(2t)) w_k(y) dy.
+
+    ``g`` defaults to 1; it takes y for one particle (a 1-D array of nodes)
+    or (y1, y2) for two, broadcasting as in ``ordered_integral_2d``.
+    """
+    if spec.n == 1:
+        # the one-particle chamber is the whole line with weight 1 (kind A),
+        # or the half-line with weight y^(2 k1) (kind B)
+        lo, k1 = (0.0, spec.k1) if spec.kind is RootKind.B else (-radius, 0.0)
+
+        def rho(y):
+            w = y ** (2.0 * k1) if k1 > 0 else np.ones_like(y)
+            return np.exp(-0.5 * y**2 / t) * w
+
+        f = rho if g is None else (lambda y: np.asarray(g(y), float) * rho(y))
+        return adaptive_gauss(f, lo, radius, rtol=rtol)
+    if spec.n != 2:
+        raise ValueError("the quadrature oracle covers n in {1, 2}")
+
+    def rho2(y1, y2):
+        return np.exp(-0.5 * (y1**2 + y2**2) / t) * _weight_factor(spec, y1, y2)
+
+    outer_lo = 0.0 if spec.kind is RootKind.B else -radius
+    inner_lo = np.abs if spec.kind is RootKind.D else (lambda y2: y2)
+    f2 = rho2 if g is None else (lambda y1, y2: np.asarray(g(y1, y2), float) * rho2(y1, y2))
+    return ordered_integral_2d(f2, outer_lo, radius, inner_lo, radius, rtol=rtol)
+
+
 def chamber_weight_integral(spec: RootSystemSpec, *, rtol: float = 1e-9) -> float:
     """Direct quadrature of the defining integral int_chamber exp(-|y|^2/2) w_k(y) dy.
 
     Supports one and two particles; the reciprocal is the closed-form
     normalization constant this value is used to cross-check.
     """
-    radius = _truncation_radius(spec)
-    if spec.n == 1:
-        if spec.kind is RootKind.A or spec.kind is RootKind.D:
-            # the one-particle chamber is the whole line, weight 1
-            return adaptive_gauss(lambda y: np.exp(-0.5 * y**2), -radius, radius, rtol=rtol)
-        k1 = spec.k1
-
-        def integrand(y):
-            w = y ** (2.0 * k1) if k1 > 0 else np.ones_like(y)
-            return np.exp(-0.5 * y**2) * w
-
-        return adaptive_gauss(integrand, 0.0, radius, rtol=rtol)
-    if spec.n != 2:
-        raise ValueError("the quadrature oracle covers n in {1, 2}")
-
-    def density(y1, y2):
-        return np.exp(-0.5 * (y1**2 + y2**2)) * _weight_factor(spec, y1, y2)
-
-    if spec.kind is RootKind.A:
-        return ordered_integral_2d(density, -radius, radius, lambda y2: y2, radius, rtol=rtol)
-    if spec.kind is RootKind.B:
-        return ordered_integral_2d(density, 0.0, radius, lambda y2: y2, radius, rtol=rtol)
-    return ordered_integral_2d(density, -radius, radius, np.abs, radius, rtol=rtol)
+    return _chamber_integral(spec, 1.0, _truncation_radius(spec), rtol)
 
 
 def chamber_moment(spec: RootSystemSpec, t: float, g, *, rtol: float = 1e-8) -> float:
@@ -204,39 +211,4 @@ def chamber_moment(spec: RootSystemSpec, t: float, g, *, rtol: float = 1e-8) -> 
     if t <= 0:
         raise ValueError("t must be positive")
     radius = _truncation_radius(spec) * math.sqrt(max(t, 1.0))
-    if spec.n == 1:
-        if spec.kind is RootKind.B:
-            lo = 0.0
-            k1 = spec.k1
-
-            def rho(y):
-                w = y ** (2.0 * k1) if k1 > 0 else np.ones_like(y)
-                return np.exp(-0.5 * y**2 / t) * w
-
-        else:
-            lo = -radius
-
-            def rho(y):
-                return np.exp(-0.5 * y**2 / t)
-
-        num = adaptive_gauss(lambda y: np.asarray(g(y), float) * rho(y), lo, radius, rtol=rtol)
-        den = adaptive_gauss(rho, lo, radius, rtol=rtol)
-        return num / den
-    if spec.n != 2:
-        raise ValueError("the quadrature oracle covers n in {1, 2}")
-
-    def rho2(y1, y2):
-        return np.exp(-0.5 * (y1**2 + y2**2) / t) * _weight_factor(spec, y1, y2)
-
-    if spec.kind is RootKind.A:
-        outer_lo, inner_lo = -radius, (lambda y2: y2)
-    elif spec.kind is RootKind.B:
-        outer_lo, inner_lo = 0.0, (lambda y2: y2)
-    else:
-        outer_lo, inner_lo = -radius, np.abs
-    num = ordered_integral_2d(
-        lambda y1, y2: np.asarray(g(y1, y2), float) * rho2(y1, y2),
-        outer_lo, radius, inner_lo, radius, rtol=rtol,
-    )
-    den = ordered_integral_2d(rho2, outer_lo, radius, inner_lo, radius, rtol=rtol)
-    return num / den
+    return _chamber_integral(spec, t, radius, rtol, g) / _chamber_integral(spec, t, radius, rtol)

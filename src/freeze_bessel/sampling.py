@@ -150,102 +150,77 @@ def _chi_matrix(rng, dofs: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-def sample_tridiag_a(
-    n: int, k: float, t: float, count: int, seed: int, *, threads: int | None = None
-) -> SampleBatch:
-    """Exact start-0 samples of the A-type law via the tridiagonal beta-Hermite model.
-
-    Model (checked against the n<=2 quadrature oracle): diagonal N(0,1),
-    couplings chi_{beta*(n-i)}/sqrt(2) with beta = 2k; the eigenvalue law has
-    density proportional to exp(-|y|^2/2) * prod (yi-yj)^(2k), and time enters
-    through the exact scaling y -> sqrt(t) * y.
-    """
-    if k < 0 or t <= 0 or count < 1:
-        raise ValueError("need k >= 0, t > 0, count >= 1")
-    n = int(n)
-    beta = 2.0 * k
-    off_dofs = beta * np.arange(n - 1, 0, -1)
-
-    def one(child, size, threads):
-        rng = np.random.default_rng(child)
+def _exact_rows(spec: RootSystemSpec, t: float, child, size: int, threads: int | None) -> np.ndarray:
+    """One sub-batch of exact start-0 draws, in descending chamber order."""
+    rng = np.random.default_rng(child)
+    n = spec.n
+    if spec.kind is RootKind.A:
         diag = rng.standard_normal((size, n))
-        off = _chi_matrix(rng, off_dofs, size) / math.sqrt(2.0)
+        off = _chi_matrix(rng, 2.0 * spec.k * np.arange(n - 1, 0, -1), size) / math.sqrt(2.0)
         return math.sqrt(t) * tridiagonal_eigenvalues(diag, off, threads=threads)
-
-    pts = _map_subbatches(one, seed, count, threads)
-    spec = RootSystemSpec.a(n, k)
-    diag = BatchDiagnostics(acceptance_rate=None, ess=float(count), thin=1)
-    return SampleBatch(spec, float(t), SampleMethod.TRIDIAG_A, int(seed), pts, diag)
-
-
-def _laguerre_tridiag_eigs(rng, n: int, k1: float, k2: float, size: int, threads: int | None) -> np.ndarray:
-    """Eigenvalues (descending) of the bidiagonal-squared beta-Laguerre model."""
+    k1, k2 = spec.multiplicity if spec.kind is RootKind.B else (0.0, spec.k)
     i = np.arange(1, n + 1)
-    diag_dofs = 2.0 * k1 + 1.0 + 2.0 * k2 * (n - i)
-    sub_dofs = 2.0 * k2 * (n - i[:-1])
-    d = _chi_matrix(rng, diag_dofs, size)
-    s = _chi_matrix(rng, sub_dofs, size)
+    d = _chi_matrix(rng, 2.0 * k1 + 1.0 + 2.0 * k2 * (n - i), size)
+    s = _chi_matrix(rng, 2.0 * k2 * (n - i[:-1]), size)
     # B B^T of the lower bidiagonal B with diagonal d and subdiagonal s
     diag = d**2
     diag[:, 1:] += s**2
-    # B B^T is positive semidefinite; rounding can leave its smallest
-    # eigenvalue slightly negative, which the callers' sqrt would turn to NaN
     lam = tridiagonal_eigenvalues(diag, d[:, :-1] * s, threads=threads)
-    return np.maximum(lam, 0.0, out=lam)
-
-
-def sample_tridiag_b(
-    n: int, k1: float, k2: float, t: float, count: int, seed: int, *, threads: int | None = None
-) -> SampleBatch:
-    """Exact start-0 samples of the B-type law via the beta-Laguerre model.
-
-    In squared coordinates u_i = y_i^2/(2t) the target is the Laguerre
-    ensemble with pair weight 2*k2 and axis exponent k1 - 1/2; the bidiagonal
-    model realizes it with chi degrees of freedom 2*k1 + 1 + 2*k2*(n-i) on the
-    diagonal and 2*k2*(n-i) below (zero dof meaning a structural zero, which
-    covers k2 = 0 as independent coordinates).  Calibrated against the n<=2
-    quadrature oracle.
-    """
-    if k1 < 0 or k2 < 0 or t <= 0 or count < 1:
-        raise ValueError("need k1, k2 >= 0, t > 0, count >= 1")
-    n = int(n)
-
-    def one(child, size, threads):
-        rng = np.random.default_rng(child)
-        lam = _laguerre_tridiag_eigs(rng, n, k1, k2, size, threads)
-        return np.sqrt(t * lam)
-
-    pts = _map_subbatches(one, seed, count, threads)
-    spec = RootSystemSpec.b(n, k1, k2)
-    diag = BatchDiagnostics(acceptance_rate=None, ess=float(count), thin=1)
-    return SampleBatch(spec, float(t), SampleMethod.TRIDIAG_B, int(seed), pts, diag)
+    del d, s, diag  # freed before the sqrt allocates, which keeps the large-n peak RSS down
+    # B B^T is positive semidefinite; rounding can leave its smallest
+    # eigenvalue slightly negative, which the sqrt would turn to NaN
+    pts = np.sqrt(t * np.maximum(lam, 0.0, out=lam))
+    if spec.kind is RootKind.D:
+        flip = rng.random(size) < 0.5
+        pts[flip, -1] = -pts[flip, -1]
+    return pts
 
 
 def sample_exact(
     spec: RootSystemSpec, t: float, count: int, seed: int, *, threads: int | None = None
 ) -> SampleBatch:
-    """Exact start-0 samples for any kind.
+    """Exact start-0 samples for any kind, from tridiagonal matrix models.
+
+    Kind A, the beta-Hermite model (checked against the n<=2 quadrature
+    oracle): diagonal N(0,1), couplings chi_{beta*(n-i)}/sqrt(2) with
+    beta = 2k; the eigenvalue law has density proportional to
+    exp(-|y|^2/2) * prod (yi-yj)^(2k), and time enters through the exact
+    scaling y -> sqrt(t) * y.
+
+    Kind B, the beta-Laguerre model: in squared coordinates u_i = y_i^2/(2t)
+    the target is the Laguerre ensemble with pair weight 2*k2 and axis
+    exponent k1 - 1/2; the bidiagonal model realizes it with chi degrees of
+    freedom 2*k1 + 1 + 2*k2*(n-i) on the diagonal and 2*k2*(n-i) below (zero
+    dof meaning a structural zero, which covers k2 = 0 as independent
+    coordinates).  Calibrated against the n<=2 quadrature oracle.
 
     Kind D uses the B model with zero axis multiplicity and then flips the
     sign of the last coordinate with probability 1/2 (the D law is the
     symmetrization of the B law in that coordinate).
     """
-    if spec.kind is RootKind.A:
-        return sample_tridiag_a(spec.n, spec.k, t, count, seed, threads=threads)
-    if spec.kind is RootKind.B:
-        return sample_tridiag_b(spec.n, spec.k1, spec.k2, t, count, seed, threads=threads)
-
-    def one(child, size, threads):
-        rng = np.random.default_rng(child)
-        lam = _laguerre_tridiag_eigs(rng, spec.n, 0.0, spec.k, size, threads)
-        pts = np.sqrt(t * lam)
-        flip = rng.random(size) < 0.5
-        pts[flip, -1] = -pts[flip, -1]
-        return pts
-
-    pts = _map_subbatches(one, seed, count, threads)
+    if t <= 0 or count < 1:
+        raise ValueError("need t > 0, count >= 1")
+    t = float(t)
+    pts = _map_subbatches(
+        lambda child, size, threads: _exact_rows(spec, t, child, size, threads), seed, count, threads
+    )
+    method = SampleMethod.TRIDIAG_A if spec.kind is RootKind.A else SampleMethod.TRIDIAG_B
     diag = BatchDiagnostics(acceptance_rate=None, ess=float(count), thin=1)
-    return SampleBatch(spec, float(t), SampleMethod.TRIDIAG_B, int(seed), pts, diag)
+    return SampleBatch(spec, t, method, int(seed), pts, diag)
+
+
+def sample_tridiag_a(
+    n: int, k: float, t: float, count: int, seed: int, *, threads: int | None = None
+) -> SampleBatch:
+    """Exact start-0 samples of the A-type law (see :func:`sample_exact`)."""
+    return sample_exact(RootSystemSpec.a(n, k), t, count, seed, threads=threads)
+
+
+def sample_tridiag_b(
+    n: int, k1: float, k2: float, t: float, count: int, seed: int, *, threads: int | None = None
+) -> SampleBatch:
+    """Exact start-0 samples of the B-type law (see :func:`sample_exact`)."""
+    return sample_exact(RootSystemSpec.b(n, k1, k2), t, count, seed, threads=threads)
 
 
 # ---------------------------------------------------------------------------

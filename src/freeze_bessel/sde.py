@@ -27,6 +27,7 @@ from .core import (
     ChamberPoint,
     RootKind,
     RootSystemSpec,
+    _chamber_order,
     in_chamber,
     project_batch,
 )
@@ -133,29 +134,11 @@ class StartDistribution:
             if attempts > 1000:
                 raise ValueError("uniform start box has negligible overlap with the chamber interior")
             block = rng.uniform(self.lo, self.hi, size=(max(size, 1024), spec.n))
-            good = block[_strictly_interior_mask(spec, block)]
+            good = block[_chamber_order(spec.kind, block, np.greater)]
             take = min(size - filled, good.shape[0])
             out[filled : filled + take] = good[:take]
             filled += take
         return out
-
-
-def _strictly_interior_mask(spec: RootSystemSpec, pts: np.ndarray) -> np.ndarray:
-    x = np.asarray(pts, dtype=float)
-    n = spec.n
-    if spec.kind is RootKind.A:
-        if n == 1:
-            return np.ones(x.shape[0], dtype=bool)
-        return np.all(x[:, :-1] > x[:, 1:], axis=1)
-    if spec.kind is RootKind.B:
-        ok = x[:, -1] > 0
-        if n > 1:
-            ok &= np.all(x[:, :-1] > x[:, 1:], axis=1)
-        return ok
-    ok = x[:, -2] > np.abs(x[:, -1])
-    if n > 2:
-        ok &= np.all(x[:, :-2] > x[:, 1:-1], axis=1)
-    return ok
 
 
 def _validate_start(spec: RootSystemSpec, x0) -> np.ndarray:
@@ -168,7 +151,7 @@ def _validate_start(spec: RootSystemSpec, x0) -> np.ndarray:
         raise ValueError("start at the origin is refused: use an exact start-0 sampler instead")
     if not in_chamber(spec.kind, x):
         raise ValueError("start must lie in the chamber (project it first)")
-    if not _strictly_interior_mask(spec, x[None, :])[0]:
+    if not _chamber_order(spec.kind, x, np.greater):
         raise ValueError("start must be strictly inside the chamber (no wall contact)")
     return x
 

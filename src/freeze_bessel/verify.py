@@ -24,7 +24,13 @@ import numpy as np
 
 from .core import RootKind, RootSystemSpec
 from .equilibria import freezing_target, potential_identity_check, stationarity_residual
-from .gaussian import FreezingRegime, determinant_identity, log_norm_constant, proof_constant_limit
+from .gaussian import (
+    FreezingRegime,
+    _FAMILY_PARAMS,
+    determinant_identity,
+    log_norm_constant,
+    proof_constant_limit,
+)
 from .quadrature import chamber_weight_integral
 from .report import VerificationReport
 from .sampling import _spawn_seeds, sample_exact, sample_metropolis
@@ -472,8 +478,8 @@ def covariance_error_trend(
 # deterministic identity reports
 
 
-# the log_norm_constant family of each root kind, and the spec fields it takes
-_NORM_FAMILY = {RootKind.A: ("cA", ("k",)), RootKind.B: ("cB", ("k1", "k2")), RootKind.D: ("cD", ("k",))}
+# the log_norm_constant family of each root kind
+_NORM_FAMILY = {RootKind.A: "cA", RootKind.B: "cB", RootKind.D: "cD"}
 
 
 def _worst_of_grid(name: str, parameters: dict, values, key: str, tol: float, **flags) -> VerificationReport:
@@ -504,8 +510,8 @@ def identity_reports(
 
     def quadrature_rel_err(spec: RootSystemSpec) -> float:
         integral = chamber_weight_integral(spec, rtol=quadrature_rtol)
-        family, fields = _NORM_FAMILY[spec.kind]
-        log_c = log_norm_constant(family, n=spec.n, **{f: getattr(spec, f) for f in fields}).log_value
+        family = _NORM_FAMILY[spec.kind]
+        log_c = log_norm_constant(family, **{f: getattr(spec, f) for f in _FAMILY_PARAMS[family]}).log_value
         return abs(integral * math.exp(log_c) - 1.0)
 
     proofs = {
@@ -667,7 +673,8 @@ def run_suite(
     minutes range.  ``n`` and ``strength`` override the randomized checks and
     ``n_max`` the identity grids, and ``t`` sets the time of the randomized
     rows.  An override that a selected row does not take raises ValueError,
-    and so does a ``t`` other than 1.0 when no selected row is randomized.
+    and so does a ``t`` that is not positive, or other than 1.0 when no
+    selected row is randomized.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
@@ -683,6 +690,8 @@ def run_suite(
         if refused:
             raise ValueError(f"{row.check.__name__} in suite {row.suite!r} takes no {', '.join(refused)} override")
     randomized = any(row.streams for row, _ in plan)
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
     if t != 1.0 and not randomized:
         raise ValueError(f"suite {suite!r} draws no samples and takes no t override")
     if seed is None and randomized:

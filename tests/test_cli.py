@@ -100,6 +100,36 @@ def test_sample_argument_errors():
     assert main(["sample", "--system", "B", "--n", "2", "--k1", "1.0"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--system", "A", "--n", "2", "--k", "1.0", "--t", "0", "--count", "3"],
+    ["sample", "--system", "A", "--n", "2", "--k", "1.0", "--count", "0"],
+    ["sde", "--system", "A", "--n", "2", "--k", "1.0", "--x0", "1,-1", "--paths", "0", "--steps", "5"],
+    ["verify", "--suite", "lln", "--quick", "--seed", "0", "--t", "0"],
+], ids=["sample-t0", "sample-count0", "sde-paths0", "verify-t0"])
+def test_zero_arguments_are_refused_not_replaced_by_defaults(argv, capsys):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_replayed_manifest_missing_a_parameter_exits_2(tmp_path, capsys):
+    path = tmp_path / "a.csv"
+    assert main(["sample", "--system", "A", "--n", "2", "--k", "1.0", "--count", "5", "--out", str(path)]) == 0
+    header, rest = path.read_text().split("\n", 1)
+    manifest = json.loads(header[len("# manifest: "):])
+    del manifest["parameters"]["count"]
+    path.write_text("# manifest: " + json.dumps(manifest) + "\n" + rest)
+    assert main(["--replay", str(path)]) == 2
+    assert "'count'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_must_be_a_positive_integer(threads, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", threads, "sample", "--system", "A", "--n", "2", "--k", "1.0", "--count", "3"])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
 def test_sde_command(tmp_path):
     path = tmp_path / "sde.csv"
     assert main(["sde", "--system", "B", "--n", "2", "--k1", "1.0", "--k2", "1.0",

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freeze_bessel import core
 from freeze_bessel import (
     ChamberPoint,
     RootKind,
@@ -62,6 +64,30 @@ def test_in_chamber_by_kind():
     assert not in_chamber(RootKind.D, np.array([0.5, -2.0]))
     flags = in_chamber(RootKind.A, np.array([[1.0, 0.0], [0.0, 1.0]]))
     assert flags.tolist() == [True, False]
+
+
+_EDGE_VALUES = (-math.inf, -1.0, -0.0, 0.0, 1.0, math.inf, math.nan)
+
+
+@pytest.mark.parametrize("kind, n", [(kind, n) for kind in RootKind for n in (1, 2, 3, 5)
+                                     if kind is not RootKind.D or n >= 2])
+def test_chamber_predicates_on_ties_signed_zeros_infinities_and_nan(kind, n):
+    grid = np.array(list(itertools.product(_EDGE_VALUES, repeat=n)))
+
+    def formula(x, holds):
+        # descending order; B adds x_n >= 0; D orders x_1..x_{n-1} and adds x_{n-1} >= |x_n|
+        if kind is RootKind.D:
+            return all(holds(x[i], x[i + 1]) for i in range(n - 2)) and holds(x[n - 2], abs(x[n - 1]))
+        ordered = all(holds(x[i], x[i + 1]) for i in range(n - 1))
+        if kind is RootKind.B:
+            return ordered and holds(x[n - 1], 0.0)
+        return ordered
+
+    closed = [formula(row.tolist(), lambda a, b: a >= b) for row in grid]
+    strict = [formula(row.tolist(), lambda a, b: a > b) for row in grid]
+    assert in_chamber(kind, grid).tolist() == closed
+    assert core._chamber_order(kind, grid, np.greater).tolist() == strict
+    assert [in_chamber(kind, row) for row in grid[:50]] == closed[:50]
 
 
 def test_project_batch_matches_kind_rules():

@@ -139,6 +139,23 @@ def test_start_distribution_draws():
     assert frac == pytest.approx(0.75, abs=0.03)
 
 
+@pytest.mark.parametrize("spec, lo, hi", [
+    (RootSystemSpec.a(3, 1.0), [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]),
+    (RootSystemSpec.b(2, 1.0, 1.0), [0.0, 0.0], [1.0, 1.0]),
+    (RootSystemSpec.d(3, 1.0), [0.0, 0.0, -1.0], [1.0, 1.0, 1.0]),
+], ids=["A3", "B2", "D3"])
+def test_uniform_start_box_touching_a_wall_draws_strictly_interior_rows(spec, lo, hi):
+    x = StartDistribution.uniform(lo, hi).draw(spec, np.random.default_rng(3), 5000)
+    assert x.shape == (5000, spec.n)
+    if spec.kind is RootKind.D:
+        strict = np.all(x[:, :-2] > x[:, 1:-1], axis=1) & (x[:, -2] > np.abs(x[:, -1]))
+    else:
+        strict = np.all(x[:, :-1] > x[:, 1:], axis=1)
+    if spec.kind is RootKind.B:
+        strict &= x[:, -1] > 0
+    assert strict.all()
+
+
 def test_config_validation():
     spec = RootSystemSpec.b(2, 1.0, 1.0)
     good = StartDistribution.at_point([1.0, 0.5])
