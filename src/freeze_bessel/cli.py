@@ -51,22 +51,30 @@ def _parse_vector(value, n: int | None = None) -> np.ndarray:
     return vec
 
 
+def _refuse_untaken(owner: str, params: dict, taken, offered) -> None:
+    """Bad input: a flag of ``offered`` that is set but not in ``taken``."""
+    untaken = [f"--{name}" for name in offered if name not in taken and params[name] is not None]
+    if untaken:
+        raise ValueError(f"{owner} takes no {', '.join(untaken)}")
+
+
+# the multiplicity flags each system takes
+_SYSTEM_PARAMS = {"A": ("k",), "B": ("k1", "k2"), "D": ("k",)}
+
+
 def _spec_from_params(params: dict) -> RootSystemSpec:
     system = str(params["system"]).upper()
+    if system not in _SYSTEM_PARAMS:
+        raise ValueError(f"unknown system {system!r}")
+    names = _SYSTEM_PARAMS[system]
+    missing = [f"--{name}" for name in names if params[name] is None]
+    if missing:
+        raise ValueError(f"system {system} needs {' and '.join(missing)}")
+    _refuse_untaken(f"system {system}", params, names, ("k", "k1", "k2"))
     n = int(params["n"])
-    if system == "A":
-        if params["k"] is None:
-            raise ValueError("system A needs --k")
-        return RootSystemSpec.a(n, float(params["k"]))
     if system == "B":
-        if params["k1"] is None or params["k2"] is None:
-            raise ValueError("system B needs --k1 and --k2")
         return RootSystemSpec.b(n, float(params["k1"]), float(params["k2"]))
-    if system == "D":
-        if params["k"] is None:
-            raise ValueError("system D needs --k")
-        return RootSystemSpec.d(n, float(params["k"]))
-    raise ValueError(f"unknown system {system!r}")
+    return (RootSystemSpec.a if system == "A" else RootSystemSpec.d)(n, float(params["k"]))
 
 
 def _emit_json(obj: dict, out: str | None, manifest: RunManifest) -> None:
@@ -145,6 +153,8 @@ def cmd_constants(params: dict, threads: int | None = None) -> int:
     missing = [f"--{name}" for name in names if params[name] is None]
     if missing:
         raise ValueError(f"family {family} needs {' and '.join(missing)}")
+    _refuse_untaken(f"family {family}", params, (*names, "x") if family == "tildeB" else names,
+                    ("k", "k1", "k2", "nu", "beta", "x"))
     kwargs: dict = {name: int(params[name]) if name == "n" else float(params[name]) for name in names}
     if family == "tildeB" and params["x"] is not None:
         kwargs["x"] = _parse_vector(params["x"]).tolist()

@@ -169,6 +169,7 @@ class FreezingTarget:
 
 
 _RESIDUAL_TOL = 1e-10
+_POTENTIAL_TOL = 1e-9
 
 
 @lru_cache(maxsize=None)
@@ -286,7 +287,6 @@ def potential_identity_check(kind: str, n: int, nu: float | None = None) -> Veri
     * ``"B_full"``: B-type potential value at the target;
     * ``"B_norm"``: squared norm of the B target equals 2n(n + nu - 1).
     """
-    tol = 1e-9
     params: dict = {"n": n}
     if kind == "A_at_half":
         diff = abs(a_potential_discrepancy(n, 0.5))
@@ -322,6 +322,6 @@ def potential_identity_check(kind: str, n: int, nu: float | None = None) -> Veri
         name=f"potential-identity-{kind}",
         parameters=params,
         statistics=stats,
-        tolerances={"abs_diff": tol},
-        passed=diff < tol,
+        tolerances={"abs_diff": _POTENTIAL_TOL},
+        passed=diff < _POTENTIAL_TOL,
     )

@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_DETERMINANT_TOL = 1e-8
+_PROOF_TOL = 5e-3
+# the multiplicities along which proof_constant_limit follows each constant
+_PROOF_GRID = (10.0, 100.0, 1000.0, 2000.0)
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,7 @@ def precision_matrix(kind, n: int, nu: float | None = None) -> PrecisionMatrix:
       row/column decouples because the last target coordinate is 0.
     """
     kind = _as_kind(kind)
-    target = freezing_target(kind, n, nu if kind is RootKind.B else None)
+    target = freezing_target(kind, n, nu)
     if kind is RootKind.B and (nu is None or nu <= 0):
         raise ValueError("kind B precision matrix needs nu > 0")
     z = target.coords
@@ -199,13 +203,12 @@ def determinant_identity(kind, n: int, nu: float | None = None) -> VerificationR
     else:
         raise ValueError("no closed-form determinant is asserted for kind D")
     rel_err = abs(math.expm1(pm.log_det - log_expected))
-    tol = 1e-8
     return VerificationReport(
         name=f"determinant-identity-{kind.value}",
         parameters={"n": n, "nu": nu},
         statistics={"log_det": pm.log_det, "log_expected": log_expected, "rel_err": rel_err},
-        tolerances={"rel_err": tol},
-        passed=rel_err < tol,
+        tolerances={"rel_err": _DETERMINANT_TOL},
+        passed=rel_err < _DETERMINANT_TOL,
     )
 
 
@@ -255,8 +258,8 @@ def _log_tilde_b(n: int, nu: float, beta: float, x_norm_sq: float) -> float:
     )
 
 
-def _log_tilde_b_limit(n: int, x_norm_sq: float) -> float:
-    return _log_tilde_a_limit(n) + 0.5 * n * math.log(2.0) - 0.5 * x_norm_sq
+def _log_tilde_b_limit(n: int) -> float:
+    return _log_tilde_a_limit(n) + 0.5 * n * math.log(2.0)
 
 
 # the parameters each log_norm_constant family requires (tildeB also takes an optional x)
@@ -298,40 +301,33 @@ def log_norm_constant(family: str, **params) -> NormalizationConstant:
     return NormalizationConstant(family, dict(params), val)
 
 
-def proof_constant_limit(
-    family: str,
-    n: int,
-    nu: float | None = None,
-    x=None,
-    grid: tuple = (10.0, 100.0, 1000.0, 2000.0),
-) -> VerificationReport:
+def proof_constant_limit(family: str, n: int, nu: float | None = None) -> VerificationReport:
     """Convergence of the rescaled proof constants to their closed-form limits.
 
-    Evaluates the constant along the multiplicity grid and reports relative
-    errors against the limit; passes when the error at the largest grid point
-    is below 5e-3 and the error sequence is non-increasing (up to rounding).
+    Evaluates the constant (tildeB at the start x = 0) along the multiplicity
+    grid 10, 100, 1000, 2000 and reports relative errors against the limit;
+    passes when the error at the largest grid point is below 5e-3 and the
+    error sequence is non-increasing (up to rounding).
     """
-    x_norm_sq = float(np.dot(x, x)) if x is not None else 0.0
     if family == "tildeA":
         limit = _log_tilde_a_limit(n)
-        logs = [_log_tilde_a(n, k) for k in grid]
+        logs = [_log_tilde_a(n, k) for k in _PROOF_GRID]
     elif family == "tildeB":
         if nu is None or nu <= 0:
             raise ValueError("tildeB needs nu > 0")
-        limit = _log_tilde_b_limit(n, x_norm_sq)
-        logs = [_log_tilde_b(n, nu, beta, x_norm_sq) for beta in grid]
+        limit = _log_tilde_b_limit(n)
+        logs = [_log_tilde_b(n, nu, beta, 0.0) for beta in _PROOF_GRID]
     else:
         raise ValueError(f"unknown proof-constant family {family!r}")
     errs = [abs(math.expm1(lv - limit)) for lv in logs]
-    tol = 5e-3
     slack = 1e-12  # exact-constant cases (e.g. tildeA with n=1) sit at rounding level
     decreasing = all(errs[i + 1] <= errs[i] + slack for i in range(len(errs) - 1))
     return VerificationReport(
         name=f"proof-constant-limit-{family}",
-        parameters={"n": n, "nu": nu, "grid": list(grid), "x_norm_sq": x_norm_sq},
+        parameters={"n": n, "nu": nu, "grid": list(_PROOF_GRID)},
         statistics={"rel_errs": errs, "final_rel_err": errs[-1], "decreasing": decreasing},
-        tolerances={"final_rel_err": tol},
-        passed=(errs[-1] < tol) and decreasing,
+        tolerances={"final_rel_err": _PROOF_TOL},
+        passed=(errs[-1] < _PROOF_TOL) and decreasing,
     )
 
 

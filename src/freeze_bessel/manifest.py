@@ -182,14 +182,12 @@ def read_run_file(path) -> dict:
             return {"manifest": manifest, "kind": "reports-json", "reports": obj["reports"]}
         return {"manifest": manifest, "kind": "manifest-json"}
     manifest = read_manifest(path)
-    body = [ln for ln in text.splitlines()[1:] if ln.strip()]
+    # every CSV writer puts one header line ("x1,...,xN" or "zero") after the manifest
+    rows = [ln for ln in text.splitlines()[2:] if ln.strip()]
     points = None
-    if body:
-        start = 1 if body[0].lstrip().startswith("x1") or body[0].lstrip().startswith("name") else 0
-        rows = body[start:]
-        if rows and not rows[0].startswith("name"):
-            try:
-                points = np.array([[float(v) for v in ln.split(",")] for ln in rows])
-            except ValueError:
-                points = None
+    if rows:
+        try:
+            points = np.array([[float(v) for v in ln.split(",")] for ln in rows])
+        except ValueError:
+            points = None
     return {"manifest": manifest, "kind": "batch-csv", "points": points}

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,16 +31,7 @@ from .core import (
     in_chamber,
     project_batch,
 )
-from .report import VerificationReport
-from .sampling import (
-    BatchDiagnostics,
-    SampleBatch,
-    SampleMethod,
-    SamplerAbort,
-    _map_subbatches,
-    _spawn_seeds,
-)
-from .stat_tests import ks_test_two_sample
+from .sampling import BatchDiagnostics, SampleBatch, SampleMethod, SamplerAbort, _map_subbatches
 
 __all__ = [
     "BUDGET_ENV_VAR",
@@ -50,7 +41,6 @@ __all__ = [
     "drift",
     "drift_batch",
     "simulate_endpoints",
-    "translation_invariance_check",
 ]
 
 BUDGET_ENV_VAR = "FREEZE_BESSEL_BUDGET"
@@ -209,9 +199,9 @@ def drift(spec: RootSystemSpec, x) -> np.ndarray:
 class SdeConfig:
     """Run configuration of the Heun scheme on a uniform time mesh.
 
-    ``steps`` defaults to 2000 per unit of time; ``budget`` caps
-    steps * paths and defaults to the FREEZE_BESSEL_BUDGET environment
-    variable (or 2e8 when unset).  ``threads`` > 1 runs the 4096-path
+    ``steps`` defaults to 2000 per unit of time.  steps * paths is capped by
+    the FREEZE_BESSEL_BUDGET environment variable (2e8 when unset), read when
+    the simulation starts.  ``threads`` > 1 runs the 4096-path
     sub-batches on that many threads; the default runs them one after
     another, because the pool is slower: B n=2 (k1 = k2 = 200), 16 384 paths,
     t = 0.1 took 0.44-0.54 s serially and 0.62-0.64 s with ``threads=2`` on
@@ -224,7 +214,6 @@ class SdeConfig:
     seed: int
     steps: int | None = None
     paths: int = _DEFAULT_PATHS
-    budget: int | None = None
     threads: int | None = None
 
     def __post_init__(self):
@@ -248,10 +237,6 @@ class SdeConfig:
         if self.steps is not None:
             return int(self.steps)
         return max(1, math.ceil(_DEFAULT_STEPS_PER_UNIT_TIME * self.t))
-
-    @property
-    def resolved_budget(self) -> int:
-        return int(self.budget) if self.budget is not None else path_step_budget()
 
 
 def _simulate_block(cfg: SdeConfig, child, size: int) -> np.ndarray:
@@ -284,9 +269,10 @@ def simulate_endpoints(cfg: SdeConfig) -> SampleBatch:
     batch diagnostics; the run aborts if every path explodes.
     """
     steps = cfg.resolved_steps
-    if steps * cfg.paths > cfg.resolved_budget:
+    budget = path_step_budget()
+    if steps * cfg.paths > budget:
         raise BudgetExceeded(
-            f"steps*paths = {steps * cfg.paths} exceeds budget {cfg.resolved_budget} "
+            f"steps*paths = {steps * cfg.paths} exceeds budget {budget} "
             f"(raise {BUDGET_ENV_VAR} or lower the workload)"
         )
     pts = _map_subbatches(
@@ -305,48 +291,3 @@ def simulate_endpoints(cfg: SdeConfig) -> SampleBatch:
         extra={"steps": steps, "dropped_paths": dropped},
     )
     return SampleBatch(cfg.spec, float(cfg.t), SampleMethod.HEUN, int(cfg.seed), pts, diag)
-
-
-def translation_invariance_check(
-    n: int,
-    k: float,
-    t: float,
-    c: float,
-    x0,
-    *,
-    paths: int = 4000,
-    steps: int | None = None,
-    seed: int = 0,
-    threads: int | None = None,
-    p_threshold: float = 0.01,
-) -> VerificationReport:
-    """A-type diagonal-shift invariance: endpoints from x0 + c*1, shifted back,
-    must match endpoints from x0 in law.
-
-    For c = 0 the same seed is reused and the two endpoint sets are identical;
-    otherwise two independent streams are compared with per-coordinate KS
-    tests (Bonferroni-adjusted minimum p-value).
-    """
-    spec = RootSystemSpec.a(n, k)
-    x0 = np.asarray(x0, dtype=float)
-    base = SdeConfig(spec=spec, x0=StartDistribution.at_point(x0), t=t, seed=seed, steps=steps, paths=paths, threads=threads)
-    seeds = (seed, seed) if c == 0.0 else _spawn_seeds(seed, 2)
-    batch_ref = simulate_endpoints(replace(base, seed=seeds[0]))
-    shifted_cfg = replace(base, x0=StartDistribution.at_point(x0 + c), seed=seeds[1])
-    batch_shift = simulate_endpoints(shifted_cfg)
-    moved_back = batch_shift.points - c
-    if c == 0.0 and np.array_equal(batch_ref.points, moved_back):
-        p_combined = 1.0
-        stats = {"identical": True, "p_value": 1.0}
-    else:
-        p_vals = [ks_test_two_sample(batch_ref.points[:, i], moved_back[:, i])[1] for i in range(n)]
-        p_combined = min(1.0, n * min(p_vals))
-        stats = {"identical": False, "p_value": p_combined, "per_coordinate_p": p_vals}
-    return VerificationReport(
-        name="translation-invariance-A",
-        parameters={"n": n, "k": k, "t": t, "c": c, "x0": list(x0), "paths": paths},
-        statistics=stats,
-        tolerances={"p_value": p_threshold},
-        passed=p_combined > p_threshold,
-        seed=seed,
-    )

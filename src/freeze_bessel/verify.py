@@ -9,8 +9,10 @@ consists of
 * a KS test of squared Mahalanobis norms against chi-square with N dof,
 * per-coordinate KS tests against the Gaussian marginals.
 
-Thresholds (p > 0.01, 5% covariance error) are tuned for 20,000-sample runs
-and are arguments, not constants.
+Each threshold is one module constant (``P_THRESHOLD``, ``COV_REL_TOL``,
+``MEAN_SIGMA_MULT``, ``N_PERMUTATIONS``, ``LLN_TOL``), tuned for 20,000-sample
+runs.  The verdict reads the constant and the report records it; no check
+takes a threshold as an argument.
 """
 
 from __future__ import annotations
@@ -23,17 +25,19 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import RootKind, RootSystemSpec
-from .equilibria import freezing_target, potential_identity_check, stationarity_residual
+from .equilibria import _POTENTIAL_TOL, _RESIDUAL_TOL, freezing_target, potential_identity_check, stationarity_residual
 from .gaussian import (
     FreezingRegime,
+    _DETERMINANT_TOL,
     _FAMILY_PARAMS,
+    _PROOF_TOL,
     determinant_identity,
     log_norm_constant,
     proof_constant_limit,
 )
 from .quadrature import chamber_weight_integral
 from .report import VerificationReport
-from .sampling import _spawn_seeds, sample_exact, sample_metropolis
+from .sampling import _spawn_seeds, sample_exact
 from .sde import SdeConfig, StartDistribution, simulate_endpoints
 from .stat_tests import (
     chi_square_cdf,
@@ -58,6 +62,7 @@ __all__ = [
     "one_sided_check",
     "start_distribution_check",
     "two_sample_agreement",
+    "translation_invariance_check",
     "calibration_check",
     "covariance_error_trend",
     "identity_reports",
@@ -69,21 +74,17 @@ _QUICK_COUNT = 4000
 P_THRESHOLD = 0.01
 COV_REL_TOL = 0.05
 MEAN_SIGMA_MULT = 3.0
+N_PERMUTATIONS = 200
+LLN_TOL = 0.05
+# each report records a fresh copy: reports are mutable dataclasses
+_BATTERY_TOLERANCES = {"p_threshold": P_THRESHOLD, "cov_rel_tol": COV_REL_TOL, "mean_sigma_mult": MEAN_SIGMA_MULT}
 
 
 # ---------------------------------------------------------------------------
 # the Gaussian battery
 
 
-def gaussian_battery(
-    centered: np.ndarray,
-    t: float,
-    sigma: np.ndarray,
-    *,
-    p_threshold: float = P_THRESHOLD,
-    cov_rel_tol: float = COV_REL_TOL,
-    mean_sigma_mult: float = MEAN_SIGMA_MULT,
-) -> tuple[dict, bool]:
+def gaussian_battery(centered: np.ndarray, t: float, sigma: np.ndarray) -> tuple[dict, bool]:
     """Run the four-part Gaussian test battery on already-centered samples."""
     pts = np.asarray(centered, dtype=float)
     if pts.ndim != 2:
@@ -92,7 +93,7 @@ def gaussian_battery(
     tsig = t * np.asarray(sigma, dtype=float)
     mean = pts.mean(axis=0)
     mean_norm = float(np.linalg.norm(mean))
-    mean_limit = mean_sigma_mult * math.sqrt(np.trace(tsig) / count)
+    mean_limit = MEAN_SIGMA_MULT * math.sqrt(np.trace(tsig) / count)
     emp = np.cov(pts, rowvar=False).reshape(n, n)
     cov_err = float(np.linalg.norm(emp - tsig) / np.linalg.norm(tsig))
     maha = mahalanobis_sq(pts, tsig)
@@ -103,9 +104,9 @@ def gaussian_battery(
         p_coord.append(float(p_i))
     passed = (
         mean_norm < mean_limit
-        and cov_err < cov_rel_tol
-        and p_maha > p_threshold
-        and all(p > p_threshold for p in p_coord)
+        and cov_err < COV_REL_TOL
+        and p_maha > P_THRESHOLD
+        and all(p > P_THRESHOLD for p in p_coord)
     )
     stats = {
         "count": count,
@@ -116,14 +117,6 @@ def gaussian_battery(
         "per_coordinate_ks_p": p_coord,
     }
     return stats, bool(passed)
-
-
-def _battery_tolerances(p_threshold=P_THRESHOLD, cov_rel_tol=COV_REL_TOL) -> dict:
-    return {
-        "p_threshold": p_threshold,
-        "cov_rel_tol": cov_rel_tol,
-        "mean_sigma_mult": MEAN_SIGMA_MULT,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +134,6 @@ def lln_check(
     count: int = DEFAULT_COUNT,
     seed: int = 0,
     threads: int | None = None,
-    tol: float = 0.05,
 ) -> VerificationReport:
     """Scaled samples concentrate at the freezing target.
 
@@ -162,12 +154,12 @@ def lln_check(
     mean_dev = float(np.max(np.abs(scaled.mean(axis=0) - limit.target)))
     sup_dev = np.max(np.abs(scaled - limit.target), axis=1)
     q95 = float(np.quantile(sup_dev, 0.95))
-    passed = mean_dev < tol and q95 < tol
+    passed = mean_dev < LLN_TOL and q95 < LLN_TOL
     return VerificationReport(
         name=f"lln-{regime}",
         parameters={"n": n, "strength": strength, "t": t, "nu": nu, "k1": k1, "count": count},
         statistics={"max_mean_deviation": mean_dev, "sup_norm_q95": q95},
-        tolerances={"tol": tol},
+        tolerances={"tol": LLN_TOL},
         passed=passed,
         seed=seed,
     )
@@ -186,48 +178,38 @@ def clt_gaussian_check(
     nu: float | None = None,
     count: int = DEFAULT_COUNT,
     seed: int = 0,
-    method: str = "exact",
     start=None,
     steps: int | None = None,
     threads: int | None = None,
-    p_threshold: float = P_THRESHOLD,
-    cov_rel_tol: float = COV_REL_TOL,
 ) -> VerificationReport:
     """Centered samples match the limiting Gaussian N(0, t*Sigma).
 
-    method "exact" draws start-0 samples from the matrix models, "metropolis"
-    from the density sampler, and "sde" simulates paths from ``start`` (a
-    point or a StartDistribution), exercising the fixed-start statements.
-    The report is named ``clt-<theorem>``, suffixed ``-<method>`` unless the
-    method is "exact".
+    Without ``start`` the matrix models draw exact start-0 samples (method
+    "exact"); with one (a point or a StartDistribution) SDE paths run from it
+    for ``steps`` steps (method "sde"), exercising the fixed-start
+    statements.  The report is named ``clt-<theorem>``, suffixed ``-sde`` for
+    SDE endpoints.
     """
     regime = FreezingRegime.from_theorem(theorem, n, strength, nu=nu)
-    if method == "exact":
+    if start is None:
+        method = "exact"
         batch = sample_exact(regime.spec, t, count, seed, threads=threads)
-    elif method == "metropolis":
-        batch = sample_metropolis(regime.spec, t, count, seed)
-    elif method == "sde":
-        if start is None:
-            raise ValueError("method 'sde' needs a start point or StartDistribution")
+    else:
+        method = "sde"
         x0 = start if isinstance(start, StartDistribution) else StartDistribution.at_point(start)
         cfg = SdeConfig(spec=regime.spec, x0=x0, t=t, seed=seed, steps=steps, paths=count, threads=threads)
         batch = simulate_endpoints(cfg)
-    else:
-        raise ValueError(f"unknown sampling method {method!r}")
-    stats, passed = gaussian_battery(
-        regime.center(batch.points, t), t, regime.sigma,
-        p_threshold=p_threshold, cov_rel_tol=cov_rel_tol,
-    )
+    stats, passed = gaussian_battery(regime.center(batch.points, t), t, regime.sigma)
     stats["method"] = method
     return VerificationReport(
-        name=f"clt-{theorem}" if method == "exact" else f"clt-{theorem}-{method}",
+        name=f"clt-{theorem}" if start is None else f"clt-{theorem}-sde",
         parameters={
             "n": n, "strength": strength, "nu": nu, "t": t, "count": count,
             "method": method, "start": None if start is None else np.asarray(
                 start.point if isinstance(start, StartDistribution) else start).tolist(),
         },
         statistics=stats,
-        tolerances=_battery_tolerances(p_threshold, cov_rel_tol),
+        tolerances=dict(_BATTERY_TOLERANCES),
         passed=passed,
         seed=seed,
     )
@@ -246,8 +228,6 @@ def clt_type_a_limit_check(
     count: int = DEFAULT_COUNT,
     seed: int = 0,
     threads: int | None = None,
-    p_threshold: float = P_THRESHOLD,
-    n_permutations: int = 200,
 ) -> VerificationReport:
     """B-samples shifted by sqrt(2*t*k1) match the A-law at time t/2 with k = k2.
 
@@ -260,7 +240,7 @@ def clt_type_a_limit_check(
         batch_b.points - math.sqrt(2.0 * t * k1), batch_a.points,
         name="clt-B2-shifted-A",
         parameters={"n": n, "k1": k1, "k2": k2, "t": t, "count": count},
-        seed=seed_perm, p_threshold=p_threshold, n_permutations=n_permutations,
+        seed=seed_perm,
     )
     # the report records the caller's seed, from which seed_perm derives
     return replace(report, seed=seed)
@@ -280,7 +260,6 @@ def one_sided_check(
     count: int = DEFAULT_COUNT,
     seed: int = 0,
     threads: int | None = None,
-    p_threshold: float = P_THRESHOLD,
 ) -> VerificationReport:
     """Half-space limit of B-type laws with large pair multiplicity.
 
@@ -314,10 +293,8 @@ def one_sided_check(
     dof = 2.0 * k1 + 1.0
     _, p_axis = ks_test_cdf(last, lambda x: chi_square_cdf((np.maximum(x, 0.0) / scale) ** 2, dof))
     _, p_half = ks_test_cdf(last, lambda x: half_normal_cdf(x, scale))
-    head_stats, head_passed = gaussian_battery(
-        centered[:, : n - 1], t, sigma_d[: n - 1, : n - 1], p_threshold=p_threshold
-    )
-    passed = violations == 0 and p_axis > p_threshold and head_passed
+    head_stats, head_passed = gaussian_battery(centered[:, : n - 1], t, sigma_d[: n - 1, : n - 1])
+    passed = violations == 0 and p_axis > P_THRESHOLD and head_passed
     return VerificationReport(
         name=f"one-sided-{regime}",
         parameters={"n": n, "k1": k1, "k2": k2, "t": t, "count": count},
@@ -328,7 +305,7 @@ def one_sided_check(
             "last_coordinate_variance": float(t * sigma_d[n - 1, n - 1]),
             "head": head_stats,
         },
-        tolerances=_battery_tolerances(p_threshold),
+        tolerances=dict(_BATTERY_TOLERANCES),
         passed=passed,
         seed=seed,
     )
@@ -349,7 +326,6 @@ def start_distribution_check(
     steps: int | None = None,
     seed: int = 0,
     threads: int | None = None,
-    p_threshold: float = P_THRESHOLD,
 ) -> VerificationReport:
     """The Gaussian limit is insensitive to the (interior) starting law.
 
@@ -358,13 +334,13 @@ def start_distribution_check(
     regime = FreezingRegime.from_theorem("B1", n, beta, nu=nu)
     cfg = SdeConfig(spec=regime.spec, x0=mu, t=t, seed=seed, steps=steps, paths=count, threads=threads)
     batch = simulate_endpoints(cfg)
-    stats, passed = gaussian_battery(regime.center(batch.points, t), t, regime.sigma, p_threshold=p_threshold)
+    stats, passed = gaussian_battery(regime.center(batch.points, t), t, regime.sigma)
     stats["start_kind"] = mu.kind
     return VerificationReport(
         name=f"start-distribution-B1-{mu.kind}",
         parameters={"n": n, "nu": nu, "beta": beta, "t": t, "count": count, "start_kind": mu.kind},
         statistics=stats,
-        tolerances=_battery_tolerances(p_threshold),
+        tolerances=dict(_BATTERY_TOLERANCES),
         passed=passed,
         seed=seed,
     )
@@ -377,8 +353,6 @@ def two_sample_agreement(
     name: str,
     parameters: dict,
     seed: int = 0,
-    p_threshold: float = P_THRESHOLD,
-    n_permutations: int = 200,
 ) -> VerificationReport:
     """Per-coordinate KS plus energy-distance agreement between two batches."""
     a = np.asarray(points_a, dtype=float)
@@ -386,14 +360,57 @@ def two_sample_agreement(
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError("batches must be 2-d with matching width")
     p_coord = [float(ks_test_two_sample(a[:, i], b[:, i])[1]) for i in range(a.shape[1])]
-    _, p_energy = energy_distance_test(a, b, n_permutations=n_permutations, seed=seed)
-    passed = all(p > p_threshold for p in p_coord) and p_energy > p_threshold
+    _, p_energy = energy_distance_test(a, b, n_permutations=N_PERMUTATIONS, seed=seed)
+    passed = all(p > P_THRESHOLD for p in p_coord) and p_energy > P_THRESHOLD
     return VerificationReport(
         name=name,
         parameters=parameters,
         statistics={"per_coordinate_ks_p": p_coord, "energy_p": float(p_energy)},
-        tolerances={"p_threshold": p_threshold, "n_permutations": n_permutations},
+        tolerances={"p_threshold": P_THRESHOLD, "n_permutations": N_PERMUTATIONS},
         passed=passed,
+        seed=seed,
+    )
+
+
+def translation_invariance_check(
+    n: int,
+    k: float,
+    t: float,
+    c: float,
+    x0,
+    *,
+    paths: int = 4000,
+    steps: int | None = None,
+    seed: int = 0,
+    threads: int | None = None,
+) -> VerificationReport:
+    """A-type diagonal-shift invariance: endpoints from x0 + c*1, shifted back,
+    must match endpoints from x0 in law.
+
+    For c = 0 the same seed is reused and the two endpoint sets are identical;
+    otherwise two independent streams are compared with per-coordinate KS
+    tests (Bonferroni-adjusted minimum p-value).
+    """
+    spec = RootSystemSpec.a(n, k)
+    x0 = np.asarray(x0, dtype=float)
+    base = SdeConfig(spec=spec, x0=StartDistribution.at_point(x0), t=t, seed=seed, steps=steps, paths=paths,
+                     threads=threads)
+    seeds = (seed, seed) if c == 0.0 else _spawn_seeds(seed, 2)
+    batch_ref = simulate_endpoints(replace(base, seed=seeds[0]))
+    moved_back = simulate_endpoints(replace(base, x0=StartDistribution.at_point(x0 + c), seed=seeds[1])).points - c
+    if c == 0.0 and np.array_equal(batch_ref.points, moved_back):
+        p_combined = 1.0
+        stats = {"identical": True, "p_value": 1.0}
+    else:
+        p_vals = [ks_test_two_sample(batch_ref.points[:, i], moved_back[:, i])[1] for i in range(n)]
+        p_combined = min(1.0, n * min(p_vals))
+        stats = {"identical": False, "p_value": p_combined, "per_coordinate_p": p_vals}
+    return VerificationReport(
+        name="translation-invariance-A",
+        parameters={"n": n, "k": k, "t": t, "c": c, "x0": list(x0), "paths": paths},
+        statistics=stats,
+        tolerances={"p_value": P_THRESHOLD},
+        passed=p_combined > P_THRESHOLD,
         seed=seed,
     )
 
@@ -480,6 +497,10 @@ def covariance_error_trend(
 
 # the log_norm_constant family of each root kind
 _NORM_FAMILY = {RootKind.A: "cA", RootKind.B: "cB", RootKind.D: "cD"}
+# the identity grids: axis ratios nu, and the quadrature rtol with the tolerance it supports
+_NU_GRID = (0.5, 1.0, 2.5)
+_QUADRATURE_RTOL = 1e-8
+_QUADRATURE_TOL = 1e-6
 
 
 def _worst_of_grid(name: str, parameters: dict, values, key: str, tol: float, **flags) -> VerificationReport:
@@ -494,14 +515,12 @@ def identity_reports(
     n_max_det: int = 12,
     n_max_residual: int = 50,
     n_max_potential: int = 30,
-    nu_grid: tuple = (0.5, 1.0, 2.5),
     quadrature_n: tuple = (1, 2),
-    quadrature_rtol: float = 1e-8,
     tilde_n_max: int = 6,
 ) -> list[VerificationReport]:
     """All closed-form checks: determinants, residuals, potentials, constants."""
     targets = [(RootKind.A, None), *((RootKind.B, nu) for nu in (0.1, 0.5, 1.0, 2.5, 10.0)), (RootKind.D, None)]
-    potentials = [("A_at_half", None), ("A_sumsq", None), *((k, nu) for nu in nu_grid for k in ("B_full", "B_norm"))]
+    potentials = [("A_at_half", None), ("A_sumsq", None), *((k, nu) for nu in _NU_GRID for k in ("B_full", "B_norm"))]
     quad_specs = [spec for i in quadrature_n for spec in (
         *(RootSystemSpec.a(i, k) for k in (0.5, 1.0, 2.5)),
         *(RootSystemSpec.b(i, k1, k2) for k1, k2 in ((0.5, 0.5), (1.0, 1.0), (2.5, 0.5))),
@@ -509,7 +528,7 @@ def identity_reports(
     )]
 
     def quadrature_rel_err(spec: RootSystemSpec) -> float:
-        integral = chamber_weight_integral(spec, rtol=quadrature_rtol)
+        integral = chamber_weight_integral(spec, rtol=_QUADRATURE_RTOL)
         family = _NORM_FAMILY[spec.kind]
         log_c = log_norm_constant(family, **{f: getattr(spec, f) for f in _FAMILY_PARAMS[family]}).log_value
         return abs(integral * math.exp(log_c) - 1.0)
@@ -522,34 +541,34 @@ def identity_reports(
         _worst_of_grid(
             "determinant-identity-A", {"n_max": n_max_det},
             (determinant_identity(RootKind.A, i).statistics["rel_err"] for i in range(1, n_max_det + 1)),
-            "rel_err", 1e-8,
+            "rel_err", _DETERMINANT_TOL,
         ),
         _worst_of_grid(
-            "determinant-identity-B", {"n_max": n_max_det, "nu_grid": list(nu_grid)},
+            "determinant-identity-B", {"n_max": n_max_det, "nu_grid": list(_NU_GRID)},
             (determinant_identity(RootKind.B, i, nu).statistics["rel_err"]
-             for i in range(1, n_max_det + 1) for nu in nu_grid),
-            "rel_err", 1e-8,
+             for i in range(1, n_max_det + 1) for nu in _NU_GRID),
+            "rel_err", _DETERMINANT_TOL,
         ),
         _worst_of_grid(
             "stationarity-residuals", {"n_max": n_max_residual},
             (stationarity_residual(freezing_target(kind, i, nu))
              for i in range(1, n_max_residual + 1) for kind, nu in targets if kind is not RootKind.D or i >= 2),
-            "residual", 1e-10,
+            "residual", _RESIDUAL_TOL,
         ),
         _worst_of_grid(
-            "potential-identities", {"n_max": n_max_potential, "nu_grid": list(nu_grid)},
+            "potential-identities", {"n_max": n_max_potential, "nu_grid": list(_NU_GRID)},
             (potential_identity_check(kind, i, nu).statistics["abs_diff"]
              for i in range(1, n_max_potential + 1) for kind, nu in potentials),
-            "abs_err", 1e-9,
+            "abs_err", _POTENTIAL_TOL,
         ),
         _worst_of_grid(
             "normalization-vs-quadrature", {"n_values": list(quadrature_n), "settings": len(quad_specs)},
-            map(quadrature_rel_err, quad_specs), "rel_err", 1e-6,
+            map(quadrature_rel_err, quad_specs), "rel_err", _QUADRATURE_TOL,
         ),
         *(
             _worst_of_grid(
                 f"proof-constant-limit-{family}", {"n_max": tilde_n_max},
-                (rep.statistics["final_rel_err"] for rep in reps), "final_rel_err", 5e-3,
+                (rep.statistics["final_rel_err"] for rep in reps), "final_rel_err", _PROOF_TOL,
                 monotone=all(rep.passed for rep in reps),
             )
             for family, reps in proofs.items()
@@ -632,8 +651,8 @@ SUITE_TABLE = (
     SuiteRow("clt-a", clt_gaussian_check, {"theorem": "A", "n": 3, "strength": 200.0}),
     SuiteRow("clt-a", covariance_error_trend, {"theorem": "A", "n": 3}, takes={"n": ("n",)}, full_only=True),
     SuiteRow("clt-b1", clt_gaussian_check, {"theorem": "B1", "n": 2, "strength": 200.0, "nu": 1.0}),
-    SuiteRow("clt-b1", clt_gaussian_check, {"theorem": "B1", "n": 2, "strength": 200.0, "nu": 1.0, "method": "sde",
-                                            **_B1_SDE}, full_only=True),
+    SuiteRow("clt-b1", clt_gaussian_check, {"theorem": "B1", "n": 2, "strength": 200.0, "nu": 1.0, **_B1_SDE},
+             full_only=True),
     SuiteRow("clt-b1", _b1_start_agreement, {"n": 2, "beta": 200.0, "nu": 1.0, **_B1_SDE},
              takes=_strength_as("beta"), full_only=True, streams=3),
     SuiteRow("clt-b2", clt_type_a_limit_check, {"n": 2, "k1": 5000.0, "k2": 1.0}, takes=_strength_as("k1")),

@@ -31,7 +31,6 @@ from freeze_bessel.sde import (
     SdeConfig,
     StartDistribution,
     simulate_endpoints,
-    translation_invariance_check,
 )
 from freeze_bessel.verify import (
     FreezingRegime,
@@ -42,6 +41,7 @@ from freeze_bessel.verify import (
     gaussian_battery,
     lln_check,
     one_sided_check,
+    translation_invariance_check,
     two_sample_agreement,
 )
 

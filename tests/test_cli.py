@@ -58,6 +58,9 @@ def test_constants_command(capsys):
     assert obj["log_value"] == pytest.approx(math.log(1.0 / math.sqrt(2 * math.pi)))
     # missing required parameter exits 2
     assert main(["constants", "--family", "cA", "--n", "1"]) == 2
+    # --x is the one flag a family takes beyond its parameters, and only tildeB takes it
+    assert main(["constants", "--family", "tildeB", "--n", "2", "--nu", "1", "--beta", "2", "--x", "1,0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["x"] == [1.0, 0.5]
 
 
 def test_sample_csv_rerun_and_replay(tmp_path):
@@ -98,6 +101,26 @@ def test_sample_json_format(tmp_path):
 def test_sample_argument_errors():
     assert main(["sample", "--system", "A", "--n", "2"]) == 2  # --k missing
     assert main(["sample", "--system", "B", "--n", "2", "--k1", "1.0"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "--system", "A", "--n", "2", "--k", "1", "--k1", "3"], "takes no --k1"),
+    (["sample", "--system", "B", "--n", "2", "--k1", "1", "--k2", "1", "--k", "9"], "takes no --k"),
+    (["sde", "--system", "A", "--n", "2", "--k", "1", "--x0", "1,-1", "--k1", "4"], "takes no --k1"),
+    (["sigma", "--system", "A", "--n", "2", "--nu", "1"], "nu applies to kind B only"),
+    (["sigma", "--system", "D", "--n", "2", "--nu", "1"], "nu applies to kind B only"),
+    (["constants", "--family", "cA", "--n", "1", "--k", "1", "--beta", "2"], "takes no --beta"),
+    (["constants", "--family", "cB", "--n", "1", "--k1", "1", "--k2", "1", "--k", "1"], "takes no --k"),
+    (["constants", "--family", "tildeA", "--n", "1", "--k", "1", "--x", "1"], "takes no --x"),
+    (["constants", "--family", "tildeB", "--n", "1", "--nu", "1", "--beta", "2", "--k2", "1"], "takes no --k2"),
+], ids=["sample-A-k1", "sample-B-k", "sde-A-k1", "sigma-A-nu", "sigma-D-nu",
+        "constants-cA-beta", "constants-cB-k", "constants-tildeA-x", "constants-tildeB-k2"])
+def test_flags_a_command_does_not_take_exit_2(argv, message, capsys, tmp_path):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,6 +5,7 @@ import pytest
 import scipy
 
 import freeze_bessel as fb
+from freeze_bessel.cli import main
 from freeze_bessel.manifest import (
     MANIFEST_PREFIX,
     RunManifest,
@@ -73,6 +74,16 @@ def test_csv_reader_recovers_points_and_manifest(tmp_path):
     assert isinstance(out["manifest"], RunManifest)
     assert out["manifest"].parameters == {"kind": "B"}
     assert np.array_equal(out["points"], batch.points)
+
+
+def test_csv_reader_recovers_zeros(tmp_path):
+    path = tmp_path / "zeros.csv"
+    assert main(["zeros", "hermite", "--n", "3", "--format", "csv", "--out", str(path)]) == 0
+    out = read_run_file(path)
+    assert out["kind"] == "batch-csv"
+    assert out["manifest"].command == "zeros"
+    assert out["points"].shape == (3, 1)
+    assert np.array_equal(out["points"][:, 0], fb.hermite_zeros(3))
 
 
 def test_json_reader_recovers_batch(tmp_path):

@@ -15,8 +15,8 @@ from freeze_bessel.sde import (
     drift,
     drift_batch,
     simulate_endpoints,
-    translation_invariance_check,
 )
+from freeze_bessel.verify import translation_invariance_check
 
 
 def test_drift_closed_forms():
@@ -173,11 +173,10 @@ def test_config_validation():
     assert cfg.resolved_steps == 2000
 
 
-def test_budget_enforcement():
+def test_budget_enforcement(monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV_VAR, "5000")
     spec = RootSystemSpec.a(2, 1.0)
-    cfg = SdeConfig(
-        spec=spec, x0=[1.0, -1.0], t=1.0, seed=0, steps=100, paths=100, budget=5000
-    )
+    cfg = SdeConfig(spec=spec, x0=[1.0, -1.0], t=1.0, seed=0, steps=100, paths=100)
     with pytest.raises(BudgetExceeded, match=BUDGET_ENV_VAR):
         simulate_endpoints(cfg)
 

@@ -9,6 +9,7 @@ from freeze_bessel.equilibria import freezing_target
 from freeze_bessel import gaussian
 from freeze_bessel.gaussian import covariance, precision_matrix
 from freeze_bessel.sde import StartDistribution
+from freeze_bessel import verify
 from freeze_bessel.verify import (
     SUITE_TABLE,
     SUITES,
@@ -122,13 +123,6 @@ def test_lln_concentrates_at_high_multiplicity_only():
     assert zero_axis.statistics == b3.statistics
 
 
-def test_clt_check_validates_method_and_start():
-    with pytest.raises(ValueError):
-        clt_gaussian_check("A", 2, 200.0, 1.0, method="bootstrap", seed=0)
-    with pytest.raises(ValueError):
-        clt_gaussian_check("A", 2, 200.0, 1.0, method="sde", seed=0)  # start missing
-
-
 def test_clt_battery_passes_on_exact_sampler():
     report = clt_gaussian_check("A", 2, 200.0, 1.0, count=20000, seed=1)
     assert report.passed
@@ -193,8 +187,6 @@ def test_identity_reports_all_pass_without_seed():
 
 def test_identity_report_fails_on_a_nan_grid_value(monkeypatch):
     # a NaN anywhere in the grid is the worst value, not one max() skips
-    from freeze_bessel import verify
-
     monkeypatch.setattr(verify, "chamber_weight_integral", lambda spec, **kw: math.nan if spec.n == 1 else 1.0)
     reports = identity_reports(n_max_det=2, n_max_residual=2, n_max_potential=2, quadrature_n=(1,), tilde_n_max=2)
     quad = next(r for r in reports if r.name == "normalization-vs-quadrature")
@@ -223,9 +215,18 @@ def test_start_distribution_suite_quick():
 def test_suite_reports_draw_independent_seeds():
     # each suite spawns its streams from (seed, suite name), so no two
     # randomized reports share draws (clt-D and one-sided-B0 used to)
-    seeds = [r.seed for r in run_suite("all", seed=0, quick=True) if r.seed is not None]
+    reports = run_suite("all", seed=0, quick=True)
+    randomized = [r for r in reports if r.seed is not None]
+    seeds = [r.seed for r in randomized]
     assert len(seeds) == 10
     assert len(set(seeds)) == len(seeds)
+    # every verdict reads the module constants, and each report owns its tolerances
+    constants = {"p_threshold": verify.P_THRESHOLD, "cov_rel_tol": verify.COV_REL_TOL,
+                 "mean_sigma_mult": verify.MEAN_SIGMA_MULT, "n_permutations": verify.N_PERMUTATIONS,
+                 "tol": verify.LLN_TOL}
+    for r in randomized:
+        assert r.tolerances and r.tolerances == {key: constants[key] for key in r.tolerances}, r.name
+    assert len({id(r.tolerances) for r in reports}) == len(reports)
 
 
 def test_run_suite_refuses_overrides_a_row_does_not_take():
@@ -242,10 +243,9 @@ def test_run_suite_refuses_overrides_a_row_does_not_take():
 
 
 def test_report_names_carry_method_and_start_kind():
-    sde = clt_gaussian_check(
-        "B1", 2, 200.0, 1.0, nu=1.0, count=1000, seed=0, method="sde", start=[1.0, 0.5], steps=200
-    )
+    sde = clt_gaussian_check("B1", 2, 200.0, 1.0, nu=1.0, count=1000, seed=0, start=[1.0, 0.5], steps=200)
     assert sde.name == "clt-B1-sde"
+    assert sde.parameters["method"] == sde.statistics["method"] == "sde"
     mu = StartDistribution.uniform([0.36, 0.18], [0.44, 0.22])
     start = start_distribution_check(2, 1.0, 200.0, 1.0, mu, count=1000, steps=200, seed=0)
     assert start.name == "start-distribution-B1-uniform"
