@@ -92,6 +92,9 @@ def _emit_json(obj: dict, out: str | None, manifest: RunManifest) -> None:
 def cmd_zeros(params: dict, threads: int | None = None) -> int:
     family = params["family"]
     n = int(params["n"])
+    # --alpha defaults to 0.0, which every zeros manifest records
+    if family != "laguerre" and float(params["alpha"]) != 0.0:
+        raise ValueError(f"family {family} takes no --alpha")
     if family == "hermite":
         zeros = hermite_zeros(n)
     elif family == "laguerre":
@@ -284,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeros", help="classical orthogonal polynomial zeros")
     p.add_argument("family", choices=["hermite", "laguerre", "laguerre-1"])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=0.0, help="Laguerre parameter (family 'laguerre')")
+    p.add_argument("--alpha", type=float, default=0.0, help="Laguerre parameter (family 'laguerre' only)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out")
 

@@ -11,7 +11,8 @@ configuration built from classical orthogonal-polynomial zeros:
   degree-(n-1) Laguerre polynomial with parameter 1, plus a zero coordinate.
 
 Zeros are computed as eigenvalues of the recurrence Jacobi matrix followed by
-one Newton polish step through the orthonormal three-term recurrence.
+one Newton polish step on its characteristic polynomial, whose three-term
+recurrence runs on ratios so that no degree overflows.
 """
 
 from __future__ import annotations
@@ -50,33 +51,52 @@ class TargetSource(str, enum.Enum):
 # polynomial zeros
 
 
-def _hermite_newton_step(x: np.ndarray, n: int) -> np.ndarray:
-    """One Newton step for orthonormal Hermite h_n; h_n' = sqrt(2n) h_{n-1}."""
-    p_prev = np.zeros_like(x)
-    p = np.full_like(x, math.pi ** -0.25)
-    for j in range(n):
-        p_next = x * math.sqrt(2.0 / (j + 1)) * p - math.sqrt(j / (j + 1)) * p_prev
-        p_prev, p = p, p_next
-    deriv = math.sqrt(2.0 * n) * p_prev
-    return x - p / deriv
+# A pivot rho_j smaller than this is replaced by it, as LAPACK's bisection
+# does; at sqrt(tiny) neither 1/rho_j nor the terms off_j^2/rho_j overflow.
+_PIVMIN = math.sqrt(np.finfo(float).tiny)
+
+
+def _newton_step(x: np.ndarray, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """One Newton step x - P_n/P_n' on P_n(x) = det(x - J), J the symmetric
+    tridiagonal with ``diag`` on the diagonal and ``off`` beside it.
+
+    P_{j+1} = (x - diag_j) P_j - off_{j-1}^2 P_{j-1} is run on the ratios
+    rho_j = P_j/P_{j-1} and sigma_j = P_j'/P_j, which do not overflow, and
+    the step is x - 1/sigma_n.
+    """
+    off2 = np.concatenate(([0.0], off**2))
+    rho, sigma_prev, sigma = np.ones_like(x), np.zeros_like(x), np.zeros_like(x)
+    for a_j, b2_j in zip(diag, off2):
+        u = x - a_j
+        rho_next = u - b2_j / rho
+        rho_next[np.abs(rho_next) < _PIVMIN] = -_PIVMIN
+        sigma_prev, sigma = sigma, (1.0 + u * sigma - b2_j * sigma_prev / rho) / rho_next
+        rho = rho_next
+    return x - 1.0 / sigma
 
 
 @lru_cache(maxsize=None)
-def _hermite_zeros_cached(n: int) -> np.ndarray:
+def _zeros_cached(n: int, alpha: float | None) -> np.ndarray:
+    """Descending zeros of the degree-n Hermite (``alpha`` None) or Laguerre
+    L_n^(alpha) polynomial: the eigenvalues of its Jacobi matrix, then one
+    Newton step."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    if n == 1:
-        z = np.zeros(1)
+    j = np.arange(1, n)
+    if alpha is None:
+        family = "Hermite"
+        diag, off = np.zeros(n), np.sqrt(j / 2.0)
     else:
-        off = np.sqrt(np.arange(1, n) / 2.0)
-        z = tridiagonal_eigenvalues(np.zeros((1, n)), off[None, :])[0]
-        # the recurrence overflows from n = 731; the finiteness check reports it
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = _hermite_newton_step(z, n)
-        if not np.all(np.isfinite(z)):
-            raise RuntimeError(f"Hermite zeros not finite for n={n}")
-        z = np.sort(z)[::-1]
-        # the zero set is symmetric about the origin; enforce it exactly
+        if alpha <= -1.0:
+            raise ValueError("Laguerre parameter must be > -1")
+        family = f"Laguerre(alpha={alpha})"
+        diag, off = 2.0 * np.arange(n) + alpha + 1.0, np.sqrt(j * (j + alpha))
+    z = tridiagonal_eigenvalues(diag[None, :], off[None, :])[0]
+    z = np.sort(_newton_step(z, diag, off))[::-1]
+    if not np.all(np.isfinite(z)) or np.any(z[:-1] <= z[1:]) or (alpha is not None and z[-1] <= 0.0):
+        raise RuntimeError(f"{family} zeros degenerate for n={n}")
+    if alpha is None:
+        # the Hermite zero set is symmetric about the origin; enforce it exactly
         z = 0.5 * (z - z[::-1])
     z.setflags(write=False)
     return z
@@ -84,52 +104,12 @@ def _hermite_zeros_cached(n: int) -> np.ndarray:
 
 def hermite_zeros(n: int) -> np.ndarray:
     """Zeros of the degree-n Hermite polynomial, descending, antisymmetric."""
-    return _hermite_zeros_cached(int(n)).copy()
-
-
-def _laguerre_newton_step(x: np.ndarray, n: int, alpha: float) -> np.ndarray:
-    """One Newton step using the Jacobi-matrix-normalized Laguerre recurrence.
-
-    With q_0 = 1 and sqrt(b_{j+1}) q_{j+1} = (x - a_j) q_j - sqrt(b_j) q_{j-1}
-    (a_j = 2j + alpha + 1, b_j = j(j + alpha)), the derivative identity reads
-    x q_n' = n q_n + sqrt(n(n + alpha)) q_{n-1}.
-    """
-    q_prev = np.zeros_like(x)
-    q = np.ones_like(x)
-    for j in range(n):
-        a_j = 2.0 * j + alpha + 1.0
-        b_j = math.sqrt(j * (j + alpha)) if j > 0 else 0.0
-        b_next = math.sqrt((j + 1) * (j + 1 + alpha))
-        q_next = ((x - a_j) * q - b_j * q_prev) / b_next
-        q_prev, q = q, q_next
-    deriv = (n * q + math.sqrt(n * (n + alpha)) * q_prev) / x
-    return x - q / deriv
-
-
-@lru_cache(maxsize=None)
-def _laguerre_zeros_cached(n: int, alpha: float) -> np.ndarray:
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    if alpha <= -1.0:
-        raise ValueError("Laguerre parameter must be > -1")
-    diag = 2.0 * np.arange(n) + alpha + 1.0
-    j = np.arange(1, n)
-    off = np.sqrt(j * (j + alpha))
-    z = tridiagonal_eigenvalues(diag[None, :], off[None, :])[0]
-    # the Newton recurrence overflows to NaN from n = 363 at alpha = 0; the
-    # checks below report it
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = _laguerre_newton_step(z, n, alpha)
-    z = np.sort(z)[::-1]
-    if not np.all(np.isfinite(z)) or z[-1] <= 0.0 or np.any(z[:-1] <= z[1:]):
-        raise RuntimeError(f"Laguerre zeros degenerate for n={n}, alpha={alpha}")
-    z.setflags(write=False)
-    return z
+    return _zeros_cached(int(n), None).copy()
 
 
 def laguerre_zeros(n: int, alpha: float) -> np.ndarray:
     """Zeros of the degree-n Laguerre polynomial L_n^(alpha), descending, all > 0."""
-    return _laguerre_zeros_cached(int(n), float(alpha)).copy()
+    return _zeros_cached(int(n), float(alpha)).copy()
 
 
 def laguerre_minus_one_zeros(n: int) -> np.ndarray:
@@ -140,12 +120,7 @@ def laguerre_minus_one_zeros(n: int) -> np.ndarray:
     n = int(n)
     if n < 1:
         raise ValueError("degree must be >= 1")
-    if n == 1:
-        return np.zeros(1)
-    z = np.empty(n)
-    z[: n - 1] = laguerre_zeros(n - 1, 1.0)
-    z[n - 1] = 0.0
-    return z
+    return np.append(laguerre_zeros(n - 1, 1.0), 0.0) if n > 1 else np.zeros(1)
 
 
 # ---------------------------------------------------------------------------
@@ -175,20 +150,13 @@ _POTENTIAL_TOL = 1e-9
 @lru_cache(maxsize=None)
 def _freezing_target_cached(kind: RootKind, n: int, nu: float | None) -> FreezingTarget:
     if kind is RootKind.A:
-        coords = hermite_zeros(n)
-        target = FreezingTarget(kind, n, None, coords, TargetSource.HERMITE)
-    elif kind is RootKind.B:
-        if nu is None or nu < 0:
-            raise ValueError("kind B target needs nu >= 0")
-        if nu == 0:
-            coords = np.sqrt(2.0 * laguerre_minus_one_zeros(n))
-            target = FreezingTarget(kind, n, 0.0, coords, TargetSource.LAGUERRE_MINUS_ONE_SCALED)
-        else:
-            coords = np.sqrt(2.0 * laguerre_zeros(n, nu - 1.0))
-            target = FreezingTarget(kind, n, float(nu), coords, TargetSource.LAGUERRE_SCALED)
-    else:
+        target = FreezingTarget(kind, n, None, hermite_zeros(n), TargetSource.HERMITE)
+    elif kind is RootKind.B and nu != 0:
+        coords = np.sqrt(2.0 * laguerre_zeros(n, nu - 1.0))
+        target = FreezingTarget(kind, n, nu, coords, TargetSource.LAGUERRE_SCALED)
+    else:  # kind D, and B with nu = 0
         coords = np.sqrt(2.0 * laguerre_minus_one_zeros(n))
-        target = FreezingTarget(kind, n, None, coords, TargetSource.LAGUERRE_MINUS_ONE_SCALED)
+        target = FreezingTarget(kind, n, None if nu is None else 0.0, coords, TargetSource.LAGUERRE_MINUS_ONE_SCALED)
     res = stationarity_residual(target)
     if not res < _RESIDUAL_TOL:  # a NaN residual fails too
         raise RuntimeError(
@@ -202,8 +170,8 @@ def freezing_target(kind, n: int, nu: float | None = None) -> FreezingTarget:
     kind = _as_kind(kind)
     if kind is not RootKind.B and nu is not None:
         raise ValueError("nu applies to kind B only")
-    if kind is RootKind.B and nu is None:
-        raise ValueError("kind B target needs nu")
+    if kind is RootKind.B and (nu is None or nu < 0):
+        raise ValueError("kind B target needs nu >= 0")
     if kind is RootKind.D and n < 2:
         raise ValueError("kind D needs n >= 2")
     return _freezing_target_cached(kind, int(n), float(nu) if nu is not None else None)
@@ -211,15 +179,6 @@ def freezing_target(kind, n: int, nu: float | None = None) -> FreezingTarget:
 
 def stationarity_residual(target: FreezingTarget) -> float:
     """Max absolute residual of the equilibrium equations at the target."""
-    n = target.n
-    if n == 1:
-        if target.kind is RootKind.A:
-            return abs(target.coords[0])
-        if target.kind is RootKind.B and (target.nu or 0.0) > 0:
-            r = target.coords[0]
-            return abs(0.5 * r - target.nu / r)
-        return abs(target.coords[0])
-
     if target.kind is RootKind.A:
         y = math.sqrt(2.0) * target.coords
         diff = y[:, None] - y[None, :]
@@ -239,7 +198,7 @@ def stationarity_residual(target: FreezingTarget) -> float:
     sq = r[:, None] ** 2 - r[None, :] ** 2
     np.fill_diagonal(sq, np.inf)
     res = 4.0 * np.sum(1.0 / sq[:-1], axis=1) - 1.0
-    return float(max(np.max(np.abs(res)), abs(r[-1])))
+    return float(max(np.max(np.abs(res), initial=0.0), abs(r[-1])))
 
 
 # ---------------------------------------------------------------------------

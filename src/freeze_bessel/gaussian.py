@@ -335,7 +335,7 @@ def proof_constant_limit(family: str, n: int, nu: float | None = None) -> Verifi
 # Bessel-function limits
 
 
-def bessel_limit_b1(x, y, nu: float, n: int | None = None) -> float:
+def bessel_limit_b1(x, y, nu: float) -> float:
     """Limit of the B-type Bessel function along the scaled-multiplicity regime.
 
     For x, y in the closed B chamber the rescaled Bessel function converges to
@@ -344,10 +344,9 @@ def bessel_limit_b1(x, y, nu: float, n: int | None = None) -> float:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if n is None:
-        n = x.size
-    if x.size != n or y.size != n:
-        raise ValueError("x and y must both have length n")
+    n = x.size
+    if y.size != n:
+        raise ValueError("x and y must have the same length")
     if not (in_chamber(RootKind.B, x) and in_chamber(RootKind.B, y)):
         raise ValueError("x and y must lie in the closed B chamber")
     if nu < 0:

@@ -187,9 +187,11 @@ def clt_gaussian_check(
     Without ``start`` the matrix models draw exact start-0 samples (method
     "exact"); with one (a point or a StartDistribution) SDE paths run from it
     for ``steps`` steps (method "sde"), exercising the fixed-start
-    statements.  The report is named ``clt-<theorem>``, suffixed ``-sde`` for
-    SDE endpoints.
+    statements; ``steps`` without ``start`` is refused.  The report is named
+    ``clt-<theorem>``, suffixed ``-sde`` for SDE endpoints.
     """
+    if start is None and steps is not None:
+        raise ValueError("steps applies to SDE runs from a start only")
     regime = FreezingRegime.from_theorem(theorem, n, strength, nu=nu)
     if start is None:
         method = "exact"

@@ -32,6 +32,25 @@ def test_zeros_shifted_laguerre_family(capsys):
     assert np.allclose(out, want)
 
 
+def test_zeros_alpha_only_for_laguerre(tmp_path, capsys):
+    for family in ("hermite", "laguerre-1"):
+        assert main(["zeros", family, "--n", "2", "--alpha", "5"]) == 2
+        assert f"family {family} takes no --alpha" in capsys.readouterr().err
+    # a manifest with the default alpha = 0.0 still replays byte for byte
+    path = tmp_path / "zeros.csv"
+    assert main(["zeros", "hermite", "--n", "3", "--format", "csv", "--out", str(path)]) == 0
+    original = path.read_text()
+    assert read_run_file(path)["manifest"].parameters["alpha"] == 0.0
+    copy = tmp_path / "copy.csv"
+    copy.write_text(original)
+    path.unlink()
+    assert main(["--replay", str(copy)]) == 0
+    assert data_section(path.read_text()) == data_section(original)
+    # one that records an alpha the family never read is refused
+    copy.write_text(original.replace('"alpha": 0.0', '"alpha": 5.0'))
+    assert main(["--replay", str(copy)]) == 2
+
+
 def test_target_command(capsys):
     assert main(["target", "--system", "B", "--n", "2", "--nu", "1"]) == 0
     obj = json.loads(capsys.readouterr().out)
@@ -173,9 +192,11 @@ def test_sde_budget_exhaustion_exits_3(monkeypatch):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_target_past_the_precision_envelope_exits_3(capsys):
-    assert main(["target", "--system", "B", "--n", "400", "--nu", "1"]) == 3
+    # kind D reaches the rounding floor of the 1e-10 stationarity gate
+    # before n = 731
+    assert main(["target", "--system", "D", "--n", "731"]) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and "abort:" in captured.err
+    assert captured.out == "" and "abort: stationarity residual" in captured.err
 
 
 def test_lapack_failure_exits_3(monkeypatch, capsys):

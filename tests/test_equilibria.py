@@ -46,6 +46,9 @@ def test_laguerre_zeros_match_gauss_laguerre_nodes():
     for n, alpha in ((3, 0.0), (6, 0.0), (9, 0.0)):
         nodes = np.polynomial.laguerre.laggauss(n)[0]
         assert np.allclose(np.sort(laguerre_zeros(n, alpha)), nodes, atol=1e-11)
+    for n in (4, 7, 12, 25, 60, 100):
+        nodes = np.polynomial.laguerre.laggauss(n)[0]
+        assert np.allclose(laguerre_zeros(n, 0.0), nodes[::-1], rtol=1e-13, atol=0.0)
 
 
 def test_laguerre_minus_one_zeros():
@@ -121,27 +124,51 @@ def test_stationarity_residuals_small():
         assert stationarity_residual(freezing_target("D", n)) < 1e-10
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_large_n_targets_pass_the_residual_gate():
     # the Newton polish keeps the LAPACK zeros inside the 1e-10 gate at
-    # n = 300 (kind D reads 6.3e-11 with it, 1.7e-10 without)
-    for kind, nu in (("A", None), ("B", 1.0), ("D", None)):
-        assert stationarity_residual(freezing_target(kind, 300, nu=nu)) < 1e-10
+    # n = 300 (kind D reads 3.2e-11 with it, 1.7e-10 without)
+    for kind, n, nu in (("A", 300, None), ("B", 300, 1.0), ("D", 300, None), ("A", 1000, None), ("B", 731, 1.0)):
+        assert stationarity_residual(freezing_target(kind, n, nu=nu)) < 1e-10
+    assert np.all(np.isfinite(hermite_zeros(2000)))
+    assert np.all(np.isfinite(laguerre_zeros(1000, 0.0)))
+    # the gate is the only size limit, and kind D reaches its rounding floor
+    # first (2.6e-10 at n = 362)
+    with pytest.raises(RuntimeError, match="stationarity residual"):
+        freezing_target("D", 731)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_newton_step_through_a_zero_pivot():
+    # x = 0 is an exact zero of P_1, P_3, ... of the odd-n Hermite matrix, so
+    # the pivots rho_1, rho_3, ... vanish there; the step stays finite and
+    # keeps the exact zero of P_5
+    n = 5
+    diag, off = np.zeros(n), np.sqrt(np.arange(1, n) / 2.0)
+    x = np.array([0.0, hermite_zeros(n)[0]])
+    step = equilibria._newton_step(x, diag, off)
+    assert np.all(np.isfinite(step))
+    assert abs(step[0]) < 1e-150
+    assert step[1] == pytest.approx(x[1], abs=1e-15)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nan_zeros_fail_loudly(monkeypatch):
-    # the Newton recurrences overflow (Laguerre from n = 363, Hermite from
-    # n = 731); NaN zeros must fail the zero checks, with no numpy overflow
-    # warning on the way, and a NaN residual the stationarity gate
-    with pytest.raises(RuntimeError, match="degenerate"):
-        laguerre_zeros(400, 0.0)
-    with pytest.raises(RuntimeError, match="degenerate"):
-        freezing_target("B", 400, nu=1.0)
-    with pytest.raises(RuntimeError, match="not finite"):
-        hermite_zeros(731)
+    # the Newton step runs on ratios, so degrees where a plain three-term
+    # recurrence overflows (Laguerre from n = 363, Hermite from n = 731) give
+    # finite zeros with no numpy warning, and targets that pass the gate
+    for z in (laguerre_zeros(400, 0.0), hermite_zeros(731)):
+        assert np.all(np.isfinite(z))
+    assert stationarity_residual(freezing_target("B", 400, nu=1.0)) < 1e-10
+    # a NaN residual fails the stationarity gate, and a non-finite Newton
+    # result the zero checks (the uncached builder leaves the caches alone)
     monkeypatch.setattr(equilibria, "stationarity_residual", lambda target: math.nan)
     with pytest.raises(RuntimeError, match="stationarity residual nan"):
         freezing_target("B", 7, nu=3.25)
+    monkeypatch.setattr(equilibria, "_newton_step", lambda x, diag, off: np.full_like(x, math.nan))
+    for alpha in (None, 0.0):
+        with pytest.raises(RuntimeError, match="degenerate"):
+            equilibria._zeros_cached.__wrapped__(5, alpha)
 
 
 def test_potential_identity_checks_pass():

@@ -130,6 +130,8 @@ def test_bessel_limit_b1():
         bessel_limit_b1(np.array([1.0, 2.0]), y, nu=1.0)  # not in the B chamber
     with pytest.raises(ValueError):
         bessel_limit_b1(x, y, nu=-1.0)
+    with pytest.raises(ValueError, match="same length"):
+        bessel_limit_b1(x, np.array([1.5, 0.5, 0.25]), nu=1.0)
 
 
 def test_bessel_a_on_diagonal_ray():

@@ -251,6 +251,12 @@ def test_report_names_carry_method_and_start_kind():
     assert start.name == "start-distribution-B1-uniform"
 
 
+def test_clt_check_refuses_steps_without_a_start():
+    # exact draws take no step count, so a given one would be dropped silently
+    with pytest.raises(ValueError, match="steps applies to SDE runs"):
+        clt_gaussian_check("A", 2, 200.0, 1.0, count=1000, seed=0, steps=7)
+
+
 def test_suite_registry_names():
     assert SUITES == (
         "identities",
