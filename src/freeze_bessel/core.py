@@ -191,30 +191,44 @@ class ChamberPoint:
         return self.coords.size
 
 
-def project_batch(kind, pts: np.ndarray) -> np.ndarray:
-    """Map raw vectors to their chamber representatives (Weyl group orbit).
+def _project_particle_major(kind: RootKind, x: np.ndarray) -> int:
+    """Project the columns of a particle-major (n, rows) array to the chamber, in place.
 
-    Only rows outside the closed chamber are re-sorted; the others come back
-    unchanged.  For kind B a last coordinate of -0.0 also counts as outside,
-    so the axis drift k1/x_n never sees a negative zero.
+    Only columns outside the closed chamber are re-sorted, each in its own
+    (rows, n) copy, and the function returns how many there were; it returns
+    0 at once when every column is inside.  For kind B a last coordinate of
+    -0.0 also counts as outside, so the axis drift k1/x_n never sees a
+    negative zero.
     """
-    kind = _as_kind(kind)
-    x = np.asarray(pts, dtype=float)
-    out = x.copy()
-    redo = ~np.asarray(in_chamber(kind, x))
+    redo = ~_chamber_order(kind, x.T, np.greater_equal)
     if kind is RootKind.B:
-        redo |= np.signbit(x[..., -1])
-    y = x[redo]
+        redo |= np.signbit(x[-1])
+    if not redo.any():
+        return 0
+    y = np.ascontiguousarray(x[:, redo].T)
     if kind is RootKind.A:
-        out[redo] = -np.sort(-y, axis=-1)
-        return out
+        x[:, redo] = -np.sort(-y, axis=-1).T
+        return y.shape[0]
     mag = -np.sort(-np.abs(y), axis=-1)
     if kind is RootKind.D:
         # sign changes come in pairs, so the parity of the number of
         # negative coordinates survives projection and lands on the last slot
         odd = (y < 0).sum(axis=-1) % 2 == 1
         mag[..., -1] = np.where(odd, -mag[..., -1], mag[..., -1])
-    out[redo] = mag
+    x[:, redo] = mag.T
+    return y.shape[0]
+
+
+def project_batch(kind, pts: np.ndarray) -> np.ndarray:
+    """Map raw vectors to their chamber representatives (Weyl group orbit).
+
+    Returns a copy of ``pts`` (one vector or rows of vectors) whose rows
+    outside the closed chamber are re-sorted; the others come back unchanged.
+    The work runs on a particle-major view of the copy, through the same
+    kernel as the SDE step loop.
+    """
+    out = np.array(pts, dtype=float, order="C")
+    _project_particle_major(_as_kind(kind), out.reshape(-1, out.shape[-1]).T)
     return out
 
 

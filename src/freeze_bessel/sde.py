@@ -28,8 +28,9 @@ from .core import (
     RootKind,
     RootSystemSpec,
     _chamber_order,
+    _project_particle_major,
     in_chamber,
-    project_batch,
+    project_batch,  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
 )
 from .sampling import BatchDiagnostics, SampleBatch, SampleMethod, SamplerAbort, _map_subbatches
 
@@ -150,33 +151,47 @@ def _validate_start(spec: RootSystemSpec, x0) -> np.ndarray:
 # drift
 
 
-def drift_batch(spec: RootSystemSpec, pts: np.ndarray) -> np.ndarray:
-    """Drift field, vectorized over rows; wall contact produces +-inf entries.
+def _drift_particle_major(spec: RootSystemSpec, x: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+    """Drift of a particle-major (n, rows) array into ``out``, same shape.
 
-    The pair sums run over the n-1 diagonal offsets d on a particle-major
-    copy: pair (i, i+d) adds 1/(x_i - x_{i+d}) to particle i and subtracts
-    it from particle i+d (kinds B and D add 1/(x_i + x_{i+d}) to both), so a
-    touching pair gets +inf above and -inf below and is pushed apart.
-    Memory stays O(rows * n); no (rows, n, n) pair matrix is built.
+    The pair sums run over the n-1 diagonal offsets d: pair (i, i+d) adds
+    1/(x_i - x_{i+d}) to particle i and subtracts it from particle i+d
+    (kinds B and D add 1/(x_i + x_{i+d}) to both), so a touching pair gets
+    +inf above and -inf below and is pushed apart.  Every term is a
+    contiguous row slice, and ``work``, a (3, n, rows) scratch array, takes
+    all intermediates, so nothing is allocated per call.
     """
-    x = np.asarray(pts, dtype=float)
     kpair = spec.k2 if spec.kind is RootKind.B else spec.k
-    xt = np.ascontiguousarray(np.moveaxis(x, -1, 0))
-    out = np.zeros_like(xt)
+    inv, plus, both = work
+    out.fill(0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         if kpair > 0:
             for d in range(1, spec.n):
-                inv = 1.0 / (xt[:-d] - xt[d:])
+                g = np.subtract(x[:-d], x[d:], out=inv[:-d])
+                np.divide(1.0, g, out=g)
                 if spec.kind is RootKind.A:
-                    out[:-d] += inv
-                    out[d:] -= inv
+                    out[:-d] += g
+                    out[d:] -= g
                 else:
-                    plus = 1.0 / (xt[:-d] + xt[d:])
-                    out[:-d] += inv + plus
-                    out[d:] += plus - inv
+                    q = np.add(x[:-d], x[d:], out=plus[:-d])
+                    np.divide(1.0, q, out=q)
+                    out[:-d] += np.add(g, q, out=both[:-d])
+                    out[d:] += np.subtract(q, g, out=both[:-d])
             out *= kpair
         if spec.kind is RootKind.B and spec.k1 > 0:
-            out += spec.k1 / xt
+            out += np.divide(spec.k1, x, out=inv)
+
+
+def drift_batch(spec: RootSystemSpec, pts: np.ndarray) -> np.ndarray:
+    """Drift field, vectorized over rows; wall contact produces +-inf entries.
+
+    ``pts`` is one vector or rows of vectors, (..., n).  The rows are copied
+    particle-major once and run through the kernel of the SDE step loop.
+    Memory stays O(rows * n); no (rows, n, n) pair matrix is built.
+    """
+    xt = np.ascontiguousarray(np.moveaxis(np.asarray(pts, dtype=float), -1, 0))
+    out = np.empty_like(xt)
+    _drift_particle_major(spec, xt, out, np.empty((3, *xt.shape)))
     return np.moveaxis(out, 0, -1)
 
 
@@ -204,8 +219,8 @@ class SdeConfig:
     the simulation starts.  ``threads`` > 1 runs the 4096-path
     sub-batches on that many threads; the default runs them one after
     another, because the pool is slower: B n=2 (k1 = k2 = 200), 16 384 paths,
-    t = 0.1 took 0.44-0.54 s serially and 0.62-0.64 s with ``threads=2`` on
-    a 2-core x86_64 container.
+    t = 0.1 took 0.26-0.30 s serially and 0.32-0.37 s with ``threads=2`` on
+    a 2-core x86_64 container (seven runs each).
     """
 
     spec: RootSystemSpec
@@ -244,22 +259,39 @@ def _simulate_block(cfg: SdeConfig, child, size: int) -> np.ndarray:
     spec = cfg.spec
     steps = cfg.resolved_steps
     h_all = np.diff(cfg.t * (np.arange(steps + 1) / steps))
-    x = cfg.x0.draw(spec, rng, size)
+    # the state stays particle-major (n, rows) for the whole loop, so each
+    # drift pair term is a contiguous row slice; every buffer is reused
+    x = np.ascontiguousarray(cfg.x0.draw(spec, rng, size).T)
+    draw = np.empty((size, spec.n))
+    noise, xp, b0, b1 = (np.empty_like(x) for _ in range(4))
+    work = np.empty((3, *x.shape))
     for h in h_all:
         clip = _DRIFT_CLIP / math.sqrt(h)
-        sqrt_h = math.sqrt(h)
-        noise = sqrt_h * rng.standard_normal(x.shape)
+        # the same (rows, n) normal stream as a row-major state would draw
+        rng.standard_normal(out=draw)
+        np.multiply(draw.T, math.sqrt(h), out=noise)
         # Heun step on the drift: plain Euler systematically overshoots a
         # convex decaying repulsion (it holds the entry drift for the whole
         # step), which leaves an outward O(h) mean bias at strong coupling.
         # Averaging entry and predicted-exit drifts removes that term while
-        # the noise enters additively and needs no correction.
-        b0 = np.clip(drift_batch(spec, x), -clip, clip)
-        xp = project_batch(spec.kind, x + b0 * h + noise)
-        b1 = np.clip(drift_batch(spec, xp), -clip, clip)
-        x = x + 0.5 * (b0 + b1) * h + noise
-        x = project_batch(spec.kind, x)
-    return x
+        # the noise enters additively and needs no correction.  Each line
+        # keeps the operand order of x + b0*h + noise and
+        # x + 0.5*(b0 + b1)*h + noise, so the bytes match that formula.
+        _drift_particle_major(spec, x, b0, work)
+        np.clip(b0, -clip, clip, out=b0)
+        np.multiply(b0, h, out=xp)
+        xp += x
+        xp += noise
+        _project_particle_major(spec.kind, xp)
+        _drift_particle_major(spec, xp, b1, work)
+        np.clip(b1, -clip, clip, out=b1)
+        b1 += b0
+        b1 *= 0.5
+        b1 *= h
+        x += b1
+        x += noise
+        _project_particle_major(spec.kind, x)
+    return x.T
 
 
 def simulate_endpoints(cfg: SdeConfig) -> SampleBatch:

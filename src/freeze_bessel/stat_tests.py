@@ -3,9 +3,9 @@
 Kolmogorov-Smirnov p-values come from the asymptotic Kolmogorov distribution,
 so sample counts below 1000 are rejected outright rather than silently giving
 bad p-values.  The multivariate two-sample test is an energy-distance
-permutation test: the pooled pairwise distances are streamed in row blocks
-through one product with a 0/1 indicator matrix whose columns are the observed
-split and every permuted split.
+permutation test: the upper block triangle of the pooled pairwise distances is
+streamed in row blocks through one product with a 0/1 indicator matrix whose
+columns are the observed split and every permuted split.
 """
 
 from __future__ import annotations
@@ -111,9 +111,11 @@ def energy_distance_test(
     A 1-d sample is read as one scalar per row.
     Both samples are subsampled to at most ``max_points`` rows; the
     subsampling and the permutations are driven by ``seed``.  Time is
-    quadratic in the pooled size; memory is O(size * (n_permutations +
-    block)), since the pairwise distances are streamed in row blocks and never
-    held as a (size, size) matrix.  Returns (statistic, p-value) with
+    quadratic in the pooled size.  The symmetric (size, size) distance matrix
+    is never held: only its upper block triangle is built, one row block at
+    a time, each off-diagonal block weighted twice, so the distances and the
+    product with the split indicators cost half the full matrix.  Memory is
+    O(size * (n_permutations + block)).  Returns (statistic, p-value) with
     p = (1 + #{permuted >= observed}) / (1 + n_permutations).
     """
     if n_permutations < 1:
@@ -137,24 +139,32 @@ def energy_distance_test(
     size = pooled.shape[0]
     m = size - n
     # one 0/1 indicator column per split: column 0 is the observed split and
-    # column j + 1 permutation j, so every statistic reduces to dist @ ind
+    # column j + 1 permutation j, so every statistic reduces to ind' D ind
+    # and rowsum(D) @ ind
     ind = np.zeros((size, n_permutations + 1))
     ind[:n, 0] = 1.0
     for j in range(n_permutations):
         ind[rng.permutation(size)[:n], j + 1] = 1.0
-    prod = np.empty_like(ind)
-    total = 0.0
+    # only the upper block triangle of the symmetric distance matrix D is
+    # built: the slab of row block lo:hi runs from column lo on, its diagonal
+    # block counts once and the blocks right of it twice.  The row sums of D
+    # (rowsum) collect each off-diagonal block along its rows and columns.
+    s_aa = np.zeros(n_permutations + 1)
+    rowsum = np.zeros(size)
     for lo in range(0, size, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, size)
-        # rows lo:hi of the distance matrix, sqrt(max(|a|²+|b|²-2a·b, 0))
-        slab = np.add(sq[lo:hi, None], sq[None, :])
-        slab -= 2.0 * (pooled[lo:hi] @ pooled.T)
+        # D[lo:hi, lo:] = sqrt(max(|a|²+|b|²-2a·b, 0))
+        slab = np.add(sq[lo:hi, None], sq[None, lo:])
+        slab -= 2.0 * (pooled[lo:hi] @ pooled[lo:].T)
         np.maximum(slab, 0.0, out=slab)
         np.sqrt(slab, out=slab)
-        total += float(slab.sum())
-        np.matmul(slab, ind, out=prod[lo:hi])
-    s_aa = np.einsum("ip,ip->p", ind, prod)
-    col = prod.sum(axis=0)
+        off = slab[:, hi - lo :]
+        rowsum[lo:hi] += slab.sum(axis=1)
+        rowsum[hi:] += off.sum(axis=0)
+        off *= 2.0
+        s_aa += np.einsum("ip,ip->p", ind[lo:hi], slab @ ind[lo:])
+    total = float(rowsum.sum())
+    col = rowsum @ ind
     s_bb = total - 2.0 * col + s_aa
     s_ab = 0.5 * (total - s_aa - s_bb)
     stats = 2.0 * s_ab / (n * m) - s_aa / (n * n) - s_bb / (m * m)

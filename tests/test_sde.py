@@ -6,7 +6,7 @@ import pytest
 from scipy import stats as ss
 
 from freeze_bessel.core import ChamberPoint, RootKind, RootSystemSpec, in_chamber, project_batch
-from freeze_bessel.sampling import SampleMethod
+from freeze_bessel.sampling import SampleMethod, _spawned_children
 from freeze_bessel.sde import (
     BUDGET_ENV_VAR,
     BudgetExceeded,
@@ -212,6 +212,93 @@ def test_two_free_particles_match_sorted_brownian_pair():
     for j in range(2):
         p = ss.ks_2samp(batch.points[:, j], ref[:, j]).pvalue
         assert p > 0.01
+
+
+def _row_major_drift(spec, x):
+    # reference: the (rows, n) drift of the row-major step loop
+    kpair = spec.k2 if spec.kind is RootKind.B else spec.k
+    xt = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+    out = np.zeros_like(xt)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kpair > 0:
+            for d in range(1, spec.n):
+                inv = 1.0 / (xt[:-d] - xt[d:])
+                if spec.kind is RootKind.A:
+                    out[:-d] += inv
+                    out[d:] -= inv
+                else:
+                    plus = 1.0 / (xt[:-d] + xt[d:])
+                    out[:-d] += inv + plus
+                    out[d:] += plus - inv
+            out *= kpair
+        if spec.kind is RootKind.B and spec.k1 > 0:
+            out += spec.k1 / xt
+    return np.moveaxis(out, 0, -1)
+
+
+def _row_major_project(kind, x):
+    # reference: re-sort the rows outside the closed chamber, on a copy;
+    # returns the copy and the number of re-sorted rows
+    out = x.copy()
+    redo = ~np.all(x[:, :-1] >= x[:, 1:], axis=1)
+    if kind is RootKind.B:
+        redo |= ~(x[:, -1] >= 0.0) | np.signbit(x[:, -1])
+    elif kind is RootKind.D:
+        redo |= ~(x[:, -2] >= -x[:, -1])
+    y = x[redo]
+    if kind is RootKind.A:
+        out[redo] = -np.sort(-y, axis=-1)
+        return out, int(redo.sum())
+    mag = -np.sort(-np.abs(y), axis=-1)
+    if kind is RootKind.D:
+        odd = (y < 0).sum(axis=-1) % 2 == 1
+        mag[..., -1] = np.where(odd, -mag[..., -1], mag[..., -1])
+    out[redo] = mag
+    return out, int(redo.sum())
+
+
+def _row_major_endpoints(cfg):
+    # reference: the Heun loop on a (rows, n) state, one sub-batch after
+    # another; returns the endpoints, drift-clip hits and re-sorted rows
+    spec = cfg.spec
+    steps = cfg.resolved_steps
+    parts, clipped, projected = [], 0, 0
+    for child, size in _spawned_children(cfg.seed, cfg.paths):
+        rng = np.random.default_rng(child)
+        x = cfg.x0.draw(spec, rng, size)
+        for h in np.diff(cfg.t * (np.arange(steps + 1) / steps)):
+            clip = 10.0 / math.sqrt(h)
+            noise = math.sqrt(h) * rng.standard_normal(x.shape)
+            raw0 = _row_major_drift(spec, x)
+            b0 = np.clip(raw0, -clip, clip)
+            xp, hits_p = _row_major_project(spec.kind, x + b0 * h + noise)
+            raw1 = _row_major_drift(spec, xp)
+            b1 = np.clip(raw1, -clip, clip)
+            x, hits = _row_major_project(spec.kind, x + 0.5 * (b0 + b1) * h + noise)
+            clipped += int(np.count_nonzero(np.abs(raw0) > clip) + np.count_nonzero(np.abs(raw1) > clip))
+            projected += hits_p + hits
+        parts.append(x)
+    return np.vstack(parts), clipped, projected
+
+
+@pytest.mark.parametrize("spec, start", [
+    (RootSystemSpec.a(3, 0.5), [0.03, 0.0, -0.001]),
+    (RootSystemSpec.b(2, 0.0, 200.0), [0.5, 0.02]),
+    (RootSystemSpec.b(2, 1.0, 200.0), [0.05, 0.02]),
+    (RootSystemSpec.d(3, 200.0), [0.5, 0.05, -0.04]),
+], ids=["A3", "B2-k1=0", "B2-k1=1", "D3"])
+def test_particle_major_loop_matches_row_major_reference_bytes(spec, start):
+    # starts near a wall, so that the drift clip and the reflection map both
+    # fire; two sub-batches, run serially and on two threads
+    cfg = SdeConfig(spec=spec, x0=start, t=0.02, seed=11, steps=20, paths=4200)
+    ref, clipped, projected = _row_major_endpoints(cfg)
+    assert clipped > 0 and projected > 0
+    assert np.all(np.isfinite(ref))
+    for threads in (None, 2):
+        from dataclasses import replace
+
+        got = simulate_endpoints(replace(cfg, threads=threads)).points
+        assert got.tobytes() == ref.tobytes(), threads
 
 
 def test_simulation_is_deterministic_and_thread_stable():
