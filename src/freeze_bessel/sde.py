@@ -254,7 +254,8 @@ class SdeConfig:
         return max(1, math.ceil(_DEFAULT_STEPS_PER_UNIT_TIME * self.t))
 
 
-def _simulate_block(cfg: SdeConfig, child, size: int) -> np.ndarray:
+def _simulate_block(cfg: SdeConfig, child, size: int) -> tuple[np.ndarray, int]:
+    """Endpoints of one sub-batch, and the rows the reflection map re-sorted."""
     rng = np.random.default_rng(child)
     spec = cfg.spec
     steps = cfg.resolved_steps
@@ -265,6 +266,7 @@ def _simulate_block(cfg: SdeConfig, child, size: int) -> np.ndarray:
     draw = np.empty((size, spec.n))
     noise, xp, b0, b1 = (np.empty_like(x) for _ in range(4))
     work = np.empty((3, *x.shape))
+    projected = 0
     for h in h_all:
         clip = _DRIFT_CLIP / math.sqrt(h)
         # the same (rows, n) normal stream as a row-major state would draw
@@ -282,7 +284,7 @@ def _simulate_block(cfg: SdeConfig, child, size: int) -> np.ndarray:
         np.multiply(b0, h, out=xp)
         xp += x
         xp += noise
-        _project_particle_major(spec.kind, xp)
+        projected += _project_particle_major(spec.kind, xp)
         _drift_particle_major(spec, xp, b1, work)
         np.clip(b1, -clip, clip, out=b1)
         b1 += b0
@@ -290,15 +292,17 @@ def _simulate_block(cfg: SdeConfig, child, size: int) -> np.ndarray:
         b1 *= h
         x += b1
         x += noise
-        _project_particle_major(spec.kind, x)
-    return x.T
+        projected += _project_particle_major(spec.kind, x)
+    return x.T, projected
 
 
 def simulate_endpoints(cfg: SdeConfig) -> SampleBatch:
     """Simulate independent paths and return their time-t endpoints as a batch.
 
     Paths producing NaN (numerically exploded) are dropped and counted in the
-    batch diagnostics; the run aborts if every path explodes.
+    batch diagnostics; the run aborts if every path explodes.  The
+    diagnostics also count ``projected_rows``: the rows that the reflection
+    map re-sorted, over both projections of every step and every path.
     """
     steps = cfg.resolved_steps
     budget = path_step_budget()
@@ -307,9 +311,14 @@ def simulate_endpoints(cfg: SdeConfig) -> SampleBatch:
             f"steps*paths = {steps * cfg.paths} exceeds budget {budget} "
             f"(raise {BUDGET_ENV_VAR} or lower the workload)"
         )
-    pts = _map_subbatches(
-        lambda child, size, _threads: _simulate_block(cfg, child, size), cfg.seed, cfg.paths, cfg.threads
-    )
+    projected = []
+
+    def block(child, size, _threads):
+        x, rows = _simulate_block(cfg, child, size)
+        projected.append(rows)
+        return x
+
+    pts = _map_subbatches(block, cfg.seed, cfg.paths, cfg.threads)
     bad = ~np.all(np.isfinite(pts), axis=1)
     dropped = int(np.count_nonzero(bad))
     if dropped == cfg.paths:
@@ -320,6 +329,6 @@ def simulate_endpoints(cfg: SdeConfig) -> SampleBatch:
         acceptance_rate=None,
         ess=float(pts.shape[0]),
         thin=1,
-        extra={"steps": steps, "dropped_paths": dropped},
+        extra={"steps": steps, "dropped_paths": dropped, "projected_rows": sum(projected)},
     )
     return SampleBatch(cfg.spec, float(cfg.t), SampleMethod.HEUN, int(cfg.seed), pts, diag)

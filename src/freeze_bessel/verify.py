@@ -203,13 +203,16 @@ def clt_gaussian_check(
         batch = simulate_endpoints(cfg)
     stats, passed = gaussian_battery(regime.center(batch.points, t), t, regime.sigma)
     stats["method"] = method
+    parameters = {
+        "n": n, "strength": strength, "nu": nu, "t": t, "count": count,
+        "method": method, "start": None if start is None else np.asarray(
+            start.point if isinstance(start, StartDistribution) else start).tolist(),
+    }
+    if start is not None:
+        parameters["steps"] = cfg.resolved_steps
     return VerificationReport(
         name=f"clt-{theorem}" if start is None else f"clt-{theorem}-sde",
-        parameters={
-            "n": n, "strength": strength, "nu": nu, "t": t, "count": count,
-            "method": method, "start": None if start is None else np.asarray(
-                start.point if isinstance(start, StartDistribution) else start).tolist(),
-        },
+        parameters=parameters,
         statistics=stats,
         tolerances=dict(_BATTERY_TOLERANCES),
         passed=passed,
@@ -340,7 +343,8 @@ def start_distribution_check(
     stats["start_kind"] = mu.kind
     return VerificationReport(
         name=f"start-distribution-B1-{mu.kind}",
-        parameters={"n": n, "nu": nu, "beta": beta, "t": t, "count": count, "start_kind": mu.kind},
+        parameters={"n": n, "nu": nu, "beta": beta, "t": t, "count": count, "start_kind": mu.kind,
+                    "steps": cfg.resolved_steps},
         statistics=stats,
         tolerances=dict(_BATTERY_TOLERANCES),
         passed=passed,
@@ -409,7 +413,7 @@ def translation_invariance_check(
         stats = {"identical": False, "p_value": p_combined, "per_coordinate_p": p_vals}
     return VerificationReport(
         name="translation-invariance-A",
-        parameters={"n": n, "k": k, "t": t, "c": c, "x0": list(x0), "paths": paths},
+        parameters={"n": n, "k": k, "t": t, "c": c, "x0": list(x0), "paths": paths, "steps": base.resolved_steps},
         statistics=stats,
         tolerances={"p_value": P_THRESHOLD},
         passed=p_combined > P_THRESHOLD,
@@ -603,7 +607,7 @@ def _b1_start_agreement(n, beta, t, *, nu, start, steps, count, seed, threads=No
     return two_sample_agreement(
         regime.center(batch_e.points, t), regime.center(batch_s.points, t),
         name="clt-B1-start-agreement",
-        parameters={"n": n, "beta": beta, "nu": nu, "t": t, "count": count},
+        parameters={"n": n, "beta": beta, "nu": nu, "t": t, "count": count, "steps": cfg.resolved_steps},
         seed=seed_perm,
     )
 

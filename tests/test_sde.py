@@ -294,11 +294,12 @@ def test_particle_major_loop_matches_row_major_reference_bytes(spec, start):
     ref, clipped, projected = _row_major_endpoints(cfg)
     assert clipped > 0 and projected > 0
     assert np.all(np.isfinite(ref))
-    for threads in (None, 2):
-        from dataclasses import replace
+    from dataclasses import replace
 
-        got = simulate_endpoints(replace(cfg, threads=threads)).points
-        assert got.tobytes() == ref.tobytes(), threads
+    for threads in (None, 2):
+        batch = simulate_endpoints(replace(cfg, threads=threads))
+        assert batch.points.tobytes() == ref.tobytes(), threads
+        assert batch.diagnostics.extra["projected_rows"] == projected
 
 
 def test_simulation_is_deterministic_and_thread_stable():
@@ -332,7 +333,9 @@ def test_translation_invariance_report():
     assert report.passed
     assert report.statistics["p_value"] > 0.01
     assert report.seed == 42
+    assert report.parameters["steps"] == 2000
     # c = 0 short-circuits to exact equality of the two endpoint batches
     same = translation_invariance_check(2, 1.0, 0.5, 0.0, [1.0, -1.0], paths=500, steps=50, seed=1)
     assert same.passed
     assert same.statistics["identical"] is True
+    assert same.parameters["steps"] == 50

@@ -249,6 +249,10 @@ def test_report_names_carry_method_and_start_kind():
     mu = StartDistribution.uniform([0.36, 0.18], [0.44, 0.22])
     start = start_distribution_check(2, 1.0, 200.0, 1.0, mu, count=1000, steps=200, seed=0)
     assert start.name == "start-distribution-B1-uniform"
+    # SDE-backed reports record their step count; exact draws take none
+    assert sde.parameters["steps"] == start.parameters["steps"] == 200
+    exact = clt_gaussian_check("B1", 2, 200.0, 1.0, nu=1.0, count=1000, seed=0)
+    assert "steps" not in exact.parameters
 
 
 def test_clt_check_refuses_steps_without_a_start():
