@@ -207,15 +207,15 @@ def _project_particle_major(kind: RootKind, x: np.ndarray) -> int:
         return 0
     y = np.ascontiguousarray(x[:, redo].T)
     if kind is RootKind.A:
-        x[:, redo] = -np.sort(-y, axis=-1).T
-        return y.shape[0]
-    mag = -np.sort(-np.abs(y), axis=-1)
+        out = -np.sort(-y, axis=-1)
+    else:
+        out = -np.sort(-np.abs(y), axis=-1)
     if kind is RootKind.D:
         # sign changes come in pairs, so the parity of the number of
         # negative coordinates survives projection and lands on the last slot
         odd = (y < 0).sum(axis=-1) % 2 == 1
-        mag[..., -1] = np.where(odd, -mag[..., -1], mag[..., -1])
-    x[:, redo] = mag.T
+        out[:, -1] = np.where(odd, -out[:, -1], out[:, -1])
+    x[:, redo] = out.T
     return y.shape[0]
 
 
