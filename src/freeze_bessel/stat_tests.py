@@ -154,8 +154,10 @@ def energy_distance_test(
     for lo in range(0, size, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, size)
         # D[lo:hi, lo:] = sqrt(max(|a|²+|b|²-2a·b, 0))
-        slab = np.add(sq[lo:hi, None], sq[None, lo:])
-        slab -= 2.0 * (pooled[lo:hi] @ pooled[lo:].T)
+        slab = np.matmul(pooled[lo:hi], pooled[lo:].T)
+        slab *= -2.0
+        slab += sq[lo:hi, None]
+        slab += sq[None, lo:]
         np.maximum(slab, 0.0, out=slab)
         np.sqrt(slab, out=slab)
         off = slab[:, hi - lo :]
