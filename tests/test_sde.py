@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -294,8 +295,6 @@ def test_particle_major_loop_matches_row_major_reference_bytes(spec, start):
     ref, clipped, projected = _row_major_endpoints(cfg)
     assert clipped > 0 and projected > 0
     assert np.all(np.isfinite(ref))
-    from dataclasses import replace
-
     for threads in (None, 2):
         batch = simulate_endpoints(replace(cfg, threads=threads))
         assert batch.points.tobytes() == ref.tobytes(), threads
@@ -308,8 +307,6 @@ def test_simulation_is_deterministic_and_thread_stable():
     b1 = simulate_endpoints(cfg)
     b2 = simulate_endpoints(cfg)
     assert np.array_equal(b1.points, b2.points)
-    from dataclasses import replace
-
     b4 = simulate_endpoints(replace(cfg, threads=4))
     assert np.array_equal(b1.points, b4.points)
     assert in_chamber(spec.kind, b1.points).all()
