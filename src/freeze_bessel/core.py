@@ -9,10 +9,15 @@ descending order:
 * kind B: ``x1 >= ... >= xn >= 0``
 * kind D: ``x1 >= ... >= x_{n-1} >= |xn|`` (last coordinate may be negative)
 
-Raw vectors enter only through :func:`project_to_chamber`.  ``log_weight`` and
+Raw vectors enter through :func:`project_batch` (wrap a single result in
+:class:`ChamberPoint` to validate it).  ``log_weight_batch`` and
 ``freezing_potential`` are total functions: they return ``-inf`` off the
 chamber and on walls where the weight vanishes, which is exactly what the
 Metropolis sampler needs for its accept/reject step.
+
+Kind D is the B system with zero axis multiplicity: the weight, drift,
+sampler and quadrature formulas read (pair, axis) from
+:attr:`RootSystemSpec.pair_axis` and branch only on the shape of kind A.
 """
 
 from __future__ import annotations
@@ -29,9 +34,7 @@ __all__ = [
     "ChamberPoint",
     "homogeneity_degree",
     "in_chamber",
-    "project_to_chamber",
     "project_batch",
-    "log_weight",
     "log_weight_batch",
     "freezing_potential",
 ]
@@ -65,6 +68,8 @@ class RootSystemSpec:
     def __post_init__(self):
         object.__setattr__(self, "kind", _as_kind(self.kind))
         n = int(self.n)
+        if n != self.n:
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         object.__setattr__(self, "n", n)
         if n < 1:
             raise ValueError("need at least one particle")
@@ -116,6 +121,14 @@ class RootSystemSpec:
             raise AttributeError("k2 is defined for kind B only")
         return self.multiplicity[1]  # type: ignore[index]
 
+    @property
+    def pair_axis(self) -> tuple[float, float]:
+        """(pair, axis) multiplicities: (k, 0.0) for kinds A and D, (k2, k1) for B."""
+        if self.kind is RootKind.B:
+            k1, k2 = self.multiplicity  # type: ignore[misc]
+            return k2, k1
+        return self.multiplicity, 0.0  # type: ignore[return-value]
+
     def to_dict(self) -> dict:
         mult = list(self.multiplicity) if self.kind is RootKind.B else self.multiplicity
         return {"kind": self.kind.value, "n": self.n, "multiplicity": mult}
@@ -131,11 +144,10 @@ class RootSystemSpec:
 def homogeneity_degree(spec: RootSystemSpec) -> float:
     """Degree gamma of the weight function: w(c*y) = c^(2*gamma) * w(y)."""
     n = spec.n
+    kpair, kaxis = spec.pair_axis
     if spec.kind is RootKind.A:
-        return spec.k * n * (n - 1) / 2.0
-    if spec.kind is RootKind.B:
-        return spec.k2 * n * (n - 1) + spec.k1 * n
-    return spec.k * n * (n - 1)
+        return kpair * n * (n - 1) / 2.0
+    return kpair * n * (n - 1) + kaxis * n
 
 
 def _coords(y) -> np.ndarray:
@@ -232,21 +244,6 @@ def project_batch(kind, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def project_to_chamber(spec: RootSystemSpec | RootKind | str, v) -> ChamberPoint:
-    """Project a raw vector onto the chamber and wrap it as a ChamberPoint."""
-    kind = spec.kind if isinstance(spec, RootSystemSpec) else _as_kind(spec)
-    x = np.asarray(v, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("project_to_chamber takes a single vector")
-    if isinstance(spec, RootSystemSpec) and x.size != spec.n:
-        raise ValueError(f"expected {spec.n} coordinates, got {x.size}")
-    return ChamberPoint(kind, project_batch(kind, x))
-
-
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n, k=1)
-
-
 def log_weight_batch(spec: RootSystemSpec, pts: np.ndarray) -> np.ndarray:
     """log of the weight function, vectorized over leading axes.
 
@@ -259,29 +256,22 @@ def log_weight_batch(spec: RootSystemSpec, pts: np.ndarray) -> np.ndarray:
     ok = in_chamber(spec.kind, x)
     ok = np.asarray(ok)
     out = np.zeros(x.shape[:-1])
-    iu, ju = _pair_indices(spec.n)
+    kpair, kaxis = spec.pair_axis
+    iu, ju = np.triu_indices(spec.n, k=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if spec.kind is RootKind.A:
-            if spec.k > 0 and spec.n > 1:
-                gaps = x[..., iu] - x[..., ju]
-                out = 2.0 * spec.k * np.sum(np.log(gaps), axis=-1)
-        else:
-            kpair = spec.k2 if spec.kind is RootKind.B else spec.k
-            if kpair > 0 and spec.n > 1:
-                sqdiff = x[..., iu] ** 2 - x[..., ju] ** 2
-                out = 2.0 * kpair * np.sum(np.log(sqdiff), axis=-1)
-            if spec.kind is RootKind.B and spec.k1 > 0:
-                out = out + 2.0 * spec.k1 * np.sum(np.log(x), axis=-1)
+        if kpair > 0 and spec.n > 1:
+            if spec.kind is RootKind.A:
+                pairs = x[..., iu] - x[..., ju]
+            else:
+                pairs = x[..., iu] ** 2 - x[..., ju] ** 2
+            out = 2.0 * kpair * np.sum(np.log(pairs), axis=-1)
+        if kaxis > 0:
+            out = out + 2.0 * kaxis * np.sum(np.log(x), axis=-1)
     out = np.where(ok, out, -np.inf)
     out = np.where(np.isnan(out), -np.inf, out)
     if out.ndim == 0:
         return out[()]
     return out
-
-
-def log_weight(spec: RootSystemSpec, y) -> float:
-    """log w_k(y) for a single point (see :func:`log_weight_batch`)."""
-    return float(log_weight_batch(spec, _coords(y)))
 
 
 def freezing_potential(spec: RootSystemSpec, y, *, nu: float | None = None) -> float:

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .core import RootKind, RootSystemSpec, _as_kind, homogeneity_degree
+from .core import RootKind, RootSystemSpec, homogeneity_degree
 
 __all__ = [
     "adaptive_gauss",
@@ -150,16 +150,14 @@ def _truncation_radius(spec: RootSystemSpec) -> float:
 
 def _weight_factor(spec: RootSystemSpec, y1, y2):
     """w_k(y1, y2) for two particles (broadcast over y1 and y2)."""
-    if spec.kind is RootKind.A:
-        return (y1 - y2) ** (2.0 * spec.k) if spec.k > 0 else np.ones_like(y1)
-    if spec.kind is RootKind.B:
-        w = np.ones_like(y1)
-        if spec.k2 > 0:
-            w = w * (y1**2 - y2**2) ** (2.0 * spec.k2)
-        if spec.k1 > 0:
-            w = w * (y1 * y2) ** (2.0 * spec.k1)
-        return w
-    return (y1**2 - y2**2) ** (2.0 * spec.k) if spec.k > 0 else np.ones_like(y1)
+    kpair, kaxis = spec.pair_axis
+    w = np.ones_like(y1)
+    if kpair > 0:
+        pair = y1 - y2 if spec.kind is RootKind.A else y1**2 - y2**2
+        w = w * pair ** (2.0 * kpair)
+    if kaxis > 0:
+        w = w * (y1 * y2) ** (2.0 * kaxis)
+    return w
 
 
 def _chamber_integral(spec: RootSystemSpec, t: float, radius: float, rtol: float, g=None) -> float:
@@ -171,10 +169,11 @@ def _chamber_integral(spec: RootSystemSpec, t: float, radius: float, rtol: float
     if spec.n == 1:
         # the one-particle chamber is the whole line with weight 1 (kind A),
         # or the half-line with weight y^(2 k1) (kind B)
-        lo, k1 = (0.0, spec.k1) if spec.kind is RootKind.B else (-radius, 0.0)
+        lo = 0.0 if spec.kind is RootKind.B else -radius
+        kaxis = spec.pair_axis[1]
 
         def rho(y):
-            w = y ** (2.0 * k1) if k1 > 0 else np.ones_like(y)
+            w = y ** (2.0 * kaxis) if kaxis > 0 else np.ones_like(y)
             return np.exp(-0.5 * y**2 / t) * w
 
         f = rho if g is None else (lambda y: np.asarray(g(y), float) * rho(y))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 __all__ = ["VerificationReport"]
@@ -45,20 +44,6 @@ class VerificationReport:
             "passed": bool(self.passed),
             "seed": self.seed,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VerificationReport":
-        return cls(
-            name=data["name"],
-            parameters=data.get("parameters", {}),
-            statistics=data.get("statistics", {}),
-            tolerances=data.get("tolerances", {}),
-            passed=bool(data.get("passed", False)),
-            seed=data.get("seed"),
-        )
 
     def summary_line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"

@@ -154,14 +154,14 @@ def _exact_rows(spec: RootSystemSpec, t: float, child, size: int, threads: int |
     """One sub-batch of exact start-0 draws, in descending chamber order."""
     rng = np.random.default_rng(child)
     n = spec.n
+    kpair, kaxis = spec.pair_axis
     if spec.kind is RootKind.A:
         diag = rng.standard_normal((size, n))
-        off = _chi_matrix(rng, 2.0 * spec.k * np.arange(n - 1, 0, -1), size) / math.sqrt(2.0)
+        off = _chi_matrix(rng, 2.0 * kpair * np.arange(n - 1, 0, -1), size) / math.sqrt(2.0)
         return math.sqrt(t) * tridiagonal_eigenvalues(diag, off, threads=threads)
-    k1, k2 = spec.multiplicity if spec.kind is RootKind.B else (0.0, spec.k)
     i = np.arange(1, n + 1)
-    d = _chi_matrix(rng, 2.0 * k1 + 1.0 + 2.0 * k2 * (n - i), size)
-    s = _chi_matrix(rng, 2.0 * k2 * (n - i[:-1]), size)
+    d = _chi_matrix(rng, 2.0 * kaxis + 1.0 + 2.0 * kpair * (n - i), size)
+    s = _chi_matrix(rng, 2.0 * kpair * (n - i[:-1]), size)
     # B B^T of the lower bidiagonal B with diagonal d and subdiagonal s
     diag = d**2
     diag[:, 1:] += s**2

@@ -39,7 +39,6 @@ __all__ = [
     "BudgetExceeded",
     "StartDistribution",
     "SdeConfig",
-    "drift",
     "drift_batch",
     "simulate_endpoints",
 ]
@@ -77,7 +76,8 @@ class StartDistribution:
     """Initial law of the particles: a point, a box, or a point mixture.
 
     The support must sit strictly inside the chamber; the uniform variant
-    draws from a box intersected with the chamber by rejection.
+    draws from a box intersected with the chamber by rejection.  ``SdeConfig``
+    checks the start against its spec once, so ``draw`` does not.
     """
 
     kind: str  # "point" | "uniform" | "mixture"
@@ -109,11 +109,8 @@ class StartDistribution:
 
     def draw(self, spec: RootSystemSpec, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "point":
-            x = _validate_start(spec, self.point)
-            return np.tile(x, (size, 1))
+            return np.tile(self.point, (size, 1))
         if self.kind == "mixture":
-            for row in self.points:
-                _validate_start(spec, row)
             idx = rng.choice(self.points.shape[0], size=size, p=self.weights)
             return self.points[idx]
         # uniform on box intersected with the chamber interior, by rejection
@@ -132,7 +129,7 @@ class StartDistribution:
         return out
 
 
-def _validate_start(spec: RootSystemSpec, x0) -> np.ndarray:
+def _validate_start(spec: RootSystemSpec, x0) -> None:
     x = np.asarray(x0.coords if isinstance(x0, ChamberPoint) else x0, dtype=float)
     if x.shape != (spec.n,):
         raise ValueError(f"start must have {spec.n} coordinates")
@@ -144,7 +141,6 @@ def _validate_start(spec: RootSystemSpec, x0) -> np.ndarray:
         raise ValueError("start must lie in the chamber (project it first)")
     if not _chamber_order(spec.kind, x, np.greater):
         raise ValueError("start must be strictly inside the chamber (no wall contact)")
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +157,7 @@ def _drift_particle_major(spec: RootSystemSpec, x: np.ndarray, out: np.ndarray, 
     contiguous row slice, and ``work``, a (3, n, rows) scratch array, takes
     all intermediates, so nothing is allocated per call.
     """
-    kpair = spec.k2 if spec.kind is RootKind.B else spec.k
+    kpair, kaxis = spec.pair_axis
     inv, plus, both = work
     out.fill(0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -178,8 +174,8 @@ def _drift_particle_major(spec: RootSystemSpec, x: np.ndarray, out: np.ndarray, 
                     out[:-d] += np.add(g, q, out=both[:-d])
                     out[d:] += np.subtract(q, g, out=both[:-d])
             out *= kpair
-        if spec.kind is RootKind.B and spec.k1 > 0:
-            out += np.divide(spec.k1, x, out=inv)
+        if kaxis > 0:
+            out += np.divide(kaxis, x, out=inv)
 
 
 def drift_batch(spec: RootSystemSpec, pts: np.ndarray) -> np.ndarray:
@@ -189,21 +185,13 @@ def drift_batch(spec: RootSystemSpec, pts: np.ndarray) -> np.ndarray:
     particle-major once and run through the kernel of the SDE step loop.
     Memory stays O(rows * n); no (rows, n, n) pair matrix is built.
     """
-    xt = np.ascontiguousarray(np.moveaxis(np.asarray(pts, dtype=float), -1, 0))
+    x = np.asarray(pts, dtype=float)
+    if x.shape[-1] != spec.n:
+        raise ValueError(f"expected {spec.n} coordinates, got {x.shape[-1]}")
+    xt = np.ascontiguousarray(np.moveaxis(x, -1, 0))
     out = np.empty_like(xt)
     _drift_particle_major(spec, xt, out, np.empty((3, *xt.shape)))
     return np.moveaxis(out, 0, -1)
-
-
-def drift(spec: RootSystemSpec, x) -> np.ndarray:
-    """Drift at one strictly interior point; raises on wall contact."""
-    x = np.asarray(x.coords if isinstance(x, ChamberPoint) else x, dtype=float)
-    if x.shape != (spec.n,):
-        raise ValueError(f"expected {spec.n} coordinates")
-    out = drift_batch(spec, x[None, :])[0]
-    if not np.all(np.isfinite(out)):
-        raise ValueError("drift is singular: the point touches a chamber wall")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +220,8 @@ class SdeConfig:
     threads: int | None = None
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("t must be positive")
+        if not (math.isfinite(self.t) and self.t > 0):
+            raise ValueError(f"t must be finite and > 0, got {self.t}")
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
         if self.steps is not None and self.steps < 1:
@@ -246,6 +234,11 @@ class SdeConfig:
         object.__setattr__(self, "x0", x0)
         if x0.kind == "point":
             _validate_start(self.spec, x0.point)
+        elif x0.kind == "mixture":
+            for row in x0.points:
+                _validate_start(self.spec, row)
+        elif x0.lo.shape != (self.spec.n,):
+            raise ValueError(f"uniform start box must have {self.spec.n} coordinates, got shape {x0.lo.shape}")
 
     @property
     def resolved_steps(self) -> int:

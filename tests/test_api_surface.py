@@ -1,0 +1,52 @@
+"""The public surface resolves, and no source module keeps an unused import.
+
+Both checks use the standard library only (``ast`` and ``importlib``), so
+they run wherever tier-1 runs, with no linter installed.  An import that a
+module keeps on purpose for another namespace carries ``# noqa: F401`` on its
+line.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import freeze_bessel
+
+SRC = Path(freeze_bessel.__file__).resolve().parent
+MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", ["", *MODULES])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(f"freeze_bessel.{module}" if module else "freeze_bessel")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, f"{mod.__name__}.__all__ names what the module lacks: {missing}"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        # names re-exported through __all__ count as used
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(f"{path.name}:{alias.lineno} {bound}")
+    return unused
+
+
+def test_no_module_level_import_is_unused():
+    unused = [entry for path in sorted(SRC.glob("*.py")) for entry in _unused_imports(path)]
+    assert not unused, f"unused module-level imports: {unused}"

@@ -184,6 +184,12 @@ def test_sde_command(tmp_path):
                  "--x0", "0,0", "--paths", "10", "--steps", "5"]) == 2
 
 
+@pytest.mark.parametrize("t", ["inf", "nan"])
+def test_sde_time_must_be_finite_exits_2(t, capsys):
+    assert main(["sde", "--system", "A", "--n", "2", "--k", "1", "--x0", "1,0", "--t", t]) == 2
+    assert "t must be finite and > 0" in capsys.readouterr().err
+
+
 def test_sde_budget_exhaustion_exits_3(monkeypatch):
     monkeypatch.setenv("FREEZE_BESSEL_BUDGET", "1000")
     assert main(["sde", "--system", "A", "--n", "2", "--k", "1.0",

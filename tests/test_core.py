@@ -14,10 +14,8 @@ from freeze_bessel import (
     freezing_potential,
     homogeneity_degree,
     in_chamber,
-    log_weight,
     log_weight_batch,
     project_batch,
-    project_to_chamber,
 )
 
 
@@ -32,6 +30,10 @@ def test_spec_constructors_and_accessors():
         b.k
     with pytest.raises(AttributeError):
         a.k1
+    # (pair, axis) multiplicities: kind D is kind B with no axis multiplicity
+    assert a.pair_axis == (2.0, 0.0)
+    assert b.pair_axis == (4.0, 1.0)
+    assert d.pair_axis == (0.5, 0.0)
 
 
 def test_spec_validation():
@@ -47,6 +49,14 @@ def test_spec_validation():
         RootSystemSpec.a(2, -1.0)
     with pytest.raises(ValueError):
         RootSystemSpec.b(2, math.inf, 1.0)
+    # a non-integral n is refused, not cut off
+    with pytest.raises(ValueError, match="n must be an integer"):
+        RootSystemSpec.a(2.7, 1.0)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        RootSystemSpec.b(np.float64(1.5), 1.0, 1.0)
+    for n in (3, 3.0, np.int64(3), np.int32(3)):
+        spec = RootSystemSpec.d(n, 1.0)
+        assert spec.n == 3 and type(spec.n) is int
 
 
 def test_spec_dict_roundtrip():
@@ -149,31 +159,31 @@ def test_chamber_point_validation():
         ChamberPoint(RootKind.A, [0.0, 1.0])
     with pytest.raises(ValueError):
         ChamberPoint(RootKind.B, [1.0, np.nan])
-    assert project_to_chamber(RootKind.B, [-3.0, 1.0]).coords.tolist() == [3.0, 1.0]
+    assert ChamberPoint(RootKind.B, project_batch(RootKind.B, [-3.0, 1.0])).coords.tolist() == [3.0, 1.0]
 
 
 def test_log_weight_closed_forms():
     spec = RootSystemSpec.a(2, 1.5)
     y = np.array([2.0, -1.0])
-    assert log_weight(spec, y) == pytest.approx(2 * 1.5 * math.log(3.0), rel=1e-14)
+    assert log_weight_batch(spec, y) == pytest.approx(2 * 1.5 * math.log(3.0), rel=1e-14)
 
     spec_b = RootSystemSpec.b(1, 0.7, 5.0)
-    assert log_weight(spec_b, np.array([2.0])) == pytest.approx(2 * 0.7 * math.log(2.0), rel=1e-14)
+    assert log_weight_batch(spec_b, np.array([2.0])) == pytest.approx(2 * 0.7 * math.log(2.0), rel=1e-14)
 
     spec_d = RootSystemSpec.d(2, 2.0)
     y = np.array([3.0, 1.0])
     expect = 2 * 2.0 * (math.log(2.0) + math.log(4.0))
-    assert log_weight(spec_d, y) == pytest.approx(expect, rel=1e-14)
+    assert log_weight_batch(spec_d, y) == pytest.approx(expect, rel=1e-14)
 
 
 def test_log_weight_wall_is_minus_infinity():
     spec = RootSystemSpec.a(2, 1.0)
-    assert log_weight(spec, np.array([1.0, 1.0])) == -math.inf
+    assert log_weight_batch(spec, np.array([1.0, 1.0])) == -math.inf
     spec_b = RootSystemSpec.b(2, 1.0, 1.0)
-    assert log_weight(spec_b, np.array([1.0, 0.0])) == -math.inf
+    assert log_weight_batch(spec_b, np.array([1.0, 0.0])) == -math.inf
     # zero multiplicity kills the corresponding factor, the wall is no longer singular
     spec_b0 = RootSystemSpec.b(2, 0.0, 1.0)
-    assert np.isfinite(log_weight(spec_b0, np.array([1.0, 0.0])))
+    assert np.isfinite(log_weight_batch(spec_b0, np.array([1.0, 0.0])))
 
 
 @settings(max_examples=100)
@@ -183,7 +193,7 @@ def test_log_weight_batch_matches_scalar(seed):
     spec = RootSystemSpec.b(3, 0.8, 1.7)
     pts = project_batch(spec.kind, rng.normal(size=(5, 3)) * 3)
     batch = log_weight_batch(spec, pts)
-    single = [log_weight(spec, p) for p in pts]
+    single = [log_weight_batch(spec, p) for p in pts]
     assert np.allclose(batch, single, rtol=1e-13, atol=1e-13)
 
 
@@ -191,6 +201,8 @@ def test_homogeneity_degree_values():
     assert homogeneity_degree(RootSystemSpec.a(4, 1.5)) == pytest.approx(1.5 * 4 * 3 / 2)
     assert homogeneity_degree(RootSystemSpec.b(3, 0.5, 2.0)) == pytest.approx(3 * (0.5 + 2.0 * 2))
     assert homogeneity_degree(RootSystemSpec.d(3, 2.0)) == pytest.approx(2.0 * 3 * 2)
+    # kind D is kind B with zero axis multiplicity
+    assert homogeneity_degree(RootSystemSpec.d(3, 2.0)) == homogeneity_degree(RootSystemSpec.b(3, 0.0, 2.0))
 
 
 @settings(max_examples=50)
@@ -198,8 +210,8 @@ def test_homogeneity_degree_values():
 def test_weight_is_homogeneous(c):
     spec = RootSystemSpec.a(3, 2.0)
     y = np.array([2.0, 0.3, -1.1])
-    lhs = log_weight(spec, c * y)
-    rhs = 2 * homogeneity_degree(spec) * math.log(c) + log_weight(spec, y)
+    lhs = log_weight_batch(spec, c * y)
+    rhs = 2 * homogeneity_degree(spec) * math.log(c) + log_weight_batch(spec, y)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-10)
 
 

@@ -13,7 +13,6 @@ from freeze_bessel.sde import (
     BudgetExceeded,
     SdeConfig,
     StartDistribution,
-    drift,
     drift_batch,
     simulate_endpoints,
 )
@@ -24,19 +23,19 @@ def test_drift_closed_forms():
     spec_a = RootSystemSpec.a(3, 2.0)
     x = np.array([3.0, 1.0, 0.0])
     want = 2.0 * np.array([1.0 / 2 + 1.0 / 3, -1.0 / 2 + 1.0, -1.0 / 3 - 1.0])
-    assert np.allclose(drift(spec_a, x), want, atol=1e-14)
+    assert np.allclose(drift_batch(spec_a, x), want, atol=1e-14)
 
     spec_b = RootSystemSpec.b(2, 1.5, 0.5)
     y = np.array([2.0, 1.0])
     pair = np.array([1.0 / 1 + 1.0 / 3, -1.0 / 1 + 1.0 / 3])
     axis = np.array([1.5 / 2.0, 1.5 / 1.0])
-    assert np.allclose(drift(spec_b, y), 0.5 * pair + axis, atol=1e-14)
+    assert np.allclose(drift_batch(spec_b, y), 0.5 * pair + axis, atol=1e-14)
 
     spec_d = RootSystemSpec.d(2, 0.5)
-    assert np.allclose(drift(spec_d, y), 0.5 * pair, atol=1e-14)
+    assert np.allclose(drift_batch(spec_d, y), 0.5 * pair, atol=1e-14)
 
     # k = 0 freezes the interaction off entirely
-    assert np.array_equal(drift(RootSystemSpec.a(3, 0.0), x), np.zeros(3))
+    assert np.array_equal(drift_batch(RootSystemSpec.a(3, 0.0), x), np.zeros(3))
 
 
 def test_drift_wall_behavior():
@@ -44,10 +43,20 @@ def test_drift_wall_behavior():
     wall = np.array([[1.0, 1.0]])
     out = drift_batch(spec, wall)
     assert np.isinf(out).any()
-    with pytest.raises(ValueError, match="wall"):
-        drift(spec, np.array([1.0, 1.0]))
-    with pytest.raises(ValueError, match="wall"):
-        drift(RootSystemSpec.b(1, 1.0, 1.0), np.array([0.0]))
+    # a touching pair and a particle on the B axis give infinite entries
+    assert np.array_equal(drift_batch(spec, np.array([1.0, 1.0])), np.array([np.inf, -np.inf]))
+    assert np.array_equal(drift_batch(RootSystemSpec.b(1, 1.0, 1.0), np.array([0.0])), np.array([np.inf]))
+
+
+def test_drift_batch_refuses_the_wrong_width():
+    # an n = 2 kernel sums adjacent pairs only: on a width-3 row it would give
+    # [1, 0, -1], not the A drift [1.5, 0, -1.5] of that row
+    with pytest.raises(ValueError, match="expected 2 coordinates, got 3"):
+        drift_batch(RootSystemSpec.a(2, 1.0), np.array([[3.0, 2.0, 1.0]]))
+    with pytest.raises(ValueError, match="expected 3 coordinates, got 2"):
+        drift_batch(RootSystemSpec.b(3, 1.0, 1.0), np.array([2.0, 1.0]))
+    assert np.array_equal(drift_batch(RootSystemSpec.a(3, 1.0), np.array([[3.0, 2.0, 1.0]])),
+                          np.array([[1.5, 0.0, -1.5]]))
 
 
 def test_drift_at_contact_pushes_the_pair_apart():
@@ -117,7 +126,7 @@ def test_drift_memory_stays_linear_in_n():
 def test_drift_accepts_chamber_point():
     spec = RootSystemSpec.a(2, 1.0)
     pt = ChamberPoint(spec.kind, np.array([1.0, -1.0]))
-    assert np.allclose(drift(spec, pt), np.array([0.5, -0.5]), atol=1e-15)
+    assert np.allclose(drift_batch(spec, pt.coords), np.array([0.5, -0.5]), atol=1e-15)
 
 
 def test_start_distribution_draws():
@@ -166,12 +175,31 @@ def test_config_validation():
         SdeConfig(spec=spec, x0=StartDistribution.at_point([0.5, 1.0]), t=1.0, seed=0)
     with pytest.raises(ValueError, match="strictly inside"):
         SdeConfig(spec=spec, x0=StartDistribution.at_point([1.0, 0.0]), t=1.0, seed=0)
-    with pytest.raises(ValueError):
-        SdeConfig(spec=spec, x0=good, t=-1.0, seed=0)
+    for t in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="t must be finite and > 0"):
+            SdeConfig(spec=spec, x0=good, t=t, seed=0)
     # raw arrays are promoted to point distributions
     cfg = SdeConfig(spec=spec, x0=[1.0, 0.5], t=1.0, seed=0)
     assert isinstance(cfg.x0, StartDistribution)
     assert cfg.resolved_steps == 2000
+
+
+def test_config_checks_every_start_kind_against_the_spec():
+    spec = RootSystemSpec.b(2, 1.0, 1.0)
+    # numpy would broadcast a one-wide box to both coordinates
+    for lo, hi in (([0.5], [1.5]), ([0.5, 0.5, 0.5], [1.5, 1.5, 1.5])):
+        with pytest.raises(ValueError, match="uniform start box must have 2 coordinates"):
+            SdeConfig(spec=spec, x0=StartDistribution.uniform(lo, hi), t=1.0, seed=0)
+    # a bad mixture row is refused when the config is built, not inside simulate_endpoints
+    for rows, match in (
+        ([[1.0, 0.5], [0.5, 1.0]], "lie in the chamber"),
+        ([[1.0, 0.5], [1.0, 0.0]], "strictly inside"),
+        ([[1.0, 0.5, 0.2], [2.0, 1.0, 0.5]], "2 coordinates"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            SdeConfig(spec=spec, x0=StartDistribution.mixture(rows, [0.5, 0.5]), t=1.0, seed=0)
+    SdeConfig(spec=spec, x0=StartDistribution.uniform([0.5, 0.1], [1.5, 0.4]), t=1.0, seed=0)
+    SdeConfig(spec=spec, x0=StartDistribution.mixture([[1.0, 0.5], [2.0, 1.0]], [0.5, 0.5]), t=1.0, seed=0)
 
 
 def test_budget_enforcement(monkeypatch):
