@@ -1,9 +1,10 @@
 """Command-line surface: every computation and verification as a scripted run.
 
 Subcommands: zeros, target, sigma, constants, sample, sde, verify.  Output
-files always embed a RunManifest; ``--replay FILE`` re-runs the command
-recorded in FILE's manifest.  Exit codes: 0 success, 1 statistical failure,
-2 bad input, 3 runtime abort (sampler collapse, budget exhaustion, numerical failure).
+files always embed a RunManifest; ``--replay FILE`` parses its recorded
+parameters like a command line and re-runs it.  Exit codes: 0 success,
+1 statistical failure, 2 bad input, 3 runtime abort (sampler collapse, budget
+exhaustion, numerical failure).
 """
 
 from __future__ import annotations
@@ -40,12 +41,8 @@ from .verify import SUITES, run_suite
 __all__ = ["main"]
 
 
-def _parse_vector(value, n: int | None = None) -> np.ndarray:
-    if isinstance(value, str):
-        parts = [p for p in value.replace(";", ",").split(",") if p.strip()]
-        vec = np.array([float(p) for p in parts])
-    else:
-        vec = np.asarray(value, dtype=float)
+def _parse_vector(value: str, n: int | None = None) -> np.ndarray:
+    vec = np.array([float(p) for p in value.replace(";", ",").split(",") if p.strip()])
     if n is not None and vec.shape != (n,):
         raise ValueError(f"expected {n} comma-separated coordinates, got {vec.size}")
     return vec
@@ -63,18 +60,15 @@ _SYSTEM_PARAMS = {"A": ("k",), "B": ("k1", "k2"), "D": ("k",)}
 
 
 def _spec_from_params(params: dict) -> RootSystemSpec:
-    system = str(params["system"]).upper()
-    if system not in _SYSTEM_PARAMS:
-        raise ValueError(f"unknown system {system!r}")
+    system = params["system"].upper()
     names = _SYSTEM_PARAMS[system]
     missing = [f"--{name}" for name in names if params[name] is None]
     if missing:
         raise ValueError(f"system {system} needs {' and '.join(missing)}")
     _refuse_untaken(f"system {system}", params, names, ("k", "k1", "k2"))
-    n = int(params["n"])
     if system == "B":
-        return RootSystemSpec.b(n, float(params["k1"]), float(params["k2"]))
-    return (RootSystemSpec.a if system == "A" else RootSystemSpec.d)(n, float(params["k"]))
+        return RootSystemSpec.b(params["n"], params["k1"], params["k2"])
+    return (RootSystemSpec.a if system == "A" else RootSystemSpec.d)(params["n"], params["k"])
 
 
 def _emit_json(obj: dict, out: str | None, manifest: RunManifest) -> None:
@@ -90,19 +84,16 @@ def _emit_json(obj: dict, out: str | None, manifest: RunManifest) -> None:
 
 
 def cmd_zeros(params: dict, threads: int | None = None) -> int:
-    family = params["family"]
-    n = int(params["n"])
+    family, n = params["family"], params["n"]
     # --alpha defaults to 0.0, which every zeros manifest records
-    if family != "laguerre" and float(params["alpha"]) != 0.0:
+    if family != "laguerre" and params["alpha"] != 0.0:
         raise ValueError(f"family {family} takes no --alpha")
     if family == "hermite":
         zeros = hermite_zeros(n)
     elif family == "laguerre":
-        zeros = laguerre_zeros(n, float(params["alpha"]))
-    elif family == "laguerre-1":
-        zeros = laguerre_minus_one_zeros(n)
+        zeros = laguerre_zeros(n, params["alpha"])
     else:
-        raise ValueError(f"unknown zero family {family!r}")
+        zeros = laguerre_minus_one_zeros(n)
     manifest = RunManifest("zeros", params, seed=None)
     out = params["out"]
     if params["format"] == "csv" and out:
@@ -117,9 +108,8 @@ def cmd_zeros(params: dict, threads: int | None = None) -> int:
 
 
 def cmd_target(params: dict, threads: int | None = None) -> int:
-    kind = RootKind(str(params["system"]).upper())
-    nu = params["nu"]
-    ft = freezing_target(kind, int(params["n"]), None if nu is None else float(nu))
+    kind = RootKind(params["system"].upper())
+    ft = freezing_target(kind, params["n"], params["nu"])
     obj = {
         "system": kind.value,
         "n": ft.n,
@@ -132,9 +122,8 @@ def cmd_target(params: dict, threads: int | None = None) -> int:
 
 
 def cmd_sigma(params: dict, threads: int | None = None) -> int:
-    kind = RootKind(str(params["system"]).upper())
-    nu = params["nu"]
-    pm = precision_matrix(kind, int(params["n"]), None if nu is None else float(nu))
+    kind = RootKind(params["system"].upper())
+    pm = precision_matrix(kind, params["n"], params["nu"])
     obj = {
         "system": kind.value,
         "n": pm.n,
@@ -150,15 +139,13 @@ def cmd_sigma(params: dict, threads: int | None = None) -> int:
 
 def cmd_constants(params: dict, threads: int | None = None) -> int:
     family = params["family"]
-    if family not in _FAMILY_PARAMS:
-        raise ValueError(f"unknown constant family {family!r}")
     names = _FAMILY_PARAMS[family]
     missing = [f"--{name}" for name in names if params[name] is None]
     if missing:
         raise ValueError(f"family {family} needs {' and '.join(missing)}")
     _refuse_untaken(f"family {family}", params, (*names, "x") if family == "tildeB" else names,
                     ("k", "k1", "k2", "nu", "beta", "x"))
-    kwargs: dict = {name: int(params[name]) if name == "n" else float(params[name]) for name in names}
+    kwargs: dict = {name: params[name] for name in names}
     if family == "tildeB" and params["x"] is not None:
         kwargs["x"] = _parse_vector(params["x"]).tolist()
     const = log_norm_constant(family, **kwargs)
@@ -172,12 +159,8 @@ def cmd_constants(params: dict, threads: int | None = None) -> int:
 
 
 def _write_batch(batch, params: dict, command: str) -> None:
-    manifest = RunManifest(command, params, seed=int(params["seed"]))
-    text = (
-        batch_json_text(batch, manifest)
-        if params["format"] == "json"
-        else batch_csv_text(batch, manifest)
-    )
+    manifest = RunManifest(command, params, seed=params["seed"])
+    text = (batch_json_text if params["format"] == "json" else batch_csv_text)(batch, manifest)
     out = params["out"]
     if out:
         write_text(out, text)
@@ -187,30 +170,24 @@ def _write_batch(batch, params: dict, command: str) -> None:
 
 def cmd_sample(params: dict, threads: int | None = None) -> int:
     spec = _spec_from_params(params)
-    t = float(params["t"])
-    count = int(params["count"])
-    seed = int(params["seed"])
-    method = params["method"]
-    if method == "exact":
-        batch = sample_exact(spec, t, count, seed, threads=threads)
-    elif method == "metropolis":
-        batch = sample_metropolis(spec, t, count, seed)
+    draw = (spec, params["t"], params["count"], params["seed"])
+    if params["method"] == "exact":
+        batch = sample_exact(*draw, threads=threads)
     else:
-        raise ValueError(f"unknown sampling method {method!r}")
+        batch = sample_metropolis(*draw)
     _write_batch(batch, params, "sample")
     return 0
 
 
 def cmd_sde(params: dict, threads: int | None = None) -> int:
     spec = _spec_from_params(params)
-    x0 = _parse_vector(params["x0"], spec.n)
     cfg = SdeConfig(
         spec=spec,
-        x0=StartDistribution.at_point(x0),
-        t=float(params["t"]),
-        seed=int(params["seed"]),
-        steps=None if params["steps"] is None else int(params["steps"]),
-        paths=int(params["paths"]),
+        x0=StartDistribution.at_point(_parse_vector(params["x0"], spec.n)),
+        t=params["t"],
+        seed=params["seed"],
+        steps=params["steps"],
+        paths=params["paths"],
         threads=threads,
     )
     batch = simulate_endpoints(cfg)
@@ -225,19 +202,19 @@ def cmd_verify(params: dict, threads: int | None = None) -> int:
         raise ValueError(f"suite {suite!r} is randomized: pass --seed for a reproducible run")
     reports = run_suite(
         suite,
-        seed=None if seed is None else int(seed),
-        quick=bool(params["quick"]),
+        seed=seed,
+        quick=params["quick"],
         threads=threads,
-        n=None if params["n"] is None else int(params["n"]),
-        strength=None if params["k"] is None else float(params["k"]),
-        t=float(params["t"]),
-        n_max=None if params["n_max"] is None else int(params["n_max"]),
+        n=params["n"],
+        strength=params["k"],
+        t=params["t"],
+        n_max=params["n_max"],
     )
     for report in reports:
         print(report.summary_line())
     out = params["out"]
     if out:
-        manifest = RunManifest("verify", params, seed=None if seed is None else int(seed))
+        manifest = RunManifest("verify", params, seed=seed)
         write_text(out, reports_json_text(reports, manifest))
     return 0 if all(r.passed for r in reports) else 1
 
@@ -253,13 +230,6 @@ REGISTRY = {
 }
 
 _GLOBAL_KEYS = {"command", "replay", "threads"}
-
-
-class _Params(dict):
-    """A command's parameter map; a key it lacks (an edited or older manifest) is bad input."""
-
-    def __missing__(self, key):
-        raise ValueError(f"run parameters lack {key!r}")
 
 
 def _positive_int(text: str) -> int:
@@ -356,19 +326,44 @@ def _params_from_args(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in _GLOBAL_KEYS}
 
 
+def _parse_replay(parser: argparse.ArgumentParser, path) -> argparse.Namespace:
+    """Parse the recorded parameters of FILE's manifest as a command line.
+
+    Values go in as ``--name=value`` (``-0.1,-0.5`` is no flag), True as a bare
+    flag, None and False not at all, and ``zeros``' family as its positional.
+    A parse that does not give back the recorded map is bad input.
+    """
+    manifest = read_manifest(path)
+    if manifest.command not in REGISTRY:
+        raise ValueError(f"manifest command {manifest.command!r} is not replayable")
+    recorded = manifest.parameters
+    argv = [manifest.command]
+    for name, value in recorded.items():
+        flag = "--" + name.replace("_", "-")
+        if (manifest.command, name) == ("zeros", "family"):
+            argv.insert(1, str(value))
+        elif value is True:
+            argv.append(flag)
+        elif value is not None and value is not False:
+            argv.append(f"{flag}={value}")
+    args = parser.parse_args(argv)
+    parsed = _params_from_args(args)
+    differ = sorted(k for k in parsed.keys() | recorded.keys() if k not in parsed or k not in recorded
+                    or parsed[k] != recorded[k])
+    if differ:
+        raise ValueError(f"run parameters {differ} do not parse as recorded")
+    return args
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.replay:
-            manifest = read_manifest(args.replay)
-            if manifest.command not in REGISTRY:
-                raise ValueError(f"manifest command {manifest.command!r} is not replayable")
-            return REGISTRY[manifest.command](_Params(manifest.parameters), args.threads)
-        if not args.command:
+        run = _parse_replay(parser, args.replay) if args.replay else args
+        if not run.command:
             parser.print_help()
             return 2
-        return REGISTRY[args.command](_Params(_params_from_args(args)), args.threads)
+        return REGISTRY[run.command](_params_from_args(run), args.threads)
     except RuntimeError as exc:  # SamplerAbort, BudgetExceeded and numerical failures
         print(f"abort: {exc}", file=sys.stderr)
         return 3

@@ -52,6 +52,13 @@ def _as_kind(kind) -> RootKind:
     return RootKind(str(kind).upper())
 
 
+def _as_count(n) -> int:
+    """A particle count or degree as an int; 2.7, inf and NaN are refused."""
+    if not math.isfinite(n) or n != int(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class RootSystemSpec:
     """Root system kind, particle count, and multiplicity parameters.
@@ -67,9 +74,7 @@ class RootSystemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _as_kind(self.kind))
-        n = int(self.n)
-        if n != self.n:
-            raise ValueError(f"n must be an integer, got {self.n!r}")
+        n = _as_count(self.n)
         object.__setattr__(self, "n", n)
         if n < 1:
             raise ValueError("need at least one particle")

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import RootKind, _as_kind
+from .core import RootKind, _as_count, _as_kind
 from .report import VerificationReport
 from .tridiagonal import tridiagonal_eigenvalues
 
@@ -104,12 +104,12 @@ def _zeros_cached(n: int, alpha: float | None) -> np.ndarray:
 
 def hermite_zeros(n: int) -> np.ndarray:
     """Zeros of the degree-n Hermite polynomial, descending, antisymmetric."""
-    return _zeros_cached(int(n), None).copy()
+    return _zeros_cached(_as_count(n), None).copy()
 
 
 def laguerre_zeros(n: int, alpha: float) -> np.ndarray:
     """Zeros of the degree-n Laguerre polynomial L_n^(alpha), descending, all > 0."""
-    return _zeros_cached(int(n), float(alpha)).copy()
+    return _zeros_cached(_as_count(n), float(alpha)).copy()
 
 
 def laguerre_minus_one_zeros(n: int) -> np.ndarray:
@@ -117,7 +117,7 @@ def laguerre_minus_one_zeros(n: int) -> np.ndarray:
 
     L_n^(-1)(x) = -(x/n) L_{n-1}^(1)(x), so the zero at the origin is exact.
     """
-    n = int(n)
+    n = _as_count(n)
     if n < 1:
         raise ValueError("degree must be >= 1")
     return np.append(laguerre_zeros(n - 1, 1.0), 0.0) if n > 1 else np.zeros(1)
@@ -167,14 +167,14 @@ def _freezing_target_cached(kind: RootKind, n: int, nu: float | None) -> Freezin
 
 def freezing_target(kind, n: int, nu: float | None = None) -> FreezingTarget:
     """Limit configuration for the given root system kind (nu for kind B only)."""
-    kind = _as_kind(kind)
+    kind, n = _as_kind(kind), _as_count(n)
     if kind is not RootKind.B and nu is not None:
         raise ValueError("nu applies to kind B only")
     if kind is RootKind.B and (nu is None or nu < 0):
         raise ValueError("kind B target needs nu >= 0")
     if kind is RootKind.D and n < 2:
         raise ValueError("kind D needs n >= 2")
-    return _freezing_target_cached(kind, int(n), float(nu) if nu is not None else None)
+    return _freezing_target_cached(kind, n, float(nu) if nu is not None else None)
 
 
 def stationarity_residual(target: FreezingTarget) -> float:

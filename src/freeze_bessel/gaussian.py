@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .core import RootKind, RootSystemSpec, _as_kind, in_chamber
+from .core import RootKind, RootSystemSpec, _as_count, _as_kind, in_chamber
 from .equilibria import _b_potential_max, _log_j_sum, freezing_target
 from .report import VerificationReport
 from .special import log_factorial, log_gamma
@@ -116,7 +116,7 @@ def precision_matrix(kind, n: int, nu: float | None = None) -> PrecisionMatrix:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
         raise RuntimeError("precision matrix factorization failed") from exc
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return PrecisionMatrix(kind, n, target.nu, s, chol, log_det)
+    return PrecisionMatrix(kind, target.n, target.nu, s, chol, log_det)
 
 
 def covariance(pm: PrecisionMatrix) -> np.ndarray:
@@ -193,15 +193,13 @@ class FreezingRegime:
 
 
 def determinant_identity(kind, n: int, nu: float | None = None) -> VerificationReport:
-    """det S against its closed form: n! for kind A, n! * 2^n for kind B."""
+    """det S against its closed form: n! for kind A, n! * 2^n for B, n! * 2^(n-1) for D."""
     kind = _as_kind(kind)
     pm = precision_matrix(kind, n, nu)
-    if kind is RootKind.A:
-        log_expected = log_factorial(n)
-    elif kind is RootKind.B:
-        log_expected = log_factorial(n) + n * math.log(2.0)
-    else:
-        raise ValueError("no closed-form determinant is asserted for kind D")
+    n = pm.n
+    log_expected = log_factorial(n)
+    if kind is not RootKind.A:
+        log_expected += (n if kind is RootKind.B else n - 1) * math.log(2.0)
     rel_err = abs(math.expm1(pm.log_det - log_expected))
     return VerificationReport(
         name=f"determinant-identity-{kind.value}",
@@ -231,10 +229,8 @@ def _log_c_b(n: int, k1: float, k2: float) -> float:
 
 
 def _log_c_d(n: int, k: float) -> float:
-    s = log_factorial(n) - (n * (n - 1) * k - 0.5 * n + 1.0) * math.log(2.0)
-    for j in range(1, n + 1):
-        s += log_gamma(1.0 + k) - log_gamma(1.0 + j * k) - log_gamma(0.5 + (j - 1) * k)
-    return s
+    # the D chamber is two copies of the B chamber, and D is B at zero axis multiplicity
+    return _log_c_b(n, 0.0, k) - math.log(2.0)
 
 
 def _log_tilde_a(n: int, k: float) -> float:
@@ -285,18 +281,19 @@ def log_norm_constant(family: str, **params) -> NormalizationConstant:
     missing = [name for name in _FAMILY_PARAMS[family] if name not in params]
     if missing:
         raise ValueError(f"family {family!r} needs parameters {missing}")
+    n = params["n"] = _as_count(params["n"])
     if family == "cA":
-        val = _log_c_a(int(params["n"]), float(params["k"]))
+        val = _log_c_a(n, float(params["k"]))
     elif family == "cB":
-        val = _log_c_b(int(params["n"]), float(params["k1"]), float(params["k2"]))
+        val = _log_c_b(n, float(params["k1"]), float(params["k2"]))
     elif family == "cD":
-        val = _log_c_d(int(params["n"]), float(params["k"]))
+        val = _log_c_d(n, float(params["k"]))
     elif family == "tildeA":
-        val = _log_tilde_a(int(params["n"]), float(params["k"]))
+        val = _log_tilde_a(n, float(params["k"]))
     else:
         x = params.get("x")
         x_norm_sq = float(np.dot(x, x)) if x is not None else 0.0
-        val = _log_tilde_b(int(params["n"]), float(params["nu"]), float(params["beta"]), x_norm_sq)
+        val = _log_tilde_b(n, float(params["nu"]), float(params["beta"]), x_norm_sq)
         params = {**params, "x": None if x is None else list(np.asarray(x, float))}
     return NormalizationConstant(family, dict(params), val)
 
@@ -309,6 +306,7 @@ def proof_constant_limit(family: str, n: int, nu: float | None = None) -> Verifi
     passes when the error at the largest grid point is below 5e-3 and the
     error sequence is non-increasing (up to rounding).
     """
+    n = _as_count(n)
     if family == "tildeA":
         limit = _log_tilde_a_limit(n)
         logs = [_log_tilde_a(n, k) for k in _PROOF_GRID]

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import freeze_bessel
+from freeze_bessel import cli
 
 SRC = Path(freeze_bessel.__file__).resolve().parent
 MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
@@ -50,3 +51,13 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_module_level_import_is_unused():
     unused = [entry for path in sorted(SRC.glob("*.py")) for entry in _unused_imports(path)]
     assert not unused, f"unused module-level imports: {unused}"
+
+
+def test_console_script_is_cli_main():
+    # CI runs from the source tree and never installs the package, so this is
+    # the one check of the entry point that users run
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    module, _, name = scripts["freeze-bessel"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.main

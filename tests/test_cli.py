@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from freeze_bessel.cli import main
-from freeze_bessel.manifest import data_section, read_run_file
+from freeze_bessel.manifest import MANIFEST_PREFIX, data_section, read_manifest, read_run_file
 from freeze_bessel.report import VerificationReport
 
 
@@ -162,6 +166,103 @@ def test_replayed_manifest_missing_a_parameter_exits_2(tmp_path, capsys):
     path.write_text("# manifest: " + json.dumps(manifest) + "\n" + rest)
     assert main(["--replay", str(path)]) == 2
     assert "'count'" in capsys.readouterr().err
+
+
+def _exit_code(argv) -> int:
+    """main's exit code, also where argparse refuses through SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _data(text: str) -> str:
+    """What a replay must reproduce: everything after the manifest."""
+    if text.startswith(MANIFEST_PREFIX):
+        return data_section(text)
+    return text[text.index("\n  },\n"):]  # the end of the leading "manifest" object
+
+
+def _write_edited(text: str, path, changes: dict) -> None:
+    """Write ``text`` to ``path`` with its manifest parameters updated by ``changes``."""
+    if text.startswith(MANIFEST_PREFIX):
+        header, rest = text.split("\n", 1)
+        manifest = json.loads(header[len(MANIFEST_PREFIX):])
+        manifest["parameters"].update(changes)
+        path.write_text(MANIFEST_PREFIX + json.dumps(manifest) + "\n" + rest)
+    else:
+        obj = json.loads(text)
+        obj["manifest"]["parameters"].update(changes)
+        path.write_text(json.dumps(obj, indent=2) + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeros", "laguerre", "--n", "4", "--alpha", "0.5", "--format", "csv"],
+    ["target", "--system", "B", "--n", "3", "--nu", "1.5"],
+    ["sigma", "--system", "d", "--n", "3"],
+    ["constants", "--family", "tildeB", "--n", "2", "--nu", "1", "--beta", "2", "--x", "1,0.5"],
+    ["sample", "--system", "A", "--n", "3", "--k", "2", "--count", "100", "--seed", "4"],
+    ["sample", "--system", "B", "--n", "2", "--k1", "1", "--k2", "2", "--count", "100", "--seed", "5",
+     "--method", "metropolis", "--format", "json"],
+    ["sde", "--system", "A", "--n", "2", "--k", "1", "--x0=-0.1,-0.5", "--steps", "20", "--paths", "100"],
+    ["verify", "--suite", "identities", "--quick", "--n-max", "3"],
+], ids=["zeros", "target", "sigma", "constants", "sample-csv", "sample-json", "sde", "verify"])
+def test_every_command_replays_its_data_section(argv, tmp_path, capsys):
+    path = tmp_path / "out"
+    assert main([*argv, "--out", str(path)]) == 0
+    original = path.read_text()
+    copy = tmp_path / "copy"
+    copy.write_text(original)
+    path.unlink()
+    assert main(["--replay", str(copy)]) == 0
+    assert _data(path.read_text()) == _data(original)
+    assert read_manifest(path).parameters == read_manifest(copy).parameters
+
+
+_SAMPLE = ["sample", "--system", "A", "--n", "2", "--k", "1", "--count", "20", "--seed", "1"]
+_SDE = ["sde", "--system", "A", "--n", "2", "--k", "1", "--x0=-0.1,-0.5", "--steps", "5", "--paths", "20"]
+
+
+@pytest.mark.parametrize("argv, changes, message", [
+    (_SAMPLE, {"n": 2.7}, "argument --n: invalid int value: '2.7'"),
+    (_SAMPLE, {"n": math.inf}, "argument --n: invalid int value: 'inf'"),
+    (["sigma", "--system", "A", "--n", "3"], {"n": 3.9}, "argument --n: invalid int value: '3.9'"),
+    (_SAMPLE, {"t": None}, "run parameters ['t'] do not parse as recorded"),
+    (_SDE, {"paths": 1000.8}, "argument --paths: invalid int value: '1000.8'"),
+    (_SDE, {"seed": 0.9}, "argument --seed: invalid int value: '0.9'"),
+    (["verify", "--suite", "identities", "--quick", "--n-max", "2"], {"quick": "false"},
+     "argument --quick: ignored explicit argument 'false'"),
+    (_SAMPLE, {"extra": 1}, "unrecognized arguments: --extra=1"),
+    (_SAMPLE, {"method": "rwm"}, "argument --method: invalid choice: 'rwm'"),
+    (["zeros", "hermite", "--n", "3"], {"alpha": None}, "run parameters ['alpha'] do not parse as recorded"),
+], ids=["sample-n-2.7", "sample-n-inf", "sigma-n-3.9", "sample-t-null", "sde-paths-1000.8", "sde-seed-0.9",
+        "verify-quick-string", "sample-extra-key", "sample-method-rwm", "zeros-alpha-null"])
+def test_edited_manifest_exits_2_and_leaves_the_output_unchanged(argv, changes, message, tmp_path, capsys):
+    path = tmp_path / "out"
+    assert main([*argv, "--out", str(path)]) == 0
+    original = path.read_text()
+    copy = tmp_path / "edited"
+    _write_edited(original, copy, changes)
+    edited = copy.read_text()
+    capsys.readouterr()
+    assert _exit_code(["--replay", str(copy)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert path.read_text() == original and copy.read_text() == edited
+
+
+def test_refused_replay_exits_2_as_a_process(tmp_path):
+    path = tmp_path / "a.csv"
+    assert main([*_SAMPLE, "--out", str(path)]) == 0
+    copy = tmp_path / "edited.csv"
+    _write_edited(path.read_text(), copy, {"n": 2.7})
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "freeze_bessel.cli", "--replay", str(copy)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "argument --n: invalid int value: '2.7'" in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("threads", ["0", "-4"])

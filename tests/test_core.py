@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -11,11 +13,19 @@ from freeze_bessel import (
     ChamberPoint,
     RootKind,
     RootSystemSpec,
+    determinant_identity,
     freezing_potential,
+    freezing_target,
+    hermite_zeros,
     homogeneity_degree,
     in_chamber,
+    laguerre_minus_one_zeros,
+    laguerre_zeros,
+    log_norm_constant,
     log_weight_batch,
+    precision_matrix,
     project_batch,
+    proof_constant_limit,
 )
 
 
@@ -57,6 +67,37 @@ def test_spec_validation():
     for n in (3, 3.0, np.int64(3), np.int32(3)):
         spec = RootSystemSpec.d(n, 1.0)
         assert spec.n == 3 and type(spec.n) is int
+
+
+def _as_plain(value):
+    if dataclasses.is_dataclass(value):
+        return {f.name: _as_plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+# every library entry that takes a particle count or degree n
+_COUNT_ENTRIES = {
+    "spec": lambda n: RootSystemSpec.b(n, 1.0, 2.0),
+    "hermite_zeros": hermite_zeros,
+    "laguerre_zeros": lambda n: laguerre_zeros(n, 0.5),
+    "laguerre_minus_one_zeros": laguerre_minus_one_zeros,
+    "freezing_target": lambda n: freezing_target("B", n, 1.0),
+    "precision_matrix": lambda n: precision_matrix("D", n),
+    "determinant_identity": lambda n: determinant_identity("A", n),
+    "log_norm_constant": lambda n: log_norm_constant("cB", n=n, k1=1.0, k2=2.0),
+    "proof_constant_limit": lambda n: proof_constant_limit("tildeA", n),
+}
+
+
+@pytest.mark.parametrize("entry", list(_COUNT_ENTRIES))
+def test_particle_count_is_refused_unless_integral(entry):
+    call = _COUNT_ENTRIES[entry]
+    for bad in (2.7, math.inf, math.nan):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            call(bad)
+    # the JSON text tells 3 from 3.0, so every recorded n is the int 3
+    outputs = {json.dumps(_as_plain(call(n)), default=str) for n in (3, 3.0, np.int64(3))}
+    assert len(outputs) == 1
 
 
 def test_spec_dict_roundtrip():

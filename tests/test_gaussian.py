@@ -77,11 +77,12 @@ def test_determinant_identities():
             assert rep.statistics["log_expected"] == pytest.approx(
                 math.log(math.factorial(n) * 2 ** n), rel=1e-13
             )
-
-
-def test_determinant_identity_rejects_d():
-    with pytest.raises(ValueError):
-        determinant_identity("D", 3)
+    for n in range(2, 13):
+        rep = determinant_identity("D", n)
+        assert rep.passed and rep.statistics["rel_err"] < 1e-10
+        assert rep.statistics["log_expected"] == pytest.approx(
+            math.log(math.factorial(n) * 2 ** (n - 1)), rel=1e-13
+        )
 
 
 def test_norm_constant_known_values():

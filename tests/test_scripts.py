@@ -14,7 +14,6 @@ ROOT = Path(__file__).resolve().parent.parent
     "script, args",
     [
         ("freezing_sweep.py", ["--n", "2", "--count", "1000", "--strengths", "100"]),
-        ("d_determinant_scan.py", ["--n-max", "4"]),
     ],
 )
 def test_script_exits_0(script, args):
