@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import RootKind, _as_count, _as_kind
+from .core import RootKind, RootSystemSpec, _as_count, _as_kind, freezing_potential
 from .report import VerificationReport
 from .tridiagonal import tridiagonal_eigenvalues
 
@@ -170,8 +170,8 @@ def freezing_target(kind, n: int, nu: float | None = None) -> FreezingTarget:
     kind, n = _as_kind(kind), _as_count(n)
     if kind is not RootKind.B and nu is not None:
         raise ValueError("nu applies to kind B only")
-    if kind is RootKind.B and (nu is None or nu < 0):
-        raise ValueError("kind B target needs nu >= 0")
+    if kind is RootKind.B and not (nu is not None and math.isfinite(nu) and nu >= 0):
+        raise ValueError(f"kind B target needs a finite nu >= 0, got {nu}")
     if kind is RootKind.D and n < 2:
         raise ValueError("kind D needs n >= 2")
     return _freezing_target_cached(kind, n, float(nu) if nu is not None else None)
@@ -222,18 +222,16 @@ def _b_potential_max(n: int, nu: float) -> float:
 
 
 def a_potential_discrepancy(n: int, t: float) -> float:
-    """LHS - RHS of the A-type potential identity at time parameter t.
+    """W_A(z/sqrt(t)) + n(n-1)/2 - sum_j j log j for the Hermite zeros z.
 
-    The two sides carry different t-dependence and agree at t = 1/2 only;
-    callers that want the verified identity should evaluate there.
+    W_A is ``core.freezing_potential`` of kind A, maximized at sqrt(2) z, so
+    the discrepancy vanishes at t = 1/2 only; callers that want the verified
+    identity should evaluate there.
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    z = hermite_zeros(n)
-    iu, ju = np.triu_indices(n, k=1)
-    lhs = -float(z @ z) / (2.0 * t) + 2.0 * float(np.sum(np.log(z[iu] - z[ju])))
-    rhs = -0.5 * n * (n - 1) * (1.0 - math.log(t)) + _log_j_sum(n)
-    return lhs - rhs
+    w = freezing_potential(RootSystemSpec.a(n, 1.0), hermite_zeros(n) / math.sqrt(t))
+    return w + 0.5 * n * (n - 1) - _log_j_sum(n)
 
 
 def potential_identity_check(kind: str, n: int, nu: float | None = None) -> VerificationReport:
@@ -258,13 +256,7 @@ def potential_identity_check(kind: str, n: int, nu: float | None = None) -> Veri
         if nu is None or nu <= 0:
             raise ValueError("B_full needs nu > 0")
         params["nu"] = nu
-        r = freezing_target(RootKind.B, n, nu).coords
-        iu, ju = np.triu_indices(n, k=1)
-        lhs = (
-            -0.5 * float(r @ r)
-            + nu * float(np.sum(np.log(r**2)))
-            + 2.0 * float(np.sum(np.log(r[iu] ** 2 - r[ju] ** 2)))
-        )
+        lhs = freezing_potential(RootSystemSpec.b(n, nu, 1.0), freezing_target(RootKind.B, n, nu).coords)
         rhs = _b_potential_max(n, nu)
         diff = abs(lhs - rhs)
         stats = {"lhs": lhs, "rhs": rhs, "abs_diff": diff}

@@ -69,9 +69,14 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunManifest":
+        if not isinstance(d, dict) or not isinstance(d.get("command"), str):
+            raise ValueError("a manifest is a JSON object with a string 'command'")
+        parameters = d.get("parameters", {})
+        if not isinstance(parameters, dict):
+            raise ValueError("manifest 'parameters' must be a JSON object")
         return cls(
             command=d["command"],
-            parameters=dict(d.get("parameters", {})),
+            parameters=dict(parameters),
             seed=d.get("seed"),
             version=d.get("version", __version__),
             numpy_version=d.get("numpy_version", ""),
@@ -137,18 +142,16 @@ def data_section(text: str) -> str:
 
 
 def _json_manifest(obj: dict, path) -> RunManifest:
-    if "command" in obj:
-        return RunManifest.from_dict(obj)
-    if "manifest" in obj:
-        return RunManifest.from_dict(obj["manifest"])
-    raise ValueError(f"{path}: unrecognized JSON layout")
+    if "manifest" not in obj:
+        raise ValueError(f"{path}: unrecognized JSON layout")
+    return RunManifest.from_dict(obj["manifest"])
 
 
 def read_manifest(path) -> RunManifest:
     """The manifest of any output file, without parsing its data.
 
-    A CSV file's manifest is its first line; otherwise the file is read as
-    JSON, either a bare manifest or an object with a ``"manifest"`` entry.
+    A CSV file's manifest is its first line; otherwise the file is read as a
+    JSON object with a ``"manifest"`` entry.
     """
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
@@ -164,8 +167,7 @@ def read_run_file(path) -> dict:
     """Parse any output file; returns {"manifest": RunManifest, "kind": ..., ...}.
 
     Kinds: "batch-csv" (adds "points"), "batch-json" (adds "batch" dict and
-    "points"), "reports-json" (adds "reports" list of dicts), "manifest-json"
-    (a bare manifest).
+    "points") and "reports-json" (adds "reports" list of dicts).
     """
     text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
@@ -180,7 +182,7 @@ def read_run_file(path) -> dict:
             }
         if "reports" in obj:
             return {"manifest": manifest, "kind": "reports-json", "reports": obj["reports"]}
-        return {"manifest": manifest, "kind": "manifest-json"}
+        raise ValueError(f"{path}: unrecognized JSON layout")
     manifest = read_manifest(path)
     # every CSV writer puts one header line ("x1,...,xN" or "zero") after the manifest
     rows = [ln for ln in text.splitlines()[2:] if ln.strip()]

@@ -33,6 +33,9 @@ __all__ = [
 _N15, _W15 = np.polynomial.legendre.leggauss(15)
 _N7, _W7 = np.polynomial.legendre.leggauss(7)
 _NODES = np.concatenate([_N15, _N7])
+_ATOL = 1e-12  # absolute error target of an integral; its inner integrals take a tenth
+_MAX_PANELS = 4000  # panels per integral before refinement stops
+_MOMENT_RTOL = 1e-8
 
 
 def _panels(f, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -50,7 +53,7 @@ def _panels(f, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray) -> tuple[np.nda
     return i15, np.abs(i15 - i7)
 
 
-def _adaptive_rows(f, a, b, *, atol: float, rtol: float, max_panels: int) -> np.ndarray:
+def _adaptive_rows(f, a, b, *, atol: float, rtol: float) -> np.ndarray:
     """Globally adaptive integrals over [a_r, b_r], one per row r, batched.
 
     Each row keeps its own heap of panels and its own stop test.  A round
@@ -74,7 +77,7 @@ def _adaptive_rows(f, a, b, *, atol: float, rtol: float, max_panels: int) -> np.
     n_panels = np.ones(a.size, dtype=int)
     while True:
         unfinished = total_errs > np.maximum(atol, rtol * np.abs(totals))
-        active = rows[unfinished & (n_panels < max_panels)]
+        active = rows[unfinished & (n_panels < _MAX_PANELS)]
         if not active.size:
             return totals
         lo, hi, val, err = np.array([heapq.heappop(heaps[r])[1:] for r in active.tolist()]).T
@@ -89,34 +92,18 @@ def _adaptive_rows(f, a, b, *, atol: float, rtol: float, max_panels: int) -> np.
         n_panels[active] += 1
 
 
-def adaptive_gauss(
-    f,
-    a: float,
-    b: float,
-    *,
-    atol: float = 1e-12,
-    rtol: float = 1e-10,
-    max_panels: int = 4000,
-) -> float:
+def adaptive_gauss(f, a: float, b: float, *, rtol: float = 1e-10) -> float:
     """Globally adaptive integral of a vectorized integrand on [a, b].
 
     ``f`` maps a 1-D array of nodes to the integrand values there.
     """
     return float(_adaptive_rows(
-        lambda x, rows: np.asarray(f(x.ravel()), dtype=float).reshape(x.shape),
-        [a], [b], atol=atol, rtol=rtol, max_panels=max_panels,
+        lambda x, rows: np.asarray(f(x.ravel()), dtype=float).reshape(x.shape), [a], [b], atol=_ATOL, rtol=rtol,
     )[0])
 
 
 def ordered_integral_2d(
-    f,
-    outer_lo: float,
-    outer_hi: float,
-    inner_lo,
-    inner_hi: float,
-    *,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
+    f, outer_lo: float, outer_hi: float, inner_lo, inner_hi: float, *, rtol: float = 1e-9
 ) -> float:
     """Integral of f(y1, y2) over {inner_lo(y2) <= y1 <= inner_hi, outer_lo <= y2 <= outer_hi}.
 
@@ -135,12 +122,11 @@ def ordered_integral_2d(
             y2_live = y2[live, None]
             out[live] = _adaptive_rows(
                 lambda x, rows: f(x, y2_live[rows]),
-                lo[live], np.full(live.size, inner_hi),
-                atol=atol * 0.1, rtol=rtol * 0.1, max_panels=4000,
+                lo[live], np.full(live.size, inner_hi), atol=_ATOL * 0.1, rtol=rtol * 0.1,
             )
         return out
 
-    return adaptive_gauss(outer_integrand, outer_lo, outer_hi, atol=atol, rtol=rtol)
+    return adaptive_gauss(outer_integrand, outer_lo, outer_hi, rtol=rtol)
 
 
 def _truncation_radius(spec: RootSystemSpec) -> float:
@@ -199,7 +185,7 @@ def chamber_weight_integral(spec: RootSystemSpec, *, rtol: float = 1e-9) -> floa
     return _chamber_integral(spec, 1.0, _truncation_radius(spec), rtol)
 
 
-def chamber_moment(spec: RootSystemSpec, t: float, g, *, rtol: float = 1e-8) -> float:
+def chamber_moment(spec: RootSystemSpec, t: float, g) -> float:
     """E[g(y)] under the start-0 density at time t, by quadrature (n <= 2).
 
     ``g`` takes y for one particle (a 1-D array of nodes) or (y1, y2) for
@@ -210,4 +196,4 @@ def chamber_moment(spec: RootSystemSpec, t: float, g, *, rtol: float = 1e-8) -> 
     if t <= 0:
         raise ValueError("t must be positive")
     radius = _truncation_radius(spec) * math.sqrt(max(t, 1.0))
-    return _chamber_integral(spec, t, radius, rtol, g) / _chamber_integral(spec, t, radius, rtol)
+    return _chamber_integral(spec, t, radius, _MOMENT_RTOL, g) / _chamber_integral(spec, t, radius, _MOMENT_RTOL)

@@ -108,11 +108,11 @@ class SampleBatch:
         return self.points.shape[0]
 
 
-def _spawned_children(seed: int, count: int, subbatch: int = _SUBBATCH):
+def _spawned_children(seed: int, count: int):
     sizes = []
     remaining = int(count)
     while remaining > 0:
-        size = min(subbatch, remaining)
+        size = min(_SUBBATCH, remaining)
         sizes.append(size)
         remaining -= size
     children = np.random.SeedSequence(int(seed)).spawn(len(sizes))
@@ -245,6 +245,7 @@ def _log_target(spec: RootSystemSpec, t: float, pts: np.ndarray) -> np.ndarray:
     return -0.5 * np.sum(pts**2, axis=-1) / t + log_weight_batch(spec, pts)
 
 
+_PROPOSAL_INFLATION = 1.5
 _MIN_ACCEPTANCE = 1e-3
 _AUTOCORR_LIMIT = 0.05
 _BURN_IN = 1000
@@ -271,19 +272,13 @@ def _run_independence_chain(spec, t, mean, chol, state, state_lp, state_lq, rng,
     return out, state, state_lp, state_lq, accepted
 
 
-def sample_metropolis(
-    spec: RootSystemSpec,
-    t: float,
-    count: int,
-    seed: int,
-    proposal_inflation: float = 1.5,
-) -> SampleBatch:
+def sample_metropolis(spec: RootSystemSpec, t: float, count: int, seed: int) -> SampleBatch:
     """Independence Metropolis sampling of the start-0 law at time t.
 
-    Proposals come from the freezing-limit Gaussian
-    N(sqrt(m*t) * target, inflation * t * Sigma); proposals outside the
-    chamber land on zero target density and are rejected, which is what makes
-    the plain Gaussian proposal density exact.
+    Proposals come from the freezing-limit Gaussian with its covariance
+    inflated by 1.5, N(sqrt(m*t) * target, 1.5 * t * Sigma); proposals
+    outside the chamber land on zero target density and are rejected, which
+    is what makes the plain Gaussian proposal density exact.
 
     The chain burns in 1000 steps, picks a thinning lag from a pilot run so
     the emitted points pass a lag-1 autocorrelation screen (< 0.05), and
@@ -293,12 +288,10 @@ def sample_metropolis(
     """
     if count < 1 or t <= 0:
         raise ValueError("need count >= 1 and t > 0")
-    if proposal_inflation <= 0:
-        raise ValueError("proposal_inflation must be positive")
     regime = _freezing_regime(spec)
     mean = math.sqrt(regime.m * t) * regime.target
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    chol = np.linalg.cholesky(proposal_inflation * t * regime.sigma)
+    chol = np.linalg.cholesky(_PROPOSAL_INFLATION * t * regime.sigma)
 
     state = mean.copy()
     state_lp = float(_log_target(spec, t, state[None, :])[0])
@@ -315,8 +308,8 @@ def sample_metropolis(
 
     def abort(rate):
         return SamplerAbort(
-            f"acceptance rate {rate:.2e} below {_MIN_ACCEPTANCE} at proposal_inflation="
-            f"{proposal_inflation:g}: the limit-Gaussian proposal does not fit this law; "
+            f"acceptance rate {rate:.2e} below {_MIN_ACCEPTANCE} at proposal inflation "
+            f"{_PROPOSAL_INFLATION:g}: the limit-Gaussian proposal does not fit this law; "
             "use sample_exact"
         )
 
@@ -343,8 +336,8 @@ def sample_metropolis(
         if thin >= _MAX_THIN:
             raise SamplerAbort(
                 f"lag-1 autocorrelation {emitted_rho:.3f} of the emitted points is not below "
-                f"{_AUTOCORR_LIMIT} at the thinning cap {_MAX_THIN} (proposal_inflation="
-                f"{proposal_inflation:g}, acceptance rate {accepted / total:.2e}); use sample_exact"
+                f"{_AUTOCORR_LIMIT} at the thinning cap {_MAX_THIN} (proposal inflation "
+                f"{_PROPOSAL_INFLATION:g}, acceptance rate {accepted / total:.2e}); use sample_exact"
             )
         thin = min(_MAX_THIN, thin * 2)
     acc_rate = accepted / total

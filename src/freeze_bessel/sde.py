@@ -130,7 +130,7 @@ class StartDistribution:
 
 
 def _validate_start(spec: RootSystemSpec, x0) -> None:
-    x = np.asarray(x0.coords if isinstance(x0, ChamberPoint) else x0, dtype=float)
+    x = np.asarray(x0, dtype=float)
     if x.shape != (spec.n,):
         raise ValueError(f"start must have {spec.n} coordinates")
     if not np.all(np.isfinite(x)):

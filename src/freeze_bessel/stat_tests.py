@@ -29,6 +29,7 @@ __all__ = [
 
 _MIN_KS_COUNT = 1000
 _ROW_BLOCK = 256  # pooled rows per distance slab of the energy-distance test
+_MAX_POINTS = 1600  # rows kept of each energy-distance sample
 
 
 def _check_count(n: int):
@@ -104,12 +105,11 @@ def energy_distance_test(
     *,
     n_permutations: int = 200,
     seed: int,
-    max_points: int = 1600,
 ) -> tuple[float, float]:
     """Energy-distance permutation test between two multivariate samples.
 
     A 1-d sample is read as one scalar per row.
-    Both samples are subsampled to at most ``max_points`` rows; the
+    Both samples are subsampled to at most 1600 rows; the
     subsampling and the permutations are driven by ``seed``.  Time is
     quadratic in the pooled size.  The symmetric (size, size) distance matrix
     is never held: only its upper block triangle is built, one row block at
@@ -120,8 +120,6 @@ def energy_distance_test(
     """
     if n_permutations < 1:
         raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
-    if max_points < 1:
-        raise ValueError(f"max_points must be >= 1, got {max_points}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x9E3779B9]))
     a = _as_columns(a)
     b = _as_columns(b)
@@ -129,10 +127,10 @@ def energy_distance_test(
         raise ValueError("samples must share their dimension")
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples need at least one row")
-    if a.shape[0] > max_points:
-        a = a[rng.choice(a.shape[0], size=max_points, replace=False)]
-    if b.shape[0] > max_points:
-        b = b[rng.choice(b.shape[0], size=max_points, replace=False)]
+    if a.shape[0] > _MAX_POINTS:
+        a = a[rng.choice(a.shape[0], size=_MAX_POINTS, replace=False)]
+    if b.shape[0] > _MAX_POINTS:
+        b = b[rng.choice(b.shape[0], size=_MAX_POINTS, replace=False)]
     pooled = np.vstack([a, b])
     sq = np.sum(pooled**2, axis=1)
     n = a.shape[0]

@@ -10,7 +10,8 @@ consists of
 * per-coordinate KS tests against the Gaussian marginals.
 
 Each threshold is one module constant (``P_THRESHOLD``, ``COV_REL_TOL``,
-``MEAN_SIGMA_MULT``, ``N_PERMUTATIONS``, ``LLN_TOL``), tuned for 20,000-sample
+``MEAN_SIGMA_MULT``, ``N_PERMUTATIONS``, ``LLN_TOL``, and the calibration rule
+``CALIBRATION_MIN_PASSES`` of ``CALIBRATION_SEEDS``), tuned for 20,000-sample
 runs.  The verdict reads the constant and the report records it; no check
 takes a threshold as an argument.
 """
@@ -76,6 +77,10 @@ COV_REL_TOL = 0.05
 MEAN_SIGMA_MULT = 3.0
 N_PERMUTATIONS = 200
 LLN_TOL = 0.05
+CALIBRATION_SEEDS = 20
+CALIBRATION_MIN_PASSES = 19
+# the multiplicities cov-error-trend sweeps, smallest first
+TREND_STRENGTHS = (50.0, 200.0, 800.0)
 # each report records a fresh copy: reports are mutable dataclasses
 _BATTERY_TOLERANCES = {"p_threshold": P_THRESHOLD, "cov_rel_tol": COV_REL_TOL, "mean_sigma_mult": MEAN_SIGMA_MULT}
 
@@ -185,10 +190,11 @@ def clt_gaussian_check(
     """Centered samples match the limiting Gaussian N(0, t*Sigma).
 
     Without ``start`` the matrix models draw exact start-0 samples (method
-    "exact"); with one (a point or a StartDistribution) SDE paths run from it
-    for ``steps`` steps (method "sde"), exercising the fixed-start
-    statements; ``steps`` without ``start`` is refused.  The report is named
-    ``clt-<theorem>``, suffixed ``-sde`` for SDE endpoints.
+    "exact"); with a start point SDE paths run from it for ``steps`` steps
+    (method "sde"), exercising the fixed-start statements; ``steps`` without
+    ``start`` is refused, and a starting law goes to
+    ``start_distribution_check``.  The report is named ``clt-<theorem>``,
+    suffixed ``-sde`` for SDE endpoints.
     """
     if start is None and steps is not None:
         raise ValueError("steps applies to SDE runs from a start only")
@@ -198,15 +204,14 @@ def clt_gaussian_check(
         batch = sample_exact(regime.spec, t, count, seed, threads=threads)
     else:
         method = "sde"
-        x0 = start if isinstance(start, StartDistribution) else StartDistribution.at_point(start)
-        cfg = SdeConfig(spec=regime.spec, x0=x0, t=t, seed=seed, steps=steps, paths=count, threads=threads)
+        cfg = SdeConfig(spec=regime.spec, x0=StartDistribution.at_point(start), t=t, seed=seed, steps=steps,
+                        paths=count, threads=threads)
         batch = simulate_endpoints(cfg)
     stats, passed = gaussian_battery(regime.center(batch.points, t), t, regime.sigma)
     stats["method"] = method
     parameters = {
         "n": n, "strength": strength, "nu": nu, "t": t, "count": count,
-        "method": method, "start": None if start is None else np.asarray(
-            start.point if isinstance(start, StartDistribution) else start).tolist(),
+        "method": method, "start": None if start is None else np.asarray(start).tolist(),
     }
     if start is not None:
         parameters["steps"] = cfg.resolved_steps
@@ -429,20 +434,18 @@ def calibration_check(
     *,
     nu: float | None = None,
     count: int = DEFAULT_COUNT,
-    n_seeds: int = 20,
-    min_passes: int = 19,
     seed: int = 0,
 ) -> VerificationReport:
     """False-positive control: the battery on true N(0, t*Sigma) draws.
 
     Synthetic batches sqrt(m t)*target + N(0, t*Sigma) are exactly the limit
-    law, so the battery should pass on at least ``min_passes`` of ``n_seeds``
-    independent seeds.
+    law, so the battery should pass on at least ``CALIBRATION_MIN_PASSES`` of
+    ``CALIBRATION_SEEDS`` independent seeds.
     """
     regime = FreezingRegime.from_theorem(theorem, n, strength, nu=nu)
     chol = np.linalg.cholesky(t * regime.sigma)
     outcomes = []
-    for child in np.random.SeedSequence(int(seed)).spawn(n_seeds):
+    for child in np.random.SeedSequence(int(seed)).spawn(CALIBRATION_SEEDS):
         rng = np.random.default_rng(child)
         centered = rng.standard_normal((count, n)) @ chol.T
         _, ok = gaussian_battery(centered, t, regime.sigma)
@@ -451,10 +454,10 @@ def calibration_check(
     return VerificationReport(
         name=f"calibration-{theorem}",
         parameters={"theorem": theorem, "n": n, "strength": strength, "t": t,
-                    "count": count, "n_seeds": n_seeds},
+                    "count": count, "n_seeds": CALIBRATION_SEEDS},
         statistics={"passes": passes, "outcomes": outcomes},
-        tolerances={"min_passes": min_passes},
-        passed=passes >= min_passes,
+        tolerances={"min_passes": CALIBRATION_MIN_PASSES},
+        passed=passes >= CALIBRATION_MIN_PASSES,
         seed=seed,
     )
 
@@ -464,7 +467,6 @@ def covariance_error_trend(
     n: int = 3,
     t: float = 1.0,
     *,
-    strengths: tuple = (50.0, 200.0, 800.0),
     nu: float | None = None,
     count: int = DEFAULT_COUNT,
     seed: int = 0,
@@ -472,13 +474,14 @@ def covariance_error_trend(
 ) -> VerificationReport:
     """Covariance Frobenius error does not grow with the multiplicity.
 
-    Pass iff the error at the largest strength is at most the error at the
-    smallest plus twice the Monte Carlo noise floor of the estimator.
+    The sweep runs over ``TREND_STRENGTHS``.  Pass iff the error at the
+    largest strength is at most the error at the smallest plus twice the
+    Monte Carlo noise floor of the estimator.
     """
     errors = []
-    seeds = _spawn_seeds(seed, len(strengths))
+    seeds = _spawn_seeds(seed, len(TREND_STRENGTHS))
     sigma = None
-    for s, child in zip(strengths, seeds):
+    for s, child in zip(TREND_STRENGTHS, seeds):
         regime = FreezingRegime.from_theorem(theorem, n, s, nu=nu)
         sigma = regime.sigma
         batch = sample_exact(regime.spec, t, count, child, threads=threads)
@@ -489,7 +492,7 @@ def covariance_error_trend(
     passed = errors[-1] <= errors[0] + 2.0 * noise
     return VerificationReport(
         name=f"cov-error-trend-{theorem}",
-        parameters={"theorem": theorem, "n": n, "t": t, "strengths": list(strengths), "count": count},
+        parameters={"theorem": theorem, "n": n, "t": t, "strengths": list(TREND_STRENGTHS), "count": count},
         statistics={"cov_errors": errors, "mc_noise": float(noise)},
         tolerances={"rule": "err(largest) <= err(smallest) + 2*mc_noise"},
         passed=passed,

@@ -1,19 +1,24 @@
-"""The per-layer benchmark tracer still finds every function it wraps.
+"""The benchmark still finds every function it wraps and every keyword it passes.
 
 ``perfbench/tracing.py`` patches each entry of its ``TRACED`` table into the
-module namespaces its callers look it up in.  A rename or deletion in the
-package that drops one of those names would otherwise surface only when the
-traced benchmark run is started.
+module namespaces its callers look it up in, and ``perfbench/workloads.py``
+and ``perfbench/worker.py`` call the package with keyword arguments.  A
+rename or deletion in the package that drops one of those names would
+otherwise surface only when the benchmark run is started.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
+import freeze_bessel
 import freeze_bessel.cli  # noqa: F401  (loads every module the tracer patches)
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -49,3 +54,55 @@ def test_tracer_patches_every_traced_function_and_restores_it():
         tracer.uninstall()
     after = {(ns.__name__, name): ns.__dict__.get(name) for ns in _package_modules() for name in names}
     assert all(after[key] is value for key, value in before.items())
+
+
+def _package_names(tree: ast.Module) -> dict:
+    """Each name the file binds to a package object: ``from freeze_bessel import
+    m``, ``x = import_package()`` (the worker's handle on the package) and
+    ``x = <name>.<attribute>...`` of a name bound so; scopes are not told apart."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "freeze_bessel":
+            for alias in node.names:
+                names[alias.asname or alias.name] = importlib.import_module(f"freeze_bessel.{alias.name}")
+    assigns = [node for node in ast.walk(tree) if isinstance(node, ast.Assign) and len(node.targets) == 1
+               and isinstance(node.targets[0], ast.Name)]
+    for _ in assigns:  # each pass binds at least one more name, or nothing changes
+        for node in assigns:
+            value = node.value
+            if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "import_package":
+                names[node.targets[0].id] = freeze_bessel
+            elif (obj := _resolve(value, names)) is not None:
+                names[node.targets[0].id] = obj
+    return names
+
+
+def _resolve(expr, names):
+    if isinstance(expr, ast.Name):
+        return names.get(expr.id)
+    if isinstance(expr, ast.Attribute):
+        base = _resolve(expr.value, names)
+        return None if base is None else getattr(base, expr.attr, None)
+    return None
+
+
+def test_benchmark_passes_only_keywords_the_package_takes():
+    checked, unknown = set(), []
+    for path in (PERFBENCH / "workloads.py", PERFBENCH / "worker.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = _package_names(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or not node.keywords:
+                continue
+            target = _resolve(node.func, names)
+            if not callable(target) or not getattr(target, "__module__", "").startswith("freeze_bessel"):
+                continue
+            params = inspect.signature(target).parameters
+            if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
+                continue
+            checked.add(target.__qualname__)
+            unknown += [f"{path.name}:{node.lineno} {target.__qualname__}({kw.arg}=...)"
+                        for kw in node.keywords if kw.arg is not None and kw.arg not in params]
+    assert not unknown, unknown
+    # the resolver still reaches the calls of both files
+    assert {"sample_exact", "lln_check", "two_sample_agreement", "SdeConfig", "FreezingRegime.from_theorem"} <= checked

@@ -157,6 +157,16 @@ def test_zero_arguments_are_refused_not_replaced_by_defaults(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["target", "sigma"])
+@pytest.mark.parametrize("nu", ["nan", "inf"])
+def test_non_finite_nu_exits_2(command, nu, capsys, tmp_path):
+    out = tmp_path / "out"
+    assert main([command, "--system", "B", "--n", "2", "--nu", nu, "--out", str(out)]) == 2
+    assert f"finite nu >= 0, got {nu}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_replayed_manifest_missing_a_parameter_exits_2(tmp_path, capsys):
     path = tmp_path / "a.csv"
     assert main(["sample", "--system", "A", "--n", "2", "--k", "1.0", "--count", "5", "--out", str(path)]) == 0
@@ -243,6 +253,27 @@ def test_edited_manifest_exits_2_and_leaves_the_output_unchanged(argv, changes, 
     original = path.read_text()
     copy = tmp_path / "edited"
     _write_edited(original, copy, changes)
+    edited = copy.read_text()
+    capsys.readouterr()
+    assert _exit_code(["--replay", str(copy)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert path.read_text() == original and copy.read_text() == edited
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("command", ["sample"], "a manifest is a JSON object with a string 'command'"),
+    ("parameters", [1, 2], "manifest 'parameters' must be a JSON object"),
+], ids=["command-list", "parameters-list"])
+def test_manifest_of_the_wrong_shape_exits_2(field, value, message, tmp_path, capsys):
+    path = tmp_path / "out"
+    assert main([*_SAMPLE, "--out", str(path)]) == 0
+    original = path.read_text()
+    header, rest = original.split("\n", 1)
+    manifest = json.loads(header[len(MANIFEST_PREFIX):])
+    manifest[field] = value
+    copy = tmp_path / "edited"
+    copy.write_text(MANIFEST_PREFIX + json.dumps(manifest) + "\n" + rest)
     edited = copy.read_text()
     capsys.readouterr()
     assert _exit_code(["--replay", str(copy)]) == 2

@@ -5,8 +5,10 @@ import pytest
 
 from freeze_bessel import equilibria
 from freeze_bessel import (
+    RootSystemSpec,
     TargetSource,
     a_potential_discrepancy,
+    freezing_potential,
     freezing_target,
     hermite_zeros,
     laguerre_minus_one_zeros,
@@ -98,6 +100,9 @@ def test_freezing_target_metadata():
         freezing_target("B", 2)  # nu required for kind B
     with pytest.raises(ValueError):
         freezing_target("B", 2, nu=-0.5)
+    for nu in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite nu"):
+            freezing_target("B", 2, nu)
 
 
 def test_target_norm_identity():
@@ -177,6 +182,10 @@ def test_potential_identity_checks_pass():
             rep = potential_identity_check(kind, n, nu=nu)
             assert rep.passed, (kind, n, rep.statistics)
             assert rep.statistics["abs_diff"] < 1e-9
+    # the D potential peaks at the D target with the B closed form at nu = 0
+    for n in (2, 3, 5, 10, 30):
+        w = freezing_potential(RootSystemSpec.d(n, 1.0), freezing_target("D", n).coords)
+        assert abs(w - equilibria._b_potential_max(n, 0.0)) < 1e-9, n
 
 
 def test_a_potential_discrepancy_vanishes_only_at_half():

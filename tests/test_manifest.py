@@ -111,12 +111,17 @@ def test_reports_json_roundtrip(tmp_path):
 
 
 def test_bare_manifest_file(tmp_path):
+    # no writer emits a bare manifest, or a manifest object without data
     m = _manifest(alpha=1)
     path = tmp_path / "manifest.json"
     write_text(path, m.to_json() + "\n")
-    out = read_run_file(path)
-    assert out["kind"] == "manifest-json"
-    assert out["manifest"].parameters == {"alpha": 1}
+    for read in (read_manifest, read_run_file):
+        with pytest.raises(ValueError, match="unrecognized JSON layout"):
+            read(path)
+    write_text(path, json.dumps({"manifest": m.to_dict()}) + "\n")
+    assert read_manifest(path) == m
+    with pytest.raises(ValueError, match="unrecognized JSON layout"):
+        read_run_file(path)
 
 
 def test_data_section_without_manifest_line_is_identity():
@@ -130,7 +135,6 @@ def test_read_manifest_matches_read_run_file_for_every_layout(tmp_path):
         "batch.csv": batch_csv_text(batch, _manifest(kind="A")),
         "batch.json": batch_json_text(batch, _manifest(kind="A")),
         "reports.json": reports_json_text(reports, RunManifest("verify", {"suite": "identities"}, None)),
-        "manifest.json": _manifest(alpha=1).to_json() + "\n",
     }
     for name, text in files.items():
         write_text(tmp_path / name, text)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as ss
 
+from freeze_bessel import sampling
 from freeze_bessel.core import RootKind, RootSystemSpec, in_chamber
 from freeze_bessel.quadrature import chamber_moment
 from freeze_bessel.sampling import (
@@ -171,29 +172,28 @@ def test_metropolis_is_deterministic_in_the_seed():
 
 
 def test_metropolis_rejects_bad_arguments():
-    spec = RootSystemSpec.a(2, 5.0)
-    with pytest.raises(ValueError):
-        sample_metropolis(spec, 1.0, 100, seed=0, proposal_inflation=0.0)
     with pytest.raises(ValueError):
         sample_metropolis(RootSystemSpec.a(2, 0.0), 1.0, 100, seed=0)
 
 
-def test_metropolis_aborts_when_the_proposal_is_far_too_wide():
+def test_metropolis_aborts_when_the_proposal_is_far_too_wide(monkeypatch):
     # at inflation 200 almost every proposal leaves the chamber: the chain
     # aborts, and the message names the inflation and the exact sampler
+    monkeypatch.setattr(sampling, "_PROPOSAL_INFLATION", 200.0)
     with pytest.raises(SamplerAbort) as info:
-        sample_metropolis(RootSystemSpec.a(3, 200.0), 1.0, 1000, 0, proposal_inflation=200.0)
+        sample_metropolis(RootSystemSpec.a(3, 200.0), 1.0, 1000, 0)
     message = str(info.value)
-    assert "proposal_inflation=200" in message
+    assert "proposal inflation 200" in message
     assert "sample_exact" in message
     assert "variant" not in message
 
 
-def test_metropolis_aborts_when_thinning_cannot_meet_the_autocorrelation_screen():
+def test_metropolis_aborts_when_thinning_cannot_meet_the_autocorrelation_screen(monkeypatch):
     # at inflation 20 the acceptance rate is 0.034, and even the largest
     # thinning lag leaves a lag-1 autocorrelation of 0.10 in the emitted points
+    monkeypatch.setattr(sampling, "_PROPOSAL_INFLATION", 20.0)
     with pytest.raises(SamplerAbort) as info:
-        sample_metropolis(RootSystemSpec.a(3, 200.0), 1.0, 2000, 0, proposal_inflation=20.0)
+        sample_metropolis(RootSystemSpec.a(3, 200.0), 1.0, 2000, 0)
     message = str(info.value)
     assert "lag-1 autocorrelation" in message
     assert "thinning cap 64" in message

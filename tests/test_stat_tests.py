@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as ss
 
+from freeze_bessel import stat_tests
 from freeze_bessel.stat_tests import (
     chi_square_cdf,
     energy_distance_test,
@@ -155,7 +156,7 @@ def _dense_energy_distance_test(a, b, *, n_permutations=200, seed, max_points=16
     return observed, (1.0 + hits) / (1.0 + n_permutations), total / size**2
 
 
-def test_energy_distance_memory_and_pinned_value():
+def test_energy_distance_memory_and_pinned_value(monkeypatch):
     # 1600 + 1600 subsampled rows: the distances are streamed in slabs of at
     # most (256, 3200), so no (3200, 3200) matrix (78 MiB) is ever alive
     rng = np.random.default_rng(2024)
@@ -175,9 +176,10 @@ def test_energy_distance_memory_and_pinned_value():
     assert abs(stat - dense_stat) <= 1e-12 * mean_dist
     # 3000 + 3000 rows: a dense build needs two 275 MiB matrices; the
     # streamed one stays within a bound that does not grow with max_points²
+    monkeypatch.setattr(stat_tests, "_MAX_POINTS", 3000)
     tracemalloc.start()
     try:
-        energy_distance_test(a, b, seed=7, max_points=3000)
+        energy_distance_test(a, b, seed=7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -197,12 +199,14 @@ def test_energy_distance_memory_and_pinned_value():
         (333, 333, 1, 200, 1600, 0.2),
     ],
 )
-def test_energy_distance_matches_dense_reference(rows_a, rows_b, dim, n_permutations, max_points, shift):
+def test_energy_distance_matches_dense_reference(rows_a, rows_b, dim, n_permutations, max_points, shift,
+                                                monkeypatch):
+    monkeypatch.setattr(stat_tests, "_MAX_POINTS", max_points)
     rng = np.random.default_rng(rows_a * 7919 + rows_b)
     a = rng.standard_normal((rows_a, dim))
     b = rng.standard_normal((rows_b, dim)) * 1.05 + shift
     for seed in (3, 41):
-        stat, p = energy_distance_test(a, b, n_permutations=n_permutations, seed=seed, max_points=max_points)
+        stat, p = energy_distance_test(a, b, n_permutations=n_permutations, seed=seed)
         ref_stat, ref_p, mean_dist = _dense_energy_distance_test(
             a, b, n_permutations=n_permutations, seed=seed, max_points=max_points
         )
@@ -231,8 +235,6 @@ def test_energy_distance_rejects_void_inputs():
     b = rng.standard_normal((40, 2))
     with pytest.raises(ValueError, match="n_permutations"):
         energy_distance_test(a, b, seed=0, n_permutations=0)
-    with pytest.raises(ValueError, match="max_points"):
-        energy_distance_test(a, b, seed=0, max_points=0)
     for empty_a, empty_b in ((a[:0], b), (a, b[:0])):
         with pytest.raises(ValueError, match="row"):
             energy_distance_test(empty_a, empty_b, seed=0)

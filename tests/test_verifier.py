@@ -11,6 +11,8 @@ from freeze_bessel.gaussian import covariance, precision_matrix
 from freeze_bessel.sde import StartDistribution
 from freeze_bessel import verify
 from freeze_bessel.verify import (
+    CALIBRATION_MIN_PASSES,
+    CALIBRATION_SEEDS,
     SUITE_TABLE,
     SUITES,
     FreezingRegime,
@@ -161,9 +163,11 @@ def test_two_sample_agreement_null_and_shift():
 
 
 def test_calibration_controls_false_positives():
-    report = calibration_check("A", 2, 200.0, 1.0, count=5000, n_seeds=10, min_passes=9, seed=1)
+    report = calibration_check("A", 2, 200.0, 1.0, count=5000, seed=1)
     assert report.passed
-    assert report.statistics["passes"] >= 9
+    assert report.parameters["n_seeds"] == CALIBRATION_SEEDS == 20
+    assert report.tolerances == {"min_passes": CALIBRATION_MIN_PASSES} == {"min_passes": 19}
+    assert report.statistics["passes"] >= CALIBRATION_MIN_PASSES
 
 
 def test_identity_reports_all_pass_without_seed():
