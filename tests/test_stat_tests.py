@@ -175,7 +175,7 @@ def test_energy_distance_memory_and_pinned_value(monkeypatch):
     assert (dense_stat, dense_p) == (float.fromhex("0x1.0893215934000p-7"), p)
     assert abs(stat - dense_stat) <= 1e-12 * mean_dist
     # 3000 + 3000 rows: a dense build needs two 275 MiB matrices; the
-    # streamed one stays within a bound that does not grow with max_points²
+    # streamed one stays within a bound that does not grow with the cap²
     monkeypatch.setattr(stat_tests, "_MAX_POINTS", 3000)
     tracemalloc.start()
     try:
