@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -249,6 +250,15 @@ def project_batch(kind, pts: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (i, j), i < j, of the n(n-1)/2 particle pairs (read-only)."""
+    iu, ju = np.triu_indices(n, k=1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
+
+
 def log_weight_batch(spec: RootSystemSpec, pts: np.ndarray) -> np.ndarray:
     """log of the weight function, vectorized over leading axes.
 
@@ -262,9 +272,9 @@ def log_weight_batch(spec: RootSystemSpec, pts: np.ndarray) -> np.ndarray:
     ok = np.asarray(ok)
     out = np.zeros(x.shape[:-1])
     kpair, kaxis = spec.pair_axis
-    iu, ju = np.triu_indices(spec.n, k=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         if kpair > 0 and spec.n > 1:
+            iu, ju = _pair_indices(spec.n)
             if spec.kind is RootKind.A:
                 pairs = x[..., iu] - x[..., ju]
             else:
@@ -279,11 +289,11 @@ def log_weight_batch(spec: RootSystemSpec, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def freezing_potential(spec: RootSystemSpec, y, *, nu: float | None = None) -> float:
+def freezing_potential(spec: RootSystemSpec, y) -> float:
     """Log-scale potential of the frozen particle configuration.
 
     W(y) = log w(y) - |y|^2/2 with the weight at unit pair multiplicity and,
-    for kind B, axis multiplicity ``nu`` (default ``k1/k2`` of the spec):
+    for kind B, axis multiplicity nu = k1/k2 of the spec:
     W_A(y) = 2 sum_{i<j} log(y_i - y_j) - |y|^2/2,
     W_B(y) = 2 sum_{i<j} log(y_i^2 - y_j^2) + 2 nu sum_i log y_i - |y|^2/2,
     and W_D is W_B without the axis term.  For kinds B and D the chamber
@@ -291,13 +301,13 @@ def freezing_potential(spec: RootSystemSpec, y, *, nu: float | None = None) -> f
     maximizer at sqrt(2) times the target vector.
     """
     x = _coords(y)
-    if spec.kind is RootKind.B:
-        if nu is None:
-            if spec.k2 == 0:
-                raise ValueError("nu undefined: k2 == 0 and no explicit nu given")
-            nu = spec.k1 / spec.k2
-        unit = RootSystemSpec.b(spec.n, nu, 1.0)
-    else:
-        unit = RootSystemSpec(spec.kind, spec.n, 1.0)
+    unit = spec
+    if spec.pair_axis[0] != 1.0:
+        if spec.kind is not RootKind.B:
+            unit = RootSystemSpec(spec.kind, spec.n, 1.0)
+        elif spec.k2 == 0:
+            raise ValueError("nu = k1/k2 undefined: k2 == 0")
+        else:
+            unit = RootSystemSpec.b(spec.n, spec.k1 / spec.k2, 1.0)
     w = float(log_weight_batch(unit, x)) - 0.5 * float(x @ x)
     return w if not math.isnan(w) else -math.inf

@@ -167,7 +167,9 @@ def read_run_file(path) -> dict:
     """Parse any output file; returns {"manifest": RunManifest, "kind": ..., ...}.
 
     Kinds: "batch-csv" (adds "points"), "batch-json" (adds "batch" dict and
-    "points") and "reports-json" (adds "reports" list of dicts).
+    "points"), "reports-json" (adds "reports" list of dicts) and
+    "manifest-json", the ``--out`` JSON of zeros, target, sigma and constants
+    (adds "data", the object's entries besides the manifest).
     """
     text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
@@ -182,7 +184,8 @@ def read_run_file(path) -> dict:
             }
         if "reports" in obj:
             return {"manifest": manifest, "kind": "reports-json", "reports": obj["reports"]}
-        raise ValueError(f"{path}: unrecognized JSON layout")
+        data = {key: value for key, value in obj.items() if key != "manifest"}
+        return {"manifest": manifest, "kind": "manifest-json", "data": data}
     manifest = read_manifest(path)
     # every CSV writer puts one header line ("x1,...,xN" or "zero") after the manifest
     rows = [ln for ln in text.splitlines()[2:] if ln.strip()]

@@ -86,6 +86,28 @@ def test_constants_command(capsys):
     assert json.loads(capsys.readouterr().out)["params"]["x"] == [1.0, 0.5]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["target", "--system", "B", "--n", "2", "--nu", "1"],
+        ["sigma", "--system", "A", "--n", "2"],
+        ["constants", "--family", "cA", "--n", "2", "--k", "1.0"],
+        ["zeros", "laguerre", "--n", "2", "--alpha", "1.0", "--format", "json"],
+    ],
+)
+def test_read_run_file_reads_each_command_json_output(argv, tmp_path, capsys):
+    assert main(argv) == 0
+    printed = json.loads(capsys.readouterr().out)
+    path = tmp_path / "out.json"
+    assert main([*argv, "--out", str(path)]) == 0
+    out = read_run_file(path)
+    assert out["kind"] == "manifest-json"
+    assert out["manifest"] == read_manifest(path)
+    assert out["manifest"].command == argv[0]
+    # the file holds what the command prints, beside its manifest (zeros prints the bare list)
+    assert out["data"] == ({"zeros": printed} if argv[0] == "zeros" else printed)
+
+
 def test_sample_csv_rerun_and_replay(tmp_path):
     path1 = tmp_path / "a.csv"
     path2 = tmp_path / "b.csv"

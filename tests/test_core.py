@@ -263,9 +263,9 @@ def test_freezing_potential_known_values():
     assert freezing_potential(RootSystemSpec.d(2, 1.0), np.array([2.0, 0.0])) == pytest.approx(
         2 * math.log(4.0) - 2.0, rel=1e-14
     )
-    assert freezing_potential(
-        RootSystemSpec.b(1, 1.0, 1.0), np.array([math.sqrt(2.0)]), nu=1.0
-    ) == pytest.approx(math.log(2.0) - 1.0, rel=1e-14)
+    assert freezing_potential(RootSystemSpec.b(1, 1.0, 1.0), np.array([math.sqrt(2.0)])) == pytest.approx(
+        math.log(2.0) - 1.0, rel=1e-14
+    )
 
 
 def test_freezing_potential_maximized_at_target():
@@ -274,16 +274,16 @@ def test_freezing_potential_maximized_at_target():
     # under this normalization the kind-A maximizer sits at sqrt(2) times the
     # Hermite-zero vector; kinds B and D peak at the target itself
     cases = [
-        (RootSystemSpec.a(3, 1.0), math.sqrt(2.0) * freezing_target("A", 3).coords, {}),
-        (RootSystemSpec.b(2, 2.0, 2.0), freezing_target("B", 2, nu=1.0).coords, {"nu": 1.0}),
-        (RootSystemSpec.d(2, 1.0), freezing_target("D", 2).coords, {}),
+        (RootSystemSpec.a(3, 1.0), math.sqrt(2.0) * freezing_target("A", 3).coords),
+        (RootSystemSpec.b(2, 1.0, 1.0), freezing_target("B", 2, nu=1.0).coords),
+        (RootSystemSpec.d(2, 1.0), freezing_target("D", 2).coords),
     ]
     rng = np.random.default_rng(0)
-    for spec, argmax, kw in cases:
-        v0 = freezing_potential(spec, argmax, **kw)
+    for spec, argmax in cases:
+        v0 = freezing_potential(spec, argmax)
         for _ in range(25):
             y = project_batch(spec.kind, argmax + 0.3 * rng.standard_normal(spec.n))
-            assert freezing_potential(spec, y, **kw) <= v0 + 1e-12
+            assert freezing_potential(spec, y) <= v0 + 1e-12
 
 
 def test_a_potential_concave_on_segments():
@@ -301,7 +301,9 @@ def test_a_potential_concave_on_segments():
 def test_freezing_potential_nu_defaults_to_multiplicity_ratio():
     spec = RootSystemSpec.b(2, 3.0, 2.0)
     y = np.array([2.5, 1.0])
-    assert freezing_potential(spec, y) == pytest.approx(freezing_potential(spec, y, nu=1.5))
+    assert freezing_potential(spec, y) == freezing_potential(RootSystemSpec.b(2, 1.5, 1.0), y)
+    # only the pair multiplicity is normalized away
+    assert freezing_potential(RootSystemSpec.a(2, 3.0), y) == freezing_potential(RootSystemSpec.a(2, 1.0), y)
     with pytest.raises(ValueError):
         freezing_potential(RootSystemSpec.b(2, 1.0, 0.0), y)
     assert freezing_potential(spec, np.array([1.0, 1.0])) == -math.inf

@@ -111,17 +111,19 @@ def test_reports_json_roundtrip(tmp_path):
 
 
 def test_bare_manifest_file(tmp_path):
-    # no writer emits a bare manifest, or a manifest object without data
+    # a manifest is read only as the "manifest" entry of a JSON object, never bare
     m = _manifest(alpha=1)
     path = tmp_path / "manifest.json"
     write_text(path, m.to_json() + "\n")
     for read in (read_manifest, read_run_file):
         with pytest.raises(ValueError, match="unrecognized JSON layout"):
             read(path)
-    write_text(path, json.dumps({"manifest": m.to_dict()}) + "\n")
+    write_text(path, json.dumps({"manifest": m.to_dict(), "zeros": [0.5]}) + "\n")
     assert read_manifest(path) == m
-    with pytest.raises(ValueError, match="unrecognized JSON layout"):
-        read_run_file(path)
+    out = read_run_file(path)
+    assert out["kind"] == "manifest-json"
+    assert out["manifest"] == m
+    assert out["data"] == {"zeros": [0.5]}
 
 
 def test_data_section_without_manifest_line_is_identity():
