@@ -71,12 +71,15 @@ def _spec_from_params(params: dict) -> RootSystemSpec:
     return (RootSystemSpec.a if system == "A" else RootSystemSpec.d)(params["n"], params["k"])
 
 
-def _emit_json(obj: dict, out: str | None, manifest: RunManifest) -> None:
+def _emit_text(text: str, out: str | None) -> None:
     if out:
-        payload = {"manifest": manifest.to_dict(), **obj}
-        write_text(out, json.dumps(payload, indent=2) + "\n")
+        write_text(out, text)
     else:
-        print(json.dumps(obj, indent=2))
+        sys.stdout.write(text)
+
+
+def _emit_json(obj: dict, out: str | None, manifest: RunManifest) -> None:
+    _emit_text(json.dumps({"manifest": manifest.to_dict(), **obj} if out else obj, indent=2) + "\n", out)
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +99,10 @@ def cmd_zeros(params: dict, threads: int | None = None) -> int:
         zeros = laguerre_minus_one_zeros(n)
     manifest = RunManifest("zeros", params, seed=None)
     out = params["out"]
-    if params["format"] == "csv" and out:
+    if params["format"] == "csv":
         lines = [MANIFEST_PREFIX + manifest.to_json(), "zero"]
         lines.extend(repr(float(z)) for z in zeros)
-        write_text(out, "\n".join(lines) + "\n")
+        _emit_text("\n".join(lines) + "\n", out)
     elif out:
         _emit_json({"zeros": list(map(float, zeros))}, out, manifest)
     else:
@@ -160,12 +163,7 @@ def cmd_constants(params: dict, threads: int | None = None) -> int:
 
 def _write_batch(batch, params: dict, command: str) -> None:
     manifest = RunManifest(command, params, seed=params["seed"])
-    text = (batch_json_text if params["format"] == "json" else batch_csv_text)(batch, manifest)
-    out = params["out"]
-    if out:
-        write_text(out, text)
-    else:
-        sys.stdout.write(text)
+    _emit_text((batch_json_text if params["format"] == "json" else batch_csv_text)(batch, manifest), params["out"])
 
 
 def cmd_sample(params: dict, threads: int | None = None) -> int:

@@ -15,9 +15,9 @@ Raw vectors enter through :func:`project_batch` (wrap a single result in
 chamber and on walls where the weight vanishes, which is exactly what the
 Metropolis sampler needs for its accept/reject step.
 
-Kind D is the B system with zero axis multiplicity: the weight, drift,
-sampler and quadrature formulas read (pair, axis) from
-:attr:`RootSystemSpec.pair_axis` and branch only on the shape of kind A.
+Kind D is the B system with zero axis multiplicity (:attr:`RootSystemSpec.pair_axis`).
+The weight, its degree, the precision matrix S and the stationarity residual
+are each one sum over the positive roots of ``_positive_roots``.
 """
 
 from __future__ import annotations
@@ -147,13 +147,51 @@ class RootSystemSpec:
         return cls(data["kind"], data["n"], mult)
 
 
-def homogeneity_degree(spec: RootSystemSpec) -> float:
-    """Degree gamma of the weight function: w(c*y) = c^(2*gamma) * w(y)."""
-    n = spec.n
+@lru_cache(maxsize=None)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (i, j), i < j, of the n(n-1)/2 particle pairs (read-only)."""
+    iu, ju = np.triu_indices(n, k=1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
+
+
+@lru_cache(maxsize=None)
+def _unit_spec(kind: RootKind, n: int, nu: float | None) -> RootSystemSpec:
+    """The spec at unit pair multiplicity; kind B takes axis multiplicity nu."""
+    return RootSystemSpec(kind, n, (nu, 1.0) if kind is RootKind.B else 1.0)
+
+
+def _positive_roots(spec: RootSystemSpec) -> list[tuple[np.ndarray, np.ndarray, float, float]]:
+    """The positive roots of nonzero multiplicity k as groups (i, j, s, k): <alpha, x> = x[i] + s * x[j].
+
+    e_i - e_j (i < j, s = -1) and, for kinds B and D, e_i + e_j (s = 1) carry the
+    pair multiplicity; the kind-B axis roots e_i (j = i, s = 0) carry the axis one.
+    """
     kpair, kaxis = spec.pair_axis
-    if spec.kind is RootKind.A:
-        return kpair * n * (n - 1) / 2.0
-    return kpair * n * (n - 1) + kaxis * n
+    groups = []
+    if kpair > 0 and spec.n > 1:
+        iu, ju = _pair_indices(spec.n)
+        groups.append((iu, ju, -1.0, kpair))
+        if spec.kind is not RootKind.A:
+            groups.append((iu, ju, 1.0, kpair))
+    if kaxis > 0:
+        axis = np.arange(spec.n)
+        groups.append((axis, axis, 0.0, kaxis))
+    return groups
+
+
+def _root_values(x: np.ndarray, i: np.ndarray, j: np.ndarray, s: float) -> np.ndarray:
+    """<alpha, x> over the last axis of x for one group, summed in place (s is 1, -1 or 0)."""
+    out = x[..., i]
+    if s != 0:
+        (np.add if s > 0 else np.subtract)(out, x[..., j], out=out)
+    return out
+
+
+def homogeneity_degree(spec: RootSystemSpec) -> float:
+    """Degree gamma = sum of k_alpha of the weight function: w(c*y) = c^(2*gamma) * w(y)."""
+    return float(sum(k * i.size for i, _, _, k in _positive_roots(spec)))
 
 
 def _coords(y) -> np.ndarray:
@@ -250,17 +288,8 @@ def project_batch(kind, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (i, j), i < j, of the n(n-1)/2 particle pairs (read-only)."""
-    iu, ju = np.triu_indices(n, k=1)
-    iu.setflags(write=False)
-    ju.setflags(write=False)
-    return iu, ju
-
-
 def log_weight_batch(spec: RootSystemSpec, pts: np.ndarray) -> np.ndarray:
-    """log of the weight function, vectorized over leading axes.
+    """log w(x) = sum over the positive roots of 2 k_alpha log<alpha, x>, vectorized over leading axes.
 
     Returns ``-inf`` off the chamber, and on walls where the weight vanishes
     (zero multiplicities contribute nothing even on their wall).
@@ -268,22 +297,12 @@ def log_weight_batch(spec: RootSystemSpec, pts: np.ndarray) -> np.ndarray:
     x = np.asarray(pts, dtype=float)
     if x.shape[-1] != spec.n:
         raise ValueError(f"expected {spec.n} coordinates, got {x.shape[-1]}")
-    ok = in_chamber(spec.kind, x)
-    ok = np.asarray(ok)
+    ok = np.asarray(in_chamber(spec.kind, x))
     out = np.zeros(x.shape[:-1])
-    kpair, kaxis = spec.pair_axis
     with np.errstate(divide="ignore", invalid="ignore"):
-        if kpair > 0 and spec.n > 1:
-            iu, ju = _pair_indices(spec.n)
-            if spec.kind is RootKind.A:
-                pairs = x[..., iu] - x[..., ju]
-            else:
-                pairs = x[..., iu] ** 2 - x[..., ju] ** 2
-            out = 2.0 * kpair * np.sum(np.log(pairs), axis=-1)
-        if kaxis > 0:
-            out = out + 2.0 * kaxis * np.sum(np.log(x), axis=-1)
-    out = np.where(ok, out, -np.inf)
-    out = np.where(np.isnan(out), -np.inf, out)
+        for i, j, s, k in _positive_roots(spec):
+            out = out + 2.0 * k * np.sum(np.log(_root_values(x, i, j, s)), axis=-1)
+    out = np.where(ok & ~np.isnan(out), out, -np.inf)
     if out.ndim == 0:
         return out[()]
     return out
@@ -301,13 +320,9 @@ def freezing_potential(spec: RootSystemSpec, y) -> float:
     maximizer at sqrt(2) times the target vector.
     """
     x = _coords(y)
-    unit = spec
-    if spec.pair_axis[0] != 1.0:
-        if spec.kind is not RootKind.B:
-            unit = RootSystemSpec(spec.kind, spec.n, 1.0)
-        elif spec.k2 == 0:
-            raise ValueError("nu = k1/k2 undefined: k2 == 0")
-        else:
-            unit = RootSystemSpec.b(spec.n, spec.k1 / spec.k2, 1.0)
+    kpair, kaxis = spec.pair_axis
+    if spec.kind is RootKind.B and kpair == 0:
+        raise ValueError("nu = k1/k2 undefined: k2 == 0")
+    unit = _unit_spec(spec.kind, spec.n, kaxis / kpair if spec.kind is RootKind.B else None)
     w = float(log_weight_batch(unit, x)) - 0.5 * float(x @ x)
     return w if not math.isnan(w) else -math.inf

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import RootKind, RootSystemSpec, _as_count, _as_kind, freezing_potential
+from .core import RootKind, _as_count, _as_kind, _positive_roots, _root_values, _unit_spec, freezing_potential
 from .report import VerificationReport
 from .tridiagonal import tridiagonal_eigenvalues
 
@@ -178,19 +178,20 @@ def freezing_target(kind, n: int, nu: float | None = None) -> FreezingTarget:
 
 
 def stationarity_residual(target: FreezingTarget) -> float:
-    """Max absolute residual of the equilibrium equations at the target."""
-    if target.kind is RootKind.A:
-        y = math.sqrt(2.0) * target.coords
-        diff = y[:, None] - y[None, :]
-        np.fill_diagonal(diff, np.inf)
-        res = 0.5 * y - np.sum(1.0 / diff, axis=1)
-        return float(np.max(np.abs(res)))
+    """Max absolute residual of the equilibrium equations at the target.
 
+    For kind A, and B with nu > 0, that is max |y/2 - sum_alpha k_alpha
+    alpha / <alpha, y>| at the maximizer y of the freezing potential
+    (sqrt(2) z for kind A, z for B), the roots at unit pair multiplicity and
+    axis multiplicity nu.
+    """
     r = target.coords
-    if target.kind is RootKind.B and (target.nu or 0.0) > 0:
-        sq = r[:, None] ** 2 - r[None, :] ** 2
-        np.fill_diagonal(sq, np.inf)
-        res = 0.5 * r - np.sum(2.0 * r[:, None] / sq, axis=1) - target.nu / r
+    if target.kind is RootKind.A or (target.nu or 0.0) > 0:
+        y = math.sqrt(2.0) * r if target.kind is RootKind.A else r
+        res = 0.5 * y
+        for i, j, s, k in _positive_roots(_unit_spec(target.kind, target.n, target.nu)):
+            w = k / _root_values(y, i, j, s)
+            res -= np.bincount(i, w, target.n) + s * np.bincount(j, w, target.n)
         return float(np.max(np.abs(res)))
 
     # kind D (and B with nu = 0): last coordinate vanishes, the others solve
@@ -230,7 +231,7 @@ def a_potential_discrepancy(n: int, t: float) -> float:
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    w = freezing_potential(RootSystemSpec.a(n, 1.0), hermite_zeros(n) / math.sqrt(t))
+    w = freezing_potential(_unit_spec(RootKind.A, n, None), hermite_zeros(n) / math.sqrt(t))
     return w + 0.5 * n * (n - 1) - _log_j_sum(n)
 
 
@@ -256,7 +257,7 @@ def potential_identity_check(kind: str, n: int, nu: float | None = None) -> Veri
         if nu is None or nu <= 0:
             raise ValueError("B_full needs nu > 0")
         params["nu"] = nu
-        lhs = freezing_potential(RootSystemSpec.b(n, nu, 1.0), freezing_target(RootKind.B, n, nu).coords)
+        lhs = freezing_potential(_unit_spec(RootKind.B, n, nu), freezing_target(RootKind.B, n, nu).coords)
         rhs = _b_potential_max(n, nu)
         diff = abs(lhs - rhs)
         stats = {"lhs": lhs, "rhs": rhs, "abs_diff": diff}

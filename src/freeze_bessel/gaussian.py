@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .core import RootKind, RootSystemSpec, _as_count, _as_kind, in_chamber
+from .core import RootKind, RootSystemSpec, _as_count, _as_kind, _positive_roots, _root_values, _unit_spec, in_chamber
 from .equilibria import _b_potential_max, _log_j_sum, freezing_target
 from .report import VerificationReport
 from .special import log_factorial, log_gamma
@@ -78,39 +78,26 @@ class NormalizationConstant:
 
 
 def precision_matrix(kind, n: int, nu: float | None = None) -> PrecisionMatrix:
-    """Precision matrix S of the Gaussian freezing limit.
+    """Precision matrix S of the Gaussian freezing limit at the target z.
 
-    * kind A: built from the Hermite zeros z; S_ii = 1 + sum 1/(z_i-z_l)^2,
-      S_ij = -1/(z_i-z_j)^2.
-    * kind B: built from the target r (needs nu > 0); diagonal picks up the
-      axis term 2*nu/r_i^2.
-    * kind D: same pairwise structure as B without the axis term; the last
-      row/column decouples because the last target coordinate is 0.
+    S = I + c * sum_alpha k_alpha alpha alpha^T / <alpha, z>^2 over the
+    positive roots at unit pair multiplicity (kind B: axis multiplicity nu,
+    which must be > 0), with c = 2k/m of the regime: 1 for kind A, 2 for B
+    and D.  For kind D the last row and column decouple, since z_n = 0.
     """
     kind = _as_kind(kind)
     target = freezing_target(kind, n, nu)
     if kind is RootKind.B and (nu is None or nu <= 0):
         raise ValueError("kind B precision matrix needs nu > 0")
-    z = target.coords
-    if kind is RootKind.A:
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        inv2 = 1.0 / diff**2
-        s = -inv2
-        np.fill_diagonal(s, 1.0 + np.sum(inv2, axis=1))
-    else:
-        dm = z[:, None] - z[None, :]
-        dp = z[:, None] + z[None, :]
-        np.fill_diagonal(dm, np.inf)
-        np.fill_diagonal(dp, np.inf)
-        inv_m = 1.0 / dm**2
-        inv_p = 1.0 / dp**2
-        s = 2.0 * inv_p - 2.0 * inv_m
-        diag = 1.0 + 2.0 * np.sum(inv_m + inv_p, axis=1)
-        if kind is RootKind.B:
-            diag = diag + 2.0 * nu / z**2
-        np.fill_diagonal(s, diag)
-    s = 0.5 * (s + s.T)  # symmetrize away rounding
+    n, z = target.n, target.coords
+    c = 1.0 if kind is RootKind.A else 2.0
+    s = np.eye(n)
+    for i, j, sign, k in _positive_roots(_unit_spec(kind, n, nu)):
+        w = c * k / _root_values(z, i, j, sign) ** 2
+        s[np.diag_indices(n)] += np.bincount(i, w, n) + sign**2 * np.bincount(j, w, n)
+        s[i, j] += sign * w
+        s[j, i] += sign * w
+        del w  # freed before the next group and the factorization, which sets the peak memory
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction

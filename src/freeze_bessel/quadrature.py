@@ -92,7 +92,7 @@ def _adaptive_rows(f, a, b, *, atol: float, rtol: float) -> np.ndarray:
         n_panels[active] += 1
 
 
-def adaptive_gauss(f, a: float, b: float, *, rtol: float = 1e-10) -> float:
+def adaptive_gauss(f, a: float, b: float, *, rtol: float) -> float:
     """Globally adaptive integral of a vectorized integrand on [a, b].
 
     ``f`` maps a 1-D array of nodes to the integrand values there.
@@ -102,9 +102,7 @@ def adaptive_gauss(f, a: float, b: float, *, rtol: float = 1e-10) -> float:
     )[0])
 
 
-def ordered_integral_2d(
-    f, outer_lo: float, outer_hi: float, inner_lo, inner_hi: float, *, rtol: float = 1e-9
-) -> float:
+def ordered_integral_2d(f, outer_lo: float, outer_hi: float, inner_lo, inner_hi: float, *, rtol: float) -> float:
     """Integral of f(y1, y2) over {inner_lo(y2) <= y1 <= inner_hi, outer_lo <= y2 <= outer_hi}.
 
     ``f`` must broadcast over ``y1`` of shape (rows, nodes) and ``y2`` of

@@ -8,6 +8,9 @@ line.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +64,16 @@ def test_console_script_is_cli_main():
     scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
     module, _, name = scripts["freeze-bessel"].partition(":")
     assert getattr(importlib.import_module(module), name) is cli.main
+
+
+def test_cli_import_loads_no_heavy_scipy_subpackage():
+    # each of these adds 15-38 MB of resident memory to every command, and
+    # the package needs only scipy.linalg and scipy.special at import time
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    code = "import sys, freeze_bessel.cli; print(' '.join(sorted(sys.modules)))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout.split()
+    heavy = [m for m in loaded if ".".join(m.split(".")[:2]) in ("scipy.integrate", "scipy.stats", "scipy.optimize")]
+    assert not heavy, heavy

@@ -28,6 +28,19 @@ def test_zeros_laguerre_csv(tmp_path):
     assert float(lines[2]) == pytest.approx(3.0)  # single zero of L_1^(2) at 1 + alpha
 
 
+def test_zeros_csv_stdout_matches_the_file(tmp_path, capsys):
+    argv = ["zeros", "hermite", "--n", "3", "--format", "csv"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    lines = printed.splitlines()
+    assert lines[0].startswith(MANIFEST_PREFIX)
+    assert lines[1] == "zero"
+    assert [float(v) for v in lines[2:]] == pytest.approx([math.sqrt(1.5), 0.0, -math.sqrt(1.5)], abs=1e-15)
+    path = tmp_path / "zeros.csv"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert data_section(path.read_text()) == data_section(printed)
+
+
 def test_zeros_shifted_laguerre_family(capsys):
     assert main(["zeros", "laguerre-1", "--n", "3"]) == 0
     out = sorted(json.loads(capsys.readouterr().out))

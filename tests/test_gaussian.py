@@ -52,6 +52,16 @@ def test_precision_matrix_d():
         assert np.allclose(s.matrix[:-1, -1], 0.0, atol=1e-13)
 
 
+@pytest.mark.parametrize("kind, nu", [("A", None), ("B", 0.5), ("B", 1.0), ("B", 3.0), ("D", None)])
+def test_precision_matrix_spectrum_closed_form(kind, nu):
+    # spec S_A = {1..n}, spec S_B = {2, 4, .., 2n} at every nu, spec S_D = {2, 4, .., 2n-2} and n
+    for n in range(2 if kind == "D" else 1, 41):
+        evens = 2.0 * np.arange(1, n + 1)
+        want = {"A": evens / 2.0, "B": evens, "D": np.sort(np.append(evens[:-1], n))}[kind]
+        got = np.linalg.eigvalsh(precision_matrix(kind, n, nu).matrix)
+        assert np.max(np.abs(got - want) / want) < 1e-12, (kind, nu, n)
+
+
 def test_precision_matrix_cholesky_consistent():
     for args in (("A", 5, None), ("B", 4, 0.5), ("D", 4, None)):
         pm = precision_matrix(*args)
