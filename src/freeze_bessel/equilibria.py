@@ -148,7 +148,7 @@ _POTENTIAL_TOL = 1e-9
 
 
 @lru_cache(maxsize=None)
-def _freezing_target_cached(kind: RootKind, n: int, nu: float | None) -> FreezingTarget:
+def _gated_target_cached(kind: RootKind, n: int, nu: float | None) -> tuple[FreezingTarget, float]:
     if kind is RootKind.A:
         target = FreezingTarget(kind, n, None, hermite_zeros(n), TargetSource.HERMITE)
     elif kind is RootKind.B and nu != 0:
@@ -162,11 +162,11 @@ def _freezing_target_cached(kind: RootKind, n: int, nu: float | None) -> Freezin
         raise RuntimeError(
             f"stationarity residual {res:.3e} exceeds {_RESIDUAL_TOL} for {kind.value}, n={n}, nu={nu}"
         )
-    return target
+    return target, res
 
 
-def freezing_target(kind, n: int, nu: float | None = None) -> FreezingTarget:
-    """Limit configuration for the given root system kind (nu for kind B only)."""
+def _gated_target(kind, n: int, nu: float | None = None) -> tuple[FreezingTarget, float]:
+    """``freezing_target(kind, n, nu)`` and the stationarity residual its gate measured."""
     kind, n = _as_kind(kind), _as_count(n)
     if kind is not RootKind.B and nu is not None:
         raise ValueError("nu applies to kind B only")
@@ -174,7 +174,12 @@ def freezing_target(kind, n: int, nu: float | None = None) -> FreezingTarget:
         raise ValueError(f"kind B target needs a finite nu >= 0, got {nu}")
     if kind is RootKind.D and n < 2:
         raise ValueError("kind D needs n >= 2")
-    return _freezing_target_cached(kind, n, float(nu) if nu is not None else None)
+    return _gated_target_cached(kind, n, float(nu) if nu is not None else None)
+
+
+def freezing_target(kind, n: int, nu: float | None = None) -> FreezingTarget:
+    """Limit configuration for the given root system kind (nu for kind B only)."""
+    return _gated_target(kind, n, nu)[0]
 
 
 def stationarity_residual(target: FreezingTarget) -> float:

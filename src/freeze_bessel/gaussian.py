@@ -55,13 +55,11 @@ class PrecisionMatrix:
 
     @property
     def det(self) -> float:
-        return math.exp(self.log_det)
-
-    def __post_init__(self):
-        for name in ("matrix", "chol"):
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        """det S, or inf past the float range (kind A from n = 171, where det S = n!)."""
+        try:
+            return math.exp(self.log_det)
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -103,6 +101,8 @@ def precision_matrix(kind, n: int, nu: float | None = None) -> PrecisionMatrix:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
         raise RuntimeError("precision matrix factorization failed") from exc
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    for arr in (s, chol):  # built fresh here, so frozen in place rather than copied
+        arr.setflags(write=False)
     return PrecisionMatrix(kind, target.n, target.nu, s, chol, log_det)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -93,27 +94,45 @@ class RunManifest:
 # writers
 
 
+def _rows_text(points: np.ndarray, sep: str, row_sep: str) -> str:
+    """The repr of every entry of ``points``, ``sep`` between the entries of a
+    row and ``row_sep`` between rows.
+
+    One ``%r`` format over the flat list of entries builds no Python object per
+    row, and ``%r`` of a float is its repr.
+    """
+    rows, n = points.shape
+    return row_sep.join([sep.join(["%r"] * n)] * rows) % tuple(points.ravel().tolist())
+
+
 def batch_csv_text(batch: SampleBatch, manifest: RunManifest) -> str:
     header = ",".join(f"x{i + 1}" for i in range(batch.points.shape[1]))
     lines = [MANIFEST_PREFIX + manifest.to_json(), header]
-    lines.extend(",".join(map(repr, row)) for row in batch.points.tolist())
+    if batch.count:
+        lines.append(_rows_text(batch.points, ",", "\n"))
     return "\n".join(lines) + "\n"
 
 
-def _batch_dict(batch: SampleBatch) -> dict:
-    return {
+def batch_json_text(batch: SampleBatch, manifest: RunManifest) -> str:
+    """The batch as ``json.dumps(..., indent=2)`` writes it, points last.
+
+    json.dumps renders the head; the points block is written by ``_rows_text``
+    in the same layout, since json writes a finite float as its repr and a
+    SampleBatch holds finite points only.
+    """
+    fields = {
         "spec": batch.spec.to_dict(),
         "t": batch.t,
         "method": batch.method.value,
         "seed": batch.seed,
         "diagnostics": batch.diagnostics.to_dict(),
-        "points": batch.points.tolist(),
+        "points": [],
     }
-
-
-def batch_json_text(batch: SampleBatch, manifest: RunManifest) -> str:
-    payload = {"manifest": manifest.to_dict(), "batch": _batch_dict(batch)}
-    return json.dumps(payload, indent=2) + "\n"
+    text = json.dumps({"manifest": manifest.to_dict(), "batch": fields}, indent=2)
+    if batch.count:
+        rows = _rows_text(batch.points, ",\n        ", "\n      ],\n      [\n        ")
+        text = text.removesuffix("[]\n  }\n}") + "[\n      [\n        " + rows + "\n      ]\n    ]\n  }\n}"
+    return text + "\n"
 
 
 def reports_json_text(reports: list[VerificationReport], manifest: RunManifest) -> str:
@@ -141,17 +160,41 @@ def data_section(text: str) -> str:
 # readers
 
 
-def _json_manifest(obj: dict, path) -> RunManifest:
-    if "manifest" not in obj:
-        raise ValueError(f"{path}: unrecognized JSON layout")
-    return RunManifest.from_dict(obj["manifest"])
+_DECODER = json.JSONDecoder()
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _manifest_member(text: str, path) -> RunManifest:
+    """The ``"manifest"`` member of the JSON object ``text``.
+
+    The members are decoded one at a time up to that one, so the data after
+    it is neither parsed nor checked.
+    """
+    def skip(i: int) -> int:
+        return _JSON_SPACE.match(text, i).end()
+
+    i = skip(skip(0) + 1)  # past the opening brace
+    while text.startswith('"', i):
+        key, i = _DECODER.raw_decode(text, i)
+        i = skip(i)
+        if not text.startswith(":", i):
+            break
+        value, i = _DECODER.raw_decode(text, skip(i + 1))
+        if key == "manifest":
+            return RunManifest.from_dict(value)
+        i = skip(i)
+        if not text.startswith(",", i):
+            break
+        i = skip(i + 1)
+    raise ValueError(f"{path}: unrecognized JSON layout")
 
 
 def read_manifest(path) -> RunManifest:
     """The manifest of any output file, without parsing its data.
 
     A CSV file's manifest is its first line; otherwise the file is read as a
-    JSON object with a ``"manifest"`` entry.
+    JSON object with a ``"manifest"`` member, of which only the members up to
+    that one are decoded.
     """
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
@@ -160,7 +203,7 @@ def read_manifest(path) -> RunManifest:
     text = Path(path).read_text(encoding="utf-8")
     if not text.lstrip().startswith("{"):
         raise ValueError(f"{path}: missing '{MANIFEST_PREFIX.strip()}' header line")
-    return _json_manifest(json.loads(text), path)
+    return _manifest_member(text, path)
 
 
 def read_run_file(path) -> dict:
@@ -173,8 +216,8 @@ def read_run_file(path) -> dict:
     """
     text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
+        manifest = _manifest_member(text, path)
         obj = json.loads(text)
-        manifest = _json_manifest(obj, path)
         if "batch" in obj:
             return {
                 "manifest": manifest,

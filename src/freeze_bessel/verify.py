@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import RootKind, RootSystemSpec
-from .equilibria import _POTENTIAL_TOL, _RESIDUAL_TOL, freezing_target, potential_identity_check, stationarity_residual
+from .equilibria import _POTENTIAL_TOL, _RESIDUAL_TOL, _gated_target, potential_identity_check
 from .gaussian import (
     FreezingRegime,
     _DETERMINANT_TOL,
@@ -560,7 +560,7 @@ def identity_reports(
         ),
         _worst_of_grid(
             "stationarity-residuals", {"n_max": n_max_residual},
-            (stationarity_residual(freezing_target(kind, i, nu))
+            (_gated_target(kind, i, nu)[1]
              for i in range(1, n_max_residual + 1) for kind, nu in targets if kind is not RootKind.D or i >= 2),
             "residual", _RESIDUAL_TOL,
         ),

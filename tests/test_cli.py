@@ -87,6 +87,12 @@ def test_sigma_command_values(capsys):
     assert np.allclose(obj["S"], [[2.0, 0.0], [0.0, 2.0]])
     assert np.allclose(obj["Sigma"], [[0.5, 0.0], [0.0, 0.5]])
 
+    # det S_A = n! passes the float range at n = 171, its log does not
+    assert main(["sigma", "--system", "A", "--n", "171"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["det_S"] == math.inf
+    assert obj["log_det_S"] == pytest.approx(math.lgamma(172), rel=1e-12)
+
 
 def test_constants_command(capsys):
     assert main(["constants", "--family", "cA", "--n", "1", "--k", "1.0"]) == 0

@@ -18,6 +18,7 @@ def test_precision_matrix_a_two_and_three():
     s2 = precision_matrix("A", 2)
     assert np.allclose(s2.matrix, [[1.5, -0.5], [-0.5, 1.5]], atol=1e-14)
     assert s2.det == pytest.approx(2.0, rel=1e-13)
+    assert not s2.matrix.flags.writeable and not s2.chol.flags.writeable
 
     s3 = precision_matrix("A", 3)
     want = np.array([

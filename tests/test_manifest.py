@@ -17,6 +17,7 @@ from freeze_bessel.manifest import (
     reports_json_text,
     write_text,
 )
+from freeze_bessel.sampling import SampleBatch, SampleMethod
 
 
 def _manifest(**params):
@@ -124,6 +125,64 @@ def test_bare_manifest_file(tmp_path):
     assert out["kind"] == "manifest-json"
     assert out["manifest"] == m
     assert out["data"] == {"zeros": [0.5]}
+
+
+# descending, so that every window of them lies in the closed A chamber
+_EDGE_FLOATS = np.array([np.finfo(float).max, 1e16, 1.0 / 3.0, 1e-5, 5e-324, -0.0, -1e-5, -1e16])
+
+
+def _writer_batches():
+    for n in (1, 2, 3, 10):
+        for spec in (fb.RootSystemSpec.a(n, 1.5), fb.RootSystemSpec.b(n, 1.0, 2.0), fb.RootSystemSpec.d(max(n, 2), 1.5)):
+            yield fb.sample_exact(spec, 1.0, 1, seed=n)
+            yield fb.sample_exact(spec, 1.0, 7, seed=n)
+        if n < len(_EDGE_FLOATS):
+            windows = np.lib.stride_tricks.sliding_window_view(_EDGE_FLOATS, n)
+            yield SampleBatch(fb.RootSystemSpec.a(n, 1.0), 1.0, SampleMethod.TRIDIAG_A, 0, windows)
+    yield SampleBatch(fb.RootSystemSpec.a(2, 1.0), 1.0, SampleMethod.TRIDIAG_A, 0, np.empty((0, 2)))
+
+
+def test_batch_writers_match_the_formulas_they_replace():
+    m = _manifest(kind="A")
+    for batch in _writer_batches():
+        fields = {
+            "spec": batch.spec.to_dict(),
+            "t": batch.t,
+            "method": batch.method.value,
+            "seed": batch.seed,
+            "diagnostics": batch.diagnostics.to_dict(),
+            "points": batch.points.tolist(),
+        }
+        want_json = json.dumps({"manifest": m.to_dict(), "batch": fields}, indent=2) + "\n"
+        assert batch_json_text(batch, m) == want_json, batch.points.shape
+        header = ",".join(f"x{i + 1}" for i in range(batch.spec.n))
+        rows = [",".join(map(repr, row)) for row in batch.points.tolist()]
+        want_csv = "\n".join([MANIFEST_PREFIX + m.to_json(), header, *rows]) + "\n"
+        assert batch_csv_text(batch, m) == want_csv, batch.points.shape
+
+
+def test_read_manifest_decodes_the_manifest_member_of_any_json_object(tmp_path):
+    m = _manifest(kind="B")
+    batch = fb.sample_exact(fb.RootSystemSpec.b(2, 1.0, 2.0), 1.0, 40, seed=6)
+    path = tmp_path / "out.json"
+    for text in (
+        json.dumps({"manifest": m.to_dict(), "zeros": [0.5]}, separators=(",", ":")),
+        json.dumps({"zeros": [0.5], "note": {"manifest": 1}, "manifest": m.to_dict()}),
+        json.dumps({"reports": [{"name": "x"}], "manifest": m.to_dict(), "all_passed": True}, indent=1),
+        "\n { \"a\" :\t[1, {\"b\": \"}\"}] ,\r\n \"manifest\" : " + m.to_json() + " }\n",
+    ):
+        write_text(path, text)
+        assert read_manifest(path) == m, text
+    for text in ("{}", '{"zeros": [0.5]}', '{"zeros" [0.5], "manifest": {}}', '{"zeros": [0.5] "manifest": {}}'):
+        write_text(path, text)
+        with pytest.raises(ValueError, match="unrecognized JSON layout"):
+            read_manifest(path)
+    # a batch cut off inside its points still names its run; its data does not parse
+    text = batch_json_text(batch, m)
+    write_text(path, text[: text.index('"points"') + 200])
+    assert read_manifest(path) == m
+    with pytest.raises(ValueError):
+        read_run_file(path)
 
 
 def test_data_section_without_manifest_line_is_identity():
