@@ -110,7 +110,8 @@ def batch_csv_text(batch: SampleBatch, manifest: RunManifest) -> str:
     lines = [MANIFEST_PREFIX + manifest.to_json(), header]
     if batch.count:
         lines.append(_rows_text(batch.points, ",", "\n"))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, joined in rather than added to a copy
+    return "\n".join(lines)
 
 
 def batch_json_text(batch: SampleBatch, manifest: RunManifest) -> str:
@@ -128,11 +129,11 @@ def batch_json_text(batch: SampleBatch, manifest: RunManifest) -> str:
         "diagnostics": batch.diagnostics.to_dict(),
         "points": [],
     }
-    text = json.dumps({"manifest": manifest.to_dict(), "batch": fields}, indent=2)
-    if batch.count:
-        rows = _rows_text(batch.points, ",\n        ", "\n      ],\n      [\n        ")
-        text = text.removesuffix("[]\n  }\n}") + "[\n      [\n        " + rows + "\n      ]\n    ]\n  }\n}"
-    return text + "\n"
+    head = json.dumps({"manifest": manifest.to_dict(), "batch": fields}, indent=2)
+    if not batch.count:
+        return head + "\n"
+    rows = _rows_text(batch.points, ",\n        ", "\n      ],\n      [\n        ")
+    return "".join((head.removesuffix("[]\n  }\n}"), "[\n      [\n        ", rows, "\n      ]\n    ]\n  }\n}\n"))
 
 
 def reports_json_text(reports: list[VerificationReport], manifest: RunManifest) -> str:
