@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -152,11 +151,7 @@ def cmd_constants(params: dict, threads: int | None = None) -> int:
     if family == "tildeB" and params["x"] is not None:
         kwargs["x"] = _parse_vector(params["x"]).tolist()
     const = log_norm_constant(family, **kwargs)
-    try:
-        value = math.exp(const.log_value)
-    except OverflowError:
-        value = math.inf
-    obj = {"family": family, "params": kwargs, "log_value": const.log_value, "value": value}
+    obj = {"family": family, "params": kwargs, "log_value": const.log_value, "value": const.value}
     _emit_json(obj, params["out"], RunManifest("constants", params, seed=None))
     return 0
 

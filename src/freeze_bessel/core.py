@@ -17,7 +17,7 @@ Metropolis sampler needs for its accept/reject step.
 
 Kind D is the B system with zero axis multiplicity (:attr:`RootSystemSpec.pair_axis`).
 The weight, its degree, the precision matrix S and the stationarity residual
-are each one sum over the positive roots of ``_positive_roots``.
+are each one sum over the positive roots of ``_positive_roots``, for every kind.
 """
 
 from __future__ import annotations
@@ -58,6 +58,13 @@ def _as_count(n) -> int:
     if not math.isfinite(n) or n != int(n):
         raise ValueError(f"n must be an integer, got {n!r}")
     return int(n)
+
+
+def _as_time(t) -> float:
+    """A time as a float; zero, negative and non-finite times are refused."""
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be finite and > 0, got {t}")
+    return float(t)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import RootKind, _as_count, _as_kind, _positive_roots, _root_values, _unit_spec, freezing_potential
+from .core import RootKind, _as_count, _as_kind, _as_time, _positive_roots, _root_values, _unit_spec, freezing_potential
 from .report import VerificationReport
 from .tridiagonal import tridiagonal_eigenvalues
 
@@ -87,8 +87,8 @@ def _zeros_cached(n: int, alpha: float | None) -> np.ndarray:
         family = "Hermite"
         diag, off = np.zeros(n), np.sqrt(j / 2.0)
     else:
-        if alpha <= -1.0:
-            raise ValueError("Laguerre parameter must be > -1")
+        if not (math.isfinite(alpha) and alpha > -1.0):
+            raise ValueError("Laguerre parameter must be finite and > -1")
         family = f"Laguerre(alpha={alpha})"
         diag, off = 2.0 * np.arange(n) + alpha + 1.0, np.sqrt(j * (j + alpha))
     z = tridiagonal_eigenvalues(diag[None, :], off[None, :])[0]
@@ -185,26 +185,18 @@ def freezing_target(kind, n: int, nu: float | None = None) -> FreezingTarget:
 def stationarity_residual(target: FreezingTarget) -> float:
     """Max absolute residual of the equilibrium equations at the target.
 
-    For kind A, and B with nu > 0, that is max |y/2 - sum_alpha k_alpha
-    alpha / <alpha, y>| at the maximizer y of the freezing potential
-    (sqrt(2) z for kind A, z for B), the roots at unit pair multiplicity and
-    axis multiplicity nu.
+    That is max |y/2 - sum_alpha k_alpha alpha / <alpha, y>|, minus half the
+    gradient of the freezing potential, at its maximizer y (sqrt(2) z for
+    kind A, z for kinds B and D), the roots at unit pair multiplicity and, for
+    kind B, axis multiplicity nu.  At the zero last coordinate of the D (and
+    B, nu = 0) target the terms of e_i - e_n and e_i + e_n cancel exactly.
     """
-    r = target.coords
-    if target.kind is RootKind.A or (target.nu or 0.0) > 0:
-        y = math.sqrt(2.0) * r if target.kind is RootKind.A else r
-        res = 0.5 * y
-        for i, j, s, k in _positive_roots(_unit_spec(target.kind, target.n, target.nu)):
-            w = k / _root_values(y, i, j, s)
-            res -= np.bincount(i, w, target.n) + s * np.bincount(j, w, target.n)
-        return float(np.max(np.abs(res)))
-
-    # kind D (and B with nu = 0): last coordinate vanishes, the others solve
-    # 4 * sum_{j != i} 1/(r_i^2 - r_j^2) = 1
-    sq = r[:, None] ** 2 - r[None, :] ** 2
-    np.fill_diagonal(sq, np.inf)
-    res = 4.0 * np.sum(1.0 / sq[:-1], axis=1) - 1.0
-    return float(max(np.max(np.abs(res), initial=0.0), abs(r[-1])))
+    y = math.sqrt(2.0) * target.coords if target.kind is RootKind.A else target.coords
+    res = 0.5 * y
+    for i, j, s, k in _positive_roots(_unit_spec(target.kind, target.n, target.nu)):
+        w = k / _root_values(y, i, j, s)
+        res -= np.bincount(i, w, target.n) + s * np.bincount(j, w, target.n)
+    return float(np.max(np.abs(res)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +226,7 @@ def a_potential_discrepancy(n: int, t: float) -> float:
     the discrepancy vanishes at t = 1/2 only; callers that want the verified
     identity should evaluate there.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _as_time(t)
     w = freezing_potential(_unit_spec(RootKind.A, n, None), hermite_zeros(n) / math.sqrt(t))
     return w + 0.5 * n * (n - 1) - _log_j_sum(n)
 

@@ -42,6 +42,14 @@ _PROOF_TOL = 5e-3
 _PROOF_GRID = (10.0, 100.0, 1000.0, 2000.0)
 
 
+def _exp_or_inf(log_value: float) -> float:
+    """exp(log_value), or inf past the float range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class PrecisionMatrix:
     """Limit precision matrix S together with its Cholesky factor."""
@@ -56,10 +64,7 @@ class PrecisionMatrix:
     @property
     def det(self) -> float:
         """det S, or inf past the float range (kind A from n = 171, where det S = n!)."""
-        try:
-            return math.exp(self.log_det)
-        except OverflowError:
-            return math.inf
+        return _exp_or_inf(self.log_det)
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,7 @@ class NormalizationConstant:
 
     @property
     def value(self) -> float:
-        return math.exp(self.log_value)
+        return _exp_or_inf(self.log_value)
 
 
 def precision_matrix(kind, n: int, nu: float | None = None) -> PrecisionMatrix:

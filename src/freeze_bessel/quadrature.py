@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .core import RootKind, RootSystemSpec, homogeneity_degree
+from .core import RootKind, RootSystemSpec, _as_time, homogeneity_degree
 
 __all__ = [
     "adaptive_gauss",
@@ -191,7 +191,6 @@ def chamber_moment(spec: RootSystemSpec, t: float, g) -> float:
     (rows, 1) as in ``ordered_integral_2d``.
     Used to calibrate the exact samplers' scaling conventions.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _as_time(t)
     radius = _truncation_radius(spec) * math.sqrt(max(t, 1.0))
     return _chamber_integral(spec, t, radius, _MOMENT_RTOL, g) / _chamber_integral(spec, t, radius, _MOMENT_RTOL)

@@ -32,6 +32,7 @@ import numpy as np
 from .core import (
     RootKind,
     RootSystemSpec,
+    _as_time,
     in_chamber,
     log_weight_batch,
 )
@@ -198,9 +199,9 @@ def sample_exact(
     sign of the last coordinate with probability 1/2 (the D law is the
     symmetrization of the B law in that coordinate).
     """
-    if t <= 0 or count < 1:
-        raise ValueError("need t > 0, count >= 1")
-    t = float(t)
+    t = _as_time(t)
+    if count < 1:
+        raise ValueError("count must be >= 1")
     pts = _map_subbatches(
         lambda child, size, threads: _exact_rows(spec, t, child, size, threads), seed, count, threads
     )
@@ -286,8 +287,9 @@ def sample_metropolis(spec: RootSystemSpec, t: float, count: int, seed: int) -> 
     acceptance rate degenerates (< 1e-3), or if the emitted points still fail
     the screen at the largest lag (64).
     """
-    if count < 1 or t <= 0:
-        raise ValueError("need count >= 1 and t > 0")
+    t = _as_time(t)
+    if count < 1:
+        raise ValueError("count must be >= 1")
     regime = _freezing_regime(spec)
     mean = math.sqrt(regime.m * t) * regime.target
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))

@@ -27,6 +27,7 @@ from .core import (
     ChamberPoint,
     RootKind,
     RootSystemSpec,
+    _as_time,
     _chamber_order,
     _project_particle_major,
     in_chamber,
@@ -220,8 +221,7 @@ class SdeConfig:
     threads: int | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.t) and self.t > 0):
-            raise ValueError(f"t must be finite and > 0, got {self.t}")
+        _as_time(self.t)
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
         if self.steps is not None and self.steps < 1:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import RootKind, RootSystemSpec
+from .core import RootKind, RootSystemSpec, _as_time
 from .equilibria import _POTENTIAL_TOL, _RESIDUAL_TOL, _gated_target, potential_identity_check
 from .gaussian import (
     FreezingRegime,
@@ -718,8 +718,7 @@ def run_suite(
         if refused:
             raise ValueError(f"{row.check.__name__} in suite {row.suite!r} takes no {', '.join(refused)} override")
     randomized = any(row.streams for row, _ in plan)
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
+    _as_time(t)
     if t != 1.0 and not randomized:
         raise ValueError(f"suite {suite!r} draws no samples and takes no t override")
     if seed is None and randomized:

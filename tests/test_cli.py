@@ -103,6 +103,11 @@ def test_constants_command(capsys):
     # --x is the one flag a family takes beyond its parameters, and only tildeB takes it
     assert main(["constants", "--family", "tildeB", "--n", "2", "--nu", "1", "--beta", "2", "--x", "1,0.5"]) == 0
     assert json.loads(capsys.readouterr().out)["params"]["x"] == [1.0, 0.5]
+    # a constant past the float range prints as Infinity, its log does not
+    assert main(["constants", "--family", "cA", "--n", "300", "--k", "0.001"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["value"] == math.inf
+    assert obj["log_value"] == pytest.approx(1158.38, rel=1e-5)
 
 
 @pytest.mark.parametrize(
@@ -196,6 +201,25 @@ def test_flags_a_command_does_not_take_exit_2(argv, message, capsys, tmp_path):
 def test_zero_arguments_are_refused_not_replaced_by_defaults(argv, capsys):
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["exact", "metropolis"])
+@pytest.mark.parametrize("t", ["inf", "nan"])
+def test_sample_time_must_be_finite_exits_2(method, t, capsys, tmp_path):
+    # refused before any row is drawn or any chain starts
+    out = tmp_path / "out.csv"
+    argv = ["sample", "--system", "A", "--n", "2", "--k", "1", "--method", method, "--t", t, "--out", str(out)]
+    assert main(argv) == 2
+    assert "t must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_zeros_laguerre_alpha_must_be_finite_exits_2(alpha, capsys):
+    assert main(["zeros", "laguerre", "--n", "3", "--alpha", alpha]) == 2
+    assert "Laguerre parameter must be finite and > -1" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -372,8 +396,8 @@ def test_sde_budget_exhaustion_exits_3(monkeypatch):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_target_past_the_precision_envelope_exits_3(capsys):
     # kind D reaches the rounding floor of the 1e-10 stationarity gate
-    # before n = 731
-    assert main(["target", "--system", "D", "--n", "731"]) == 3
+    # before n = 1000 (1.6e-10 there)
+    assert main(["target", "--system", "D", "--n", "1000"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "abort: stationarity residual" in captured.err
 

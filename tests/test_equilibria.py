@@ -123,6 +123,7 @@ def test_stationarity_residuals_small():
     cases = [
         *(("A", n, None) for n in (1, 2, 3, 10, 50)),
         *(("B", n, nu) for n in (1, 2, 10, 50) for nu in (0.1, 0.5, 1.0, 2.5, 10.0)),
+        *(("B", n, 0.0) for n in (2, 3, 10, 50)),
         *(("D", n, None) for n in (2, 3, 10, 50)),
     ]
     for kind, n, nu in cases:
@@ -130,20 +131,29 @@ def test_stationarity_residuals_small():
         target, residual = equilibria._gated_target(kind, n, nu)
         assert target is freezing_target(kind, n, nu=nu)
         assert residual == stationarity_residual(target) < 1e-10
+    # B with nu = 0 has D's target and D's roots, so the same residual
+    for n in (2, 3, 10, 50):
+        assert equilibria._gated_target("B", n, 0.0)[1] == equilibria._gated_target("D", n)[1]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_large_n_targets_pass_the_residual_gate():
-    # the Newton polish keeps the LAPACK zeros inside the 1e-10 gate at
-    # n = 300 (kind D reads 3.2e-11 with it, 1.7e-10 without)
-    for kind, n, nu in (("A", 300, None), ("B", 300, 1.0), ("D", 300, None), ("A", 1000, None), ("B", 731, 1.0)):
+    # the Newton polish keeps the LAPACK zeros inside the 1e-10 gate: in a
+    # scan of A, B and D to n = 800 (A also at 1500 and 2000), 60 targets
+    # that pass fail without it, A at n = 1500 and 2000 and B(nu = 0.1) from
+    # n = 522 among them
+    cases = (
+        ("A", 300, None), ("B", 300, 1.0), ("D", 300, None), ("A", 1000, None), ("B", 731, 1.0),
+        ("D", 265, None), ("D", 362, None), ("D", 731, None),
+    )
+    for kind, n, nu in cases:
         assert stationarity_residual(freezing_target(kind, n, nu=nu)) < 1e-10
     assert np.all(np.isfinite(hermite_zeros(2000)))
     assert np.all(np.isfinite(laguerre_zeros(1000, 0.0)))
-    # the gate is the only size limit, and kind D reaches its rounding floor
-    # first (2.6e-10 at n = 362)
+    # the gate is the only size limit; kind D passes every n up to 758 and
+    # reaches its rounding floor by n = 1000 (1.6e-10)
     with pytest.raises(RuntimeError, match="stationarity residual"):
-        freezing_target("D", 731)
+        freezing_target("D", 1000)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

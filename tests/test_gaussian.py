@@ -103,6 +103,10 @@ def test_norm_constant_known_values():
     for k1 in (0.5, 1.0, 2.5):
         want = 1.0 / (2 ** (k1 - 0.5) * math.gamma(k1 + 0.5))
         assert log_norm_constant("cB", n=1, k1=k1, k2=9.9).value == pytest.approx(want, rel=1e-12)
+    # past the float range the value is inf, as PrecisionMatrix.det is
+    const = log_norm_constant("cA", n=300, k=0.001)
+    assert const.log_value == pytest.approx(1158.38, rel=1e-5)
+    assert const.value == math.inf
 
 
 def test_norm_constant_parameter_validation():
