@@ -149,9 +149,11 @@ class FreezingRegime:
     def from_theorem(
         cls, theorem: str, n: int, strength: float, *, nu: float | None = None, k1: float | None = None
     ):
-        """The regime of one tag of the table above; only B1 takes nu, only B3 takes k1."""
+        """The regime of one tag of the table above at strength > 0; only B1 takes nu, only B3 takes k1."""
         if theorem not in ("A", "B1", "B3", "D"):
             raise ValueError(f"unknown theorem tag {theorem!r}")
+        if not strength > 0:
+            raise ValueError(f"theorem {theorem} needs strength > 0, got {strength}")
         if nu is not None and theorem != "B1":
             raise ValueError(f"theorem {theorem} takes no nu")
         if k1 is not None and theorem != "B3":

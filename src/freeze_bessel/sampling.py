@@ -237,8 +237,6 @@ def _freezing_regime(spec: RootSystemSpec) -> FreezingRegime:
         if nu == 0:
             return FreezingRegime.from_theorem("B3", spec.n, spec.k2, k1=0.0)
         return FreezingRegime.from_theorem("B1", spec.n, spec.k2, nu=nu)
-    if spec.k <= 0:
-        raise ValueError("Metropolis proposal needs k > 0")
     return FreezingRegime.from_theorem(spec.kind.value, spec.n, spec.k)
 
 

@@ -38,7 +38,7 @@ from .gaussian import (
 )
 from .quadrature import chamber_weight_integral
 from .report import VerificationReport
-from .sampling import _spawn_seeds, sample_exact
+from .sampling import SampleBatch, _spawn_seeds, sample_exact
 from .sde import SdeConfig, StartDistribution, simulate_endpoints
 from .stat_tests import (
     chi_square_cdf,
@@ -86,7 +86,22 @@ _BATTERY_TOLERANCES = {"p_threshold": P_THRESHOLD, "cov_rel_tol": COV_REL_TOL, "
 
 
 # ---------------------------------------------------------------------------
-# the Gaussian battery
+# the draw and the Gaussian battery
+
+
+def _draw(spec, t, count, seed, threads, start=None, steps=None) -> SampleBatch:
+    """The draw of every check: exact start-0 samples, or SDE endpoints from ``start``.
+
+    ``start`` is a point or a ``StartDistribution``; ``steps`` applies to SDE
+    runs only, and an SDE batch records its step count in
+    ``diagnostics.extra["steps"]``.
+    """
+    if start is None:
+        if steps is not None:
+            raise ValueError("steps applies to SDE runs from a start only")
+        return sample_exact(spec, t, count, seed, threads=threads)
+    return simulate_endpoints(SdeConfig(spec=spec, x0=start, t=t, seed=seed, steps=steps, paths=count,
+                                        threads=threads))
 
 
 def gaussian_battery(centered: np.ndarray, t: float, sigma: np.ndarray) -> tuple[dict, bool]:
@@ -124,6 +139,13 @@ def gaussian_battery(centered: np.ndarray, t: float, sigma: np.ndarray) -> tuple
     return stats, bool(passed)
 
 
+def _battery_report(name: str, regime: FreezingRegime, batch: SampleBatch, parameters: dict, seed: int,
+                    **labels) -> VerificationReport:
+    """The battery report on ``batch`` centered by ``regime``, its statistics followed by ``labels``."""
+    stats, passed = gaussian_battery(regime.center(batch.points, batch.t), batch.t, regime.sigma)
+    return VerificationReport(name, parameters, {**stats, **labels}, dict(_BATTERY_TOLERANCES), passed, seed)
+
+
 # ---------------------------------------------------------------------------
 # law of large numbers
 
@@ -154,7 +176,7 @@ def lln_check(
         limit = FreezingRegime.from_theorem("B3", n, strength, k1=0.0)
     else:  # FreezingRegime rejects a nu or k1 that its regime does not take
         limit = FreezingRegime.from_theorem("B1" if regime == "B" else regime, n, strength, nu=nu, k1=k1)
-    batch = sample_exact(limit.spec, t, count, seed, threads=threads)
+    batch = _draw(limit.spec, t, count, seed, threads)
     scaled = batch.points / math.sqrt(limit.m * t)
     mean_dev = float(np.max(np.abs(scaled.mean(axis=0) - limit.target)))
     sup_dev = np.max(np.abs(scaled - limit.target), axis=1)
@@ -196,33 +218,16 @@ def clt_gaussian_check(
     ``start_distribution_check``.  The report is named ``clt-<theorem>``,
     suffixed ``-sde`` for SDE endpoints.
     """
-    if start is None and steps is not None:
-        raise ValueError("steps applies to SDE runs from a start only")
     regime = FreezingRegime.from_theorem(theorem, n, strength, nu=nu)
-    if start is None:
-        method = "exact"
-        batch = sample_exact(regime.spec, t, count, seed, threads=threads)
-    else:
-        method = "sde"
-        cfg = SdeConfig(spec=regime.spec, x0=StartDistribution.at_point(start), t=t, seed=seed, steps=steps,
-                        paths=count, threads=threads)
-        batch = simulate_endpoints(cfg)
-    stats, passed = gaussian_battery(regime.center(batch.points, t), t, regime.sigma)
-    stats["method"] = method
-    parameters = {
-        "n": n, "strength": strength, "nu": nu, "t": t, "count": count,
-        "method": method, "start": None if start is None else np.asarray(start).tolist(),
-    }
+    start = None if start is None else np.asarray(start, dtype=float)
+    batch = _draw(regime.spec, t, count, seed, threads, start, steps)
+    method = "exact" if start is None else "sde"
+    parameters = {"n": n, "strength": strength, "nu": nu, "t": t, "count": count, "method": method,
+                  "start": None if start is None else start.tolist()}
     if start is not None:
-        parameters["steps"] = cfg.resolved_steps
-    return VerificationReport(
-        name=f"clt-{theorem}" if start is None else f"clt-{theorem}-sde",
-        parameters=parameters,
-        statistics=stats,
-        tolerances=dict(_BATTERY_TOLERANCES),
-        passed=passed,
-        seed=seed,
-    )
+        parameters["steps"] = batch.diagnostics.extra["steps"]
+    name = f"clt-{theorem}" if start is None else f"clt-{theorem}-sde"
+    return _battery_report(name, regime, batch, parameters, seed, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +249,8 @@ def clt_type_a_limit_check(
     Two-sample per-coordinate KS plus an energy-distance permutation test.
     """
     seed_b, seed_a, seed_perm = _spawn_seeds(seed, 3)
-    batch_b = sample_exact(RootSystemSpec.b(n, k1, k2), t, count, seed_b, threads=threads)
-    batch_a = sample_exact(RootSystemSpec.a(n, k2), 0.5 * t, count, seed_a, threads=threads)
+    batch_b = _draw(RootSystemSpec.b(n, k1, k2), t, count, seed_b, threads)
+    batch_a = _draw(RootSystemSpec.a(n, k2), 0.5 * t, count, seed_a, threads)
     report = two_sample_agreement(
         batch_b.points - math.sqrt(2.0 * t * k1), batch_a.points,
         name="clt-B2-shifted-A",
@@ -295,7 +300,7 @@ def one_sided_check(
         raise ValueError(f"regime B0 has k1 = 0, got k1 = {k1}")
     limit = FreezingRegime.from_theorem("B3", n, k2, k1=k1)
     sigma_d = limit.sigma
-    batch = sample_exact(limit.spec, t, count, seed, threads=threads)
+    batch = _draw(limit.spec, t, count, seed, threads)
     centered = limit.center(batch.points, t)
     last = centered[:, -1]
     violations = int(np.count_nonzero(last < 0))
@@ -342,19 +347,10 @@ def start_distribution_check(
     The report is named ``start-distribution-B1-<kind>`` after ``mu.kind``.
     """
     regime = FreezingRegime.from_theorem("B1", n, beta, nu=nu)
-    cfg = SdeConfig(spec=regime.spec, x0=mu, t=t, seed=seed, steps=steps, paths=count, threads=threads)
-    batch = simulate_endpoints(cfg)
-    stats, passed = gaussian_battery(regime.center(batch.points, t), t, regime.sigma)
-    stats["start_kind"] = mu.kind
-    return VerificationReport(
-        name=f"start-distribution-B1-{mu.kind}",
-        parameters={"n": n, "nu": nu, "beta": beta, "t": t, "count": count, "start_kind": mu.kind,
-                    "steps": cfg.resolved_steps},
-        statistics=stats,
-        tolerances=dict(_BATTERY_TOLERANCES),
-        passed=passed,
-        seed=seed,
-    )
+    batch = _draw(regime.spec, t, count, seed, threads, mu, steps)
+    parameters = {"n": n, "nu": nu, "beta": beta, "t": t, "count": count, "start_kind": mu.kind,
+                  "steps": batch.diagnostics.extra["steps"]}
+    return _battery_report(f"start-distribution-B1-{mu.kind}", regime, batch, parameters, seed, start_kind=mu.kind)
 
 
 def two_sample_agreement(
@@ -404,11 +400,9 @@ def translation_invariance_check(
     """
     spec = RootSystemSpec.a(n, k)
     x0 = np.asarray(x0, dtype=float)
-    base = SdeConfig(spec=spec, x0=StartDistribution.at_point(x0), t=t, seed=seed, steps=steps, paths=paths,
-                     threads=threads)
     seeds = (seed, seed) if c == 0.0 else _spawn_seeds(seed, 2)
-    batch_ref = simulate_endpoints(replace(base, seed=seeds[0]))
-    moved_back = simulate_endpoints(replace(base, x0=StartDistribution.at_point(x0 + c), seed=seeds[1])).points - c
+    batch_ref = _draw(spec, t, paths, seeds[0], threads, x0, steps)
+    moved_back = _draw(spec, t, paths, seeds[1], threads, x0 + c, steps).points - c
     if c == 0.0 and np.array_equal(batch_ref.points, moved_back):
         p_combined = 1.0
         stats = {"identical": True, "p_value": 1.0}
@@ -418,7 +412,8 @@ def translation_invariance_check(
         stats = {"identical": False, "p_value": p_combined, "per_coordinate_p": p_vals}
     return VerificationReport(
         name="translation-invariance-A",
-        parameters={"n": n, "k": k, "t": t, "c": c, "x0": list(x0), "paths": paths, "steps": base.resolved_steps},
+        parameters={"n": n, "k": k, "t": t, "c": c, "x0": list(x0), "paths": paths,
+                    "steps": batch_ref.diagnostics.extra["steps"]},
         statistics=stats,
         tolerances={"p_value": P_THRESHOLD},
         passed=p_combined > P_THRESHOLD,
@@ -480,14 +475,12 @@ def covariance_error_trend(
     """
     errors = []
     seeds = _spawn_seeds(seed, len(TREND_STRENGTHS))
-    sigma = None
     for s, child in zip(TREND_STRENGTHS, seeds):
         regime = FreezingRegime.from_theorem(theorem, n, s, nu=nu)
-        sigma = regime.sigma
-        batch = sample_exact(regime.spec, t, count, child, threads=threads)
+        batch = _draw(regime.spec, t, count, child, threads)
         stats, _ = gaussian_battery(regime.center(batch.points, t), t, regime.sigma)
         errors.append(stats["cov_frobenius_rel_err"])
-    tsig = t * sigma
+    tsig = t * regime.sigma  # Sigma depends on the theorem and n, not on the strength
     noise = math.sqrt((np.trace(tsig) ** 2 + np.linalg.norm(tsig) ** 2) / count) / np.linalg.norm(tsig)
     passed = errors[-1] <= errors[0] + 2.0 * noise
     return VerificationReport(
@@ -603,14 +596,13 @@ def _b1_start_agreement(n, beta, t, *, nu, start, steps, count, seed, threads=No
     """
     seed_exact, seed_sde, seed_perm = seed
     regime = FreezingRegime.from_theorem("B1", n, beta, nu=nu)
-    batch_e = sample_exact(regime.spec, t, count, seed_exact, threads=threads)
-    cfg = SdeConfig(spec=regime.spec, x0=StartDistribution.at_point(start), t=t,
-                    seed=seed_sde, steps=steps, paths=count, threads=threads)
-    batch_s = simulate_endpoints(cfg)
+    batch_e = _draw(regime.spec, t, count, seed_exact, threads)
+    batch_s = _draw(regime.spec, t, count, seed_sde, threads, start, steps)
     return two_sample_agreement(
         regime.center(batch_e.points, t), regime.center(batch_s.points, t),
         name="clt-B1-start-agreement",
-        parameters={"n": n, "beta": beta, "nu": nu, "t": t, "count": count, "steps": cfg.resolved_steps},
+        parameters={"n": n, "beta": beta, "nu": nu, "t": t, "count": count,
+                    "steps": batch_s.diagnostics.extra["steps"]},
         seed=seed_perm,
     )
 
@@ -651,7 +643,7 @@ _STARTS = (
 _LLN_QUICK = {"strength": 2000.0}
 
 SUITE_TABLE = (
-    SuiteRow("identities", identity_reports, {"n_max_det": 12, "n_max_residual": 50, "n_max_potential": 30},
+    SuiteRow("identities", identity_reports, {},
              {"n_max_det": 8, "n_max_residual": 12, "n_max_potential": 12, "quadrature_n": (1,), "tilde_n_max": 3},
              takes={"n_max": ("n_max_det", "n_max_residual", "n_max_potential")}, streams=0),
     SuiteRow("lln", lln_check, {"regime": "A", "n": 2, "strength": 10_000.0}, _LLN_QUICK),
@@ -722,7 +714,7 @@ def run_suite(
     if t != 1.0 and not randomized:
         raise ValueError(f"suite {suite!r} draws no samples and takes no t override")
     if seed is None and randomized:
-        raise ValueError(f"suite {suite!r} is randomized and requires a seed")
+        raise ValueError(f"suite {suite!r} is randomized: pass --seed for a reproducible run")
     count = _QUICK_COUNT if quick else DEFAULT_COUNT
     reports: list[VerificationReport] = []
     for row, first in plan:

@@ -197,7 +197,8 @@ def test_flags_a_command_does_not_take_exit_2(argv, message, capsys, tmp_path):
     ["sample", "--system", "A", "--n", "2", "--k", "1.0", "--count", "0"],
     ["sde", "--system", "A", "--n", "2", "--k", "1.0", "--x0", "1,-1", "--paths", "0", "--steps", "5"],
     ["verify", "--suite", "lln", "--quick", "--seed", "0", "--t", "0"],
-], ids=["sample-t0", "sample-count0", "sde-paths0", "verify-t0"])
+    ["verify", "--suite", "lln", "--quick", "--seed", "0", "--k", "0"],
+], ids=["sample-t0", "sample-count0", "sde-paths0", "verify-t0", "verify-k0"])
 def test_zero_arguments_are_refused_not_replaced_by_defaults(argv, capsys):
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err

@@ -172,7 +172,8 @@ def test_metropolis_is_deterministic_in_the_seed():
 
 
 def test_metropolis_rejects_bad_arguments():
-    with pytest.raises(ValueError):
+    # the proposal's freezing regime refuses k = 0
+    with pytest.raises(ValueError, match="strength > 0"):
         sample_metropolis(RootSystemSpec.a(2, 0.0), 1.0, 100, seed=0)
 
 

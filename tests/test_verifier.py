@@ -70,6 +70,13 @@ def test_regime_validation():
                            ("B1", {"nu": 1.0, "k1": 1.0}), ("A", {"k1": 0.0})):
         with pytest.raises(ValueError, match="takes no"):
             FreezingRegime.from_theorem(theorem, 2, 100.0, **extra)
+    # at strength 0 the scale m is 0, and lln_check would divide by sqrt(m t) = 0
+    for theorem, extra in (("A", {}), ("B1", {"nu": 1.0}), ("B3", {"k1": 1.0}), ("D", {})):
+        for strength in (0.0, -1.0):
+            with pytest.raises(ValueError, match="strength > 0"):
+                FreezingRegime.from_theorem(theorem, 2, strength, **extra)
+    with pytest.raises(ValueError, match="strength > 0"):
+        calibration_check("A", 2, 0.0)
 
 
 def test_regime_center_subtracts_scaled_target():
@@ -263,6 +270,20 @@ def test_clt_check_refuses_steps_without_a_start():
     # exact draws take no step count, so a given one would be dropped silently
     with pytest.raises(ValueError, match="steps applies to SDE runs"):
         clt_gaussian_check("A", 2, 200.0, 1.0, count=1000, seed=0, steps=7)
+
+
+def test_reports_do_not_depend_on_threads():
+    # 9000 rows are three sub-batches, so threads=2 runs them on a pool
+    mu = StartDistribution.uniform([0.36, 0.18], [0.44, 0.22])
+    checks = (
+        lambda threads: clt_gaussian_check("A", 2, 200.0, 1.0, count=9000, seed=0, threads=threads),
+        lambda threads: clt_gaussian_check("B1", 2, 200.0, 1.0, nu=1.0, count=9000, seed=0, start=[1.0, 0.5],
+                                           steps=50, threads=threads),
+        lambda threads: start_distribution_check(2, 1.0, 200.0, 1.0, mu, count=9000, steps=50, seed=0,
+                                                 threads=threads),
+    )
+    for check in checks:
+        assert check(None).to_dict() == check(2).to_dict()
 
 
 def test_suite_registry_names():
