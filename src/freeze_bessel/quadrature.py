@@ -1,17 +1,15 @@
 """Deterministic adaptive quadrature, used as an independent numerical oracle.
 
-The closed-form normalization constants and the exact samplers are both
-cross-checked against direct integration of the defining densities over the
-chamber, for one and two particles.  The integrator is a globally adaptive
-bisection scheme with an embedded 7/15-point Gauss pair per interval (the
-nodes come from ``numpy.polynomial.legendre``); nothing here shares code with
-the formulas being checked.
+The closed-form normalization constants and the exact samplers' scaling are
+checked against the defining chamber integrals for n <= 2, in polar
+coordinates y = r u.  w_k is homogeneous of degree 2 gamma, so for g of degree d
 
-Two-particle integrals are iterated: one adaptive integral over y1 per outer
-node y2.  Those inner integrals run batched, each with its own panel heap and
-stop test, and every refinement round evaluates the integrand once for all of
-them, so two-particle integrands must broadcast over ``y1`` of shape
-``(rows, nodes)`` and ``y2`` of shape ``(rows, 1)``.
+    int_chamber g(y) exp(-|y|^2/(2t)) w_k(y) dy = 1/2 (2t)^a Gamma(a) int_arc g(u) w_k(u) du
+
+with a = gamma + (n + d)/2.  The radial factor is kept in log space.  The arc
+is the points +-1 in the chamber (n = 1) or an arc of the unit circle (n = 2),
+where a globally adaptive 7/15-point Gauss scheme integrates the weight
+divided by its peak.  Nothing here shares code with the formulas checked.
 """
 
 from __future__ import annotations
@@ -23,174 +21,109 @@ import numpy as np
 
 from .core import RootKind, RootSystemSpec, _as_time, homogeneity_degree
 
-__all__ = [
-    "adaptive_gauss",
-    "ordered_integral_2d",
-    "chamber_weight_integral",
-    "chamber_moment",
-]
+__all__ = ["adaptive_gauss", "chamber_weight_integral", "chamber_moment"]
 
 _N15, _W15 = np.polynomial.legendre.leggauss(15)
 _N7, _W7 = np.polynomial.legendre.leggauss(7)
 _NODES = np.concatenate([_N15, _N7])
-_ATOL = 1e-12  # absolute error target of an integral; its inner integrals take a tenth
+_ATOL = 1e-12  # absolute error target of an integral
 _MAX_PANELS = 4000  # panels per integral before refinement stops
 _MOMENT_RTOL = 1e-8
-
-
-def _panels(f, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integral estimates on the panels [lo_j, hi_j] plus error estimates from a 7/15 pair.
-
-    ``f(x, rows)`` gets the nodes ``x`` of shape (panels, 22) and the row each
-    panel belongs to, and returns the integrand values at ``x``.
-    """
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _NODES
-    vals = np.asarray(f(x, rows), dtype=float)
-    i15 = half * (vals[:, :15] @ _W15)
-    i7 = half * (vals[:, 15:] @ _W7)
-    return i15, np.abs(i15 - i7)
-
-
-def _adaptive_rows(f, a, b, *, atol: float, rtol: float) -> np.ndarray:
-    """Globally adaptive integrals over [a_r, b_r], one per row r, batched.
-
-    Each row keeps its own heap of panels and its own stop test.  A round
-    bisects the worst panel of every unfinished row and evaluates the halves
-    of all of them in one call of ``f`` (see ``_panels``).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not np.all(b > a):
-        raise ValueError("need b > a")
-    heaps: list[list] = [[] for _ in range(a.size)]
-
-    def push(rows, lo, hi, vals, errs):
-        panels = zip(rows.tolist(), lo.tolist(), hi.tolist(), vals.tolist(), errs.tolist())
-        for r, p_lo, p_hi, p_v, p_e in panels:
-            heapq.heappush(heaps[r], (-p_e, p_lo, p_hi, p_v, p_e))
-
-    rows = np.arange(a.size)
-    totals, total_errs = _panels(f, a, b, rows)
-    push(rows, a, b, totals, total_errs)
-    n_panels = np.ones(a.size, dtype=int)
-    while True:
-        unfinished = total_errs > np.maximum(atol, rtol * np.abs(totals))
-        active = rows[unfinished & (n_panels < _MAX_PANELS)]
-        if not active.size:
-            return totals
-        lo, hi, val, err = np.array([heapq.heappop(heaps[r])[1:] for r in active.tolist()]).T
-        mid = 0.5 * (lo + hi)
-        sub_rows = np.tile(active, 2)
-        sub_lo, sub_hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        v, e = _panels(f, sub_lo, sub_hi, sub_rows)
-        m = active.size
-        totals[active] += v[:m] + v[m:] - val
-        total_errs[active] += e[:m] + e[m:] - err
-        push(sub_rows, sub_lo, sub_hi, v, e)
-        n_panels[active] += 1
 
 
 def adaptive_gauss(f, a: float, b: float, *, rtol: float) -> float:
     """Globally adaptive integral of a vectorized integrand on [a, b].
 
-    ``f`` maps a 1-D array of nodes to the integrand values there.
+    ``f`` maps a 1-D array of nodes to the values there.  Each round bisects
+    the panel with the largest 7/15 error estimate.
     """
-    return float(_adaptive_rows(
-        lambda x, rows: np.asarray(f(x.ravel()), dtype=float).reshape(x.shape), [a], [b], atol=_ATOL, rtol=rtol,
-    )[0])
+    if not b > a:
+        raise ValueError("need b > a")
+
+    def panel(lo, hi):
+        half = 0.5 * (hi - lo)
+        vals = np.asarray(f(0.5 * (lo + hi) + half * _NODES), dtype=float)
+        i15 = half * float(vals[:15] @ _W15)
+        err = abs(i15 - half * float(vals[15:] @ _W7))
+        return -err, lo, hi, i15, err
+
+    heap = [panel(a, b)]
+    _, _, _, total, total_err = heap[0]
+    while total_err > max(_ATOL, rtol * abs(total)) and len(heap) < _MAX_PANELS:
+        _, lo, hi, val, err = heapq.heappop(heap)
+        halves = panel(lo, 0.5 * (lo + hi)), panel(0.5 * (lo + hi), hi)
+        total += halves[0][3] + halves[1][3] - val
+        total_err += halves[0][4] + halves[1][4] - err
+        for half in halves:
+            heapq.heappush(heap, half)
+    return total
 
 
-def ordered_integral_2d(f, outer_lo: float, outer_hi: float, inner_lo, inner_hi: float, *, rtol: float) -> float:
-    """Integral of f(y1, y2) over {inner_lo(y2) <= y1 <= inner_hi, outer_lo <= y2 <= outer_hi}.
+def _angular(spec: RootSystemSpec, g, rtol: float) -> tuple[float, float]:
+    """(log c, I) with c * I = int_arc g(u) w_k(u) du and c the peak of w_k on the arc.
 
-    ``f`` must broadcast over ``y1`` of shape (rows, nodes) and ``y2`` of
-    shape (rows, 1): one row per outer node, whose inner integrals are
-    refined together.  ``inner_lo`` maps the 1-D array of outer nodes to the
-    lower limits of the inner variable (the chamber ordering constraint);
-    where it reaches ``inner_hi`` the inner integral is 0.
+    ``g`` (default 1) takes u, a 1-D array, for one particle or (u1, u2) for two.
     """
-
-    def outer_integrand(y2):
-        lo = np.asarray(inner_lo(y2), dtype=float)
-        out = np.zeros_like(y2)
-        live = np.flatnonzero(~(lo >= inner_hi))  # a NaN limit stays live and fails the b > a check
-        if live.size:
-            y2_live = y2[live, None]
-            out[live] = _adaptive_rows(
-                lambda x, rows: f(x, y2_live[rows]),
-                lo[live], np.full(live.size, inner_hi), atol=_ATOL * 0.1, rtol=rtol * 0.1,
-            )
-        return out
-
-    return adaptive_gauss(outer_integrand, outer_lo, outer_hi, rtol=rtol)
-
-
-def _truncation_radius(spec: RootSystemSpec) -> float:
-    gamma = homogeneity_degree(spec)
-    return math.sqrt(4.0 * gamma + 2.0 * spec.n) + 10.0
-
-
-def _weight_factor(spec: RootSystemSpec, y1, y2):
-    """w_k(y1, y2) for two particles (broadcast over y1 and y2)."""
-    kpair, kaxis = spec.pair_axis
-    w = np.ones_like(y1)
-    if kpair > 0:
-        pair = y1 - y2 if spec.kind is RootKind.A else y1**2 - y2**2
-        w = w * pair ** (2.0 * kpair)
-    if kaxis > 0:
-        w = w * (y1 * y2) ** (2.0 * kaxis)
-    return w
-
-
-def _chamber_integral(spec: RootSystemSpec, t: float, radius: float, rtol: float, g=None) -> float:
-    """int over the chamber (truncated at ``radius``) of g(y) exp(-|y|^2/(2t)) w_k(y) dy.
-
-    ``g`` defaults to 1; it takes y for one particle (a 1-D array of nodes)
-    or (y1, y2) for two, broadcasting as in ``ordered_integral_2d``.
-    """
-    if spec.n == 1:
-        # the one-particle chamber is the whole line with weight 1 (kind A),
-        # or the half-line with weight y^(2 k1) (kind B)
-        lo = 0.0 if spec.kind is RootKind.B else -radius
-        kaxis = spec.pair_axis[1]
-
-        def rho(y):
-            w = y ** (2.0 * kaxis) if kaxis > 0 else np.ones_like(y)
-            return np.exp(-0.5 * y**2 / t) * w
-
-        f = rho if g is None else (lambda y: np.asarray(g(y), float) * rho(y))
-        return adaptive_gauss(f, lo, radius, rtol=rtol)
+    if spec.n == 1:  # w_k(+-1) = 1, and kind B's half-line holds only +1
+        u = np.array([1.0] if spec.kind is RootKind.B else [1.0, -1.0])
+        return 0.0, float(np.sum(g(u))) if g is not None else float(u.size)
     if spec.n != 2:
         raise ValueError("the quadrature oracle covers n in {1, 2}")
+    # u = (cos theta, sin theta); w_k(u) is a product of base(theta)^k, each base with its peak value
+    kpair, kaxis = spec.pair_axis
+    if spec.kind is RootKind.A:  # u1 > u2; (u1 - u2)^2 = 1 - sin(2 theta), largest at theta = -pi/4
+        arc = (-0.75 * math.pi, 0.25 * math.pi)
+        terms = [(kpair, lambda th: 1.0 - np.sin(2.0 * th), 2.0)]
+    else:
+        # B: u1 > u2 > 0, D: u1 > |u2|.  (u1^2 - u2^2)^2 = cos(2 theta)^2 and (u1 u2)^2 =
+        # sin(2 theta)^2 / 4; their product with powers k2 and k1 peaks at sin(2 theta)^2 = s
+        arc = (0.0 if spec.kind is RootKind.B else -0.25 * math.pi, 0.25 * math.pi)
+        s = kaxis / (kaxis + kpair) if kaxis > 0 else 0.0
+        terms = [(kpair, lambda th: np.cos(2.0 * th) ** 2, 1.0 - s),
+                 (kaxis, lambda th: 0.25 * np.sin(2.0 * th) ** 2, 0.25 * s)]
+    terms = [term for term in terms if term[0] > 0]  # a zero multiplicity has no log and no peak
 
-    def rho2(y1, y2):
-        return np.exp(-0.5 * (y1**2 + y2**2) / t) * _weight_factor(spec, y1, y2)
+    def f(theta):
+        log_w = np.zeros_like(theta)
+        for k, base, peak in terms:
+            log_w += k * np.log(base(theta) / peak)
+        w = np.exp(log_w)
+        return w if g is None else w * g(np.cos(theta), np.sin(theta))
 
-    outer_lo = 0.0 if spec.kind is RootKind.B else -radius
-    inner_lo = np.abs if spec.kind is RootKind.D else (lambda y2: y2)
-    f2 = rho2 if g is None else (lambda y1, y2: np.asarray(g(y1, y2), float) * rho2(y1, y2))
-    return ordered_integral_2d(f2, outer_lo, radius, inner_lo, radius, rtol=rtol)
+    return sum(k * math.log(peak) for k, _, peak in terms), adaptive_gauss(f, *arc, rtol=rtol)
+
+
+def _log_radial(spec: RootSystemSpec, t: float, degree: float) -> float:
+    """log of int_0^inf r^(2a - 1) exp(-r^2/(2t)) dr = 1/2 (2t)^a Gamma(a), a = gamma + (n + degree)/2."""
+    a = homogeneity_degree(spec) + 0.5 * (spec.n + degree)
+    if not a > 0:
+        raise ValueError(f"the radial integral diverges at degree {degree}")
+    return a * math.log(2.0 * t) + math.lgamma(a) - math.log(2.0)
+
+
+def _log_chamber_weight_integral(spec: RootSystemSpec, rtol: float) -> float:
+    log_peak, angular = _angular(spec, None, rtol)
+    return _log_radial(spec, 1.0, 0.0) + log_peak + math.log(angular)
 
 
 def chamber_weight_integral(spec: RootSystemSpec, *, rtol: float = 1e-9) -> float:
     """Direct quadrature of the defining integral int_chamber exp(-|y|^2/2) w_k(y) dy.
 
-    Supports one and two particles; the reciprocal is the closed-form
-    normalization constant this value is used to cross-check.
+    n <= 2; the reciprocal is the closed-form normalization constant it
+    checks.  Returns ``math.inf`` where the integral passes the float range.
     """
-    return _chamber_integral(spec, 1.0, _truncation_radius(spec), rtol)
+    try:
+        return math.exp(_log_chamber_weight_integral(spec, rtol))
+    except OverflowError:
+        return math.inf
 
 
-def chamber_moment(spec: RootSystemSpec, t: float, g) -> float:
+def chamber_moment(spec: RootSystemSpec, t: float, g, degree: float) -> float:
     """E[g(y)] under the start-0 density at time t, by quadrature (n <= 2).
 
-    ``g`` takes y for one particle (a 1-D array of nodes) or (y1, y2) for
-    two, broadcasting over ``y1`` of shape (rows, nodes) and ``y2`` of shape
-    (rows, 1) as in ``ordered_integral_2d``.
-    Used to calibrate the exact samplers' scaling conventions.
+    ``g`` is homogeneous of degree ``degree`` and takes the unit-circle points:
+    u (a 1-D array) for one particle, (u1, u2) for two.  Calibrates the samplers.
     """
-    _as_time(t)
-    radius = _truncation_radius(spec) * math.sqrt(max(t, 1.0))
-    return _chamber_integral(spec, t, radius, _MOMENT_RTOL, g) / _chamber_integral(spec, t, radius, _MOMENT_RTOL)
+    t = _as_time(t)
+    radial = math.exp(_log_radial(spec, t, degree) - _log_radial(spec, t, 0.0))
+    return radial * _angular(spec, g, _MOMENT_RTOL)[1] / _angular(spec, None, _MOMENT_RTOL)[1]

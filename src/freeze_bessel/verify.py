@@ -517,13 +517,12 @@ def identity_reports(
     n_max_det: int = 12,
     n_max_residual: int = 50,
     n_max_potential: int = 30,
-    quadrature_n: tuple = (1, 2),
     tilde_n_max: int = 6,
 ) -> list[VerificationReport]:
     """All closed-form checks: determinants, residuals, potentials, constants."""
     targets = [(RootKind.A, None), *((RootKind.B, nu) for nu in (0.1, 0.5, 1.0, 2.5, 10.0)), (RootKind.D, None)]
     potentials = [("A_at_half", None), ("A_sumsq", None), *((k, nu) for nu in _NU_GRID for k in ("B_full", "B_norm"))]
-    quad_specs = [spec for i in quadrature_n for spec in (
+    quad_specs = [spec for i in (1, 2) for spec in (
         *(RootSystemSpec.a(i, k) for k in (0.5, 1.0, 2.5)),
         *(RootSystemSpec.b(i, k1, k2) for k1, k2 in ((0.5, 0.5), (1.0, 1.0), (2.5, 0.5))),
         *(RootSystemSpec.d(i, k) for k in (0.5, 1.0, 2.5) if i >= 2),
@@ -564,7 +563,7 @@ def identity_reports(
             "abs_err", _POTENTIAL_TOL,
         ),
         _worst_of_grid(
-            "normalization-vs-quadrature", {"n_values": list(quadrature_n), "settings": len(quad_specs)},
+            "normalization-vs-quadrature", {"n_values": [1, 2], "settings": len(quad_specs)},
             map(quadrature_rel_err, quad_specs), "rel_err", _QUADRATURE_TOL,
         ),
         *(
@@ -644,7 +643,7 @@ _LLN_QUICK = {"strength": 2000.0}
 
 SUITE_TABLE = (
     SuiteRow("identities", identity_reports, {},
-             {"n_max_det": 8, "n_max_residual": 12, "n_max_potential": 12, "quadrature_n": (1,), "tilde_n_max": 3},
+             {"n_max_det": 8, "n_max_residual": 12, "n_max_potential": 12, "tilde_n_max": 3},
              takes={"n_max": ("n_max_det", "n_max_residual", "n_max_potential")}, streams=0),
     SuiteRow("lln", lln_check, {"regime": "A", "n": 2, "strength": 10_000.0}, _LLN_QUICK),
     SuiteRow("lln", lln_check, {"regime": "B", "n": 2, "strength": 10_000.0, "nu": 1.0}, _LLN_QUICK),

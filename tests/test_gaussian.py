@@ -76,6 +76,18 @@ def test_covariance_inverts_precision():
         assert np.allclose(pm.matrix @ covariance(pm), np.eye(pm.n), atol=1e-11)
 
 
+def test_covariance_a_matches_the_dumitriu_edelman_hermite_perturbation():
+    # first-order large-beta perturbation of the beta-Hermite model (Dumitriu-Edelman):
+    # with Q the eigenvectors of the Jacobi matrix with off-diagonal sqrt(n - i),
+    # Sigma_A = D^T D + E^T E / 4 for D = Q o Q and E = 2 Q[:-1] o Q[1:]
+    for n in range(2, 41):
+        off = np.sqrt(np.arange(n - 1, 0, -1.0))
+        _, q = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        d, e = q * q, 2.0 * q[:-1] * q[1:]
+        sigma = covariance(precision_matrix("A", n))
+        assert np.max(np.abs(d.T @ d + e.T @ e / 4.0 - sigma)) <= 1e-12 * np.max(np.abs(sigma)), n
+
+
 def test_determinant_identities():
     for n in range(1, 13):
         rep = determinant_identity("A", n)

@@ -54,9 +54,17 @@ def _scalar_adaptive_gauss(f, a, b, *, atol, rtol, max_panels=4000):
     return total
 
 
+def _weight_factor(spec, y1, y2):
+    """w_k(y1, y2) for two particles in Cartesian coordinates."""
+    kpair, kaxis = spec.pair_axis
+    pair = y1 - y2 if spec.kind is RootKind.A else y1**2 - y2**2
+    return pair ** (2.0 * kpair) * (y1 * y2) ** (2.0 * kaxis)
+
+
 def _nested_chamber_weight_integral(spec, rtol):
-    """Reference: the n = 2 chamber integral with one scalar inner integral per outer node."""
-    radius = quadrature._truncation_radius(spec)
+    """Reference: the n = 2 chamber integral in Cartesian coordinates, truncated where the
+    Gaussian tail is below rounding, with one scalar inner integral over y1 per outer node y2."""
+    radius = math.sqrt(4.0 * homogeneity_degree(spec) + 2.0 * spec.n) + 10.0
     outer_lo = 0.0 if spec.kind is RootKind.B else -radius
     inner_lo = abs if spec.kind is RootKind.D else (lambda y2: y2)
 
@@ -64,7 +72,7 @@ def _nested_chamber_weight_integral(spec, rtol):
         out = np.zeros_like(y2_vals)
         for idx, y2 in enumerate(y2_vals):
             out[idx] = _scalar_adaptive_gauss(
-                lambda y1: np.exp(-0.5 * (y1**2 + y2**2)) * quadrature._weight_factor(spec, y1, y2),
+                lambda y1: np.exp(-0.5 * (y1**2 + y2**2)) * _weight_factor(spec, y1, y2),
                 inner_lo(y2), radius, atol=1e-13, rtol=rtol * 0.1,
             )
         return out
@@ -123,24 +131,32 @@ def test_chamber_moment_symmetry_and_energy():
     for spec in (RootSystemSpec.a(2, 1.0), RootSystemSpec.b(2, 1.0, 1.0), RootSystemSpec.d(2, 0.5)):
         gamma = homogeneity_degree(spec)
         for t in (0.5, 1.0):
-            got = chamber_moment(spec, t, lambda y1, y2: y1 ** 2 + y2 ** 2)
+            got = chamber_moment(spec, t, lambda y1, y2: y1 ** 2 + y2 ** 2, 2)
             assert got == pytest.approx(t * (2 + 2 * gamma), rel=1e-7), spec
+    # one particle: E[y^2] = t (1 + 2 k1) on kind B's half-line, t on kind A's line
+    for spec, want in ((RootSystemSpec.b(1, 1.5, 0.7), 4.0), (RootSystemSpec.a(1, 2.0), 1.0)):
+        for t in (0.5, 1.0):
+            assert chamber_moment(spec, t, lambda y: y ** 2, 2) == pytest.approx(t * want, rel=1e-12), spec
+    # E[1/y^2] diverges for kind A's one-particle Gaussian
+    with pytest.raises(ValueError, match="diverges"):
+        chamber_moment(RootSystemSpec.a(1, 2.0), 1.0, lambda y: y ** -2.0, -2)
 
 
 def test_chamber_moment_a_mean_is_zero():
     spec = RootSystemSpec.a(2, 1.5)
-    assert chamber_moment(spec, 1.0, lambda y1, y2: y1 + y2) == pytest.approx(0.0, abs=1e-9)
+    assert chamber_moment(spec, 1.0, lambda y1, y2: y1 + y2, 1) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_chamber_moment_t_scaling():
     spec = RootSystemSpec.b(2, 1.0, 0.5)
-    m1 = chamber_moment(spec, 1.0, lambda y1, y2: y1)
-    m4 = chamber_moment(spec, 4.0, lambda y1, y2: y1)
+    m1 = chamber_moment(spec, 1.0, lambda y1, y2: y1, 1)
+    m4 = chamber_moment(spec, 4.0, lambda y1, y2: y1, 1)
     assert m4 == pytest.approx(2.0 * m1, rel=1e-7)
 
 
 @pytest.mark.parametrize("spec", IDENTITY_GRID_N2, ids=_spec_id)
 def test_batched_inner_integrals_match_nested_scalar_reference(spec):
+    # the polar oracle against the Cartesian 2-D integral: no shared geometry or weight code
     got = chamber_weight_integral(spec, rtol=1e-8)
     ref = _nested_chamber_weight_integral(spec, 1e-8)
     assert abs(got - ref) <= 1e-14 * abs(ref)
@@ -148,31 +164,47 @@ def test_batched_inner_integrals_match_nested_scalar_reference(spec):
 
 @pytest.mark.parametrize("spec", IDENTITY_GRID_N2, ids=_spec_id)
 def test_identity_grid_integrand_call_budget(spec, monkeypatch):
-    # one integrand call per refinement round for all inner integrals, not one per panel
+    # one 1-D angular integral of a smooth weight: a few panels, not a 2-D grid of them
     calls = []
-    weight = quadrature._weight_factor
+    integrate = quadrature.adaptive_gauss
 
-    def counted(*args):
-        calls.append(1)
-        return weight(*args)
+    def counted(f, a, b, **kw):
+        def f_counted(x):
+            calls.append(1)
+            return f(x)
 
-    monkeypatch.setattr(quadrature, "_weight_factor", counted)
+        return integrate(f_counted, a, b, **kw)
+
+    monkeypatch.setattr(quadrature, "adaptive_gauss", counted)
     chamber_weight_integral(spec, rtol=1e-8)
-    assert 0 < len(calls) <= 200
+    assert 0 < len(calls) <= 10
 
 
 def test_chamber_moment_of_y2_dependent_function():
     # A, n = 2: y1*y2 = (s^2 - d^2)/2 with s, d the centre and spread coordinates,
     # E[s^2] = t and E[d^2] = t(2k + 1), so E[y1*y2] = -k t; for D, n = 2 it is 0 by symmetry
     for t in (0.5, 2.0):
-        got = chamber_moment(RootSystemSpec.a(2, 1.5), t, lambda y1, y2: y1 * y2)
+        got = chamber_moment(RootSystemSpec.a(2, 1.5), t, lambda y1, y2: y1 * y2, 2)
         assert got == pytest.approx(-1.5 * t, rel=1e-8)
-        got = chamber_moment(RootSystemSpec.d(2, 1.0), t, lambda y1, y2: y1 * y2)
+        got = chamber_moment(RootSystemSpec.d(2, 1.0), t, lambda y1, y2: y1 * y2, 2)
         assert got == pytest.approx(0.0, abs=1e-8 * t)
 
 
-def test_ordered_integral_inner_range_empty_on_part_of_outer_range():
-    # the inner range [2*y2, 1] is empty for y2 > 1/2, where the inner integral is 0:
-    # int_0^1/2 y2 int_{2 y2}^1 y1 dy1 dy2 = 1/32
-    got = quadrature.ordered_integral_2d(lambda y1, y2: y1 * y2, 0.0, 1.0, lambda y2: 2.0 * y2, 1.0, rtol=1e-9)
-    assert got == pytest.approx(1.0 / 32.0, rel=1e-9)
+@pytest.mark.parametrize(
+    "spec", [RootSystemSpec.b(2, 50.0, 50.0), RootSystemSpec.d(2, 100.0), RootSystemSpec.b(2, 200.0, 200.0)],
+    ids=_spec_id,
+)
+def test_large_multiplicity_integrals_meet_the_constants_in_log_space(spec):
+    # the integrals pass the float range: the value is inf, never NaN, and its log is exact
+    if spec.kind is RootKind.B:
+        log_c = log_norm_constant("cB", n=2, k1=spec.k1, k2=spec.k2).log_value
+    else:
+        log_c = log_norm_constant("cD", n=2, k=spec.k).log_value
+    assert quadrature._log_chamber_weight_integral(spec, 1e-9) == pytest.approx(-log_c, abs=1e-8)
+    assert chamber_weight_integral(spec) == math.inf
+
+
+def test_large_multiplicity_a_integral_inverts_its_constant():
+    assert chamber_weight_integral(RootSystemSpec.a(2, 100.0)) * log_norm_constant("cA", n=2, k=100.0).value == (
+        pytest.approx(1.0, abs=1e-8)
+    )

@@ -114,7 +114,7 @@ def test_second_moment_matches_quadrature_oracle():
     for spec, t in cases:
         batch = sample_exact(spec, t, 40000, seed=21)
         emp = float(np.mean(np.sum(batch.points**2, axis=1)))
-        oracle = chamber_moment(spec, t, lambda y1, y2: y1**2 + y2**2)
+        oracle = chamber_moment(spec, t, lambda y1, y2: y1**2 + y2**2, 2)
         assert emp == pytest.approx(oracle, rel=0.02)
 
 

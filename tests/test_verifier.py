@@ -178,9 +178,7 @@ def test_calibration_controls_false_positives():
 
 
 def test_identity_reports_all_pass_without_seed():
-    reports = identity_reports(
-        n_max_det=8, n_max_residual=12, n_max_potential=12, quadrature_n=(1,), tilde_n_max=3
-    )
+    reports = identity_reports(n_max_det=8, n_max_residual=12, n_max_potential=12, tilde_n_max=3)
     names = {r.name for r in reports}
     assert {
         "determinant-identity-A",
@@ -199,7 +197,7 @@ def test_identity_reports_all_pass_without_seed():
 def test_identity_report_fails_on_a_nan_grid_value(monkeypatch):
     # a NaN anywhere in the grid is the worst value, not one max() skips
     monkeypatch.setattr(verify, "chamber_weight_integral", lambda spec, **kw: math.nan if spec.n == 1 else 1.0)
-    reports = identity_reports(n_max_det=2, n_max_residual=2, n_max_potential=2, quadrature_n=(1,), tilde_n_max=2)
+    reports = identity_reports(n_max_det=2, n_max_residual=2, n_max_potential=2, tilde_n_max=2)
     quad = next(r for r in reports if r.name == "normalization-vs-quadrature")
     assert not quad.passed
     assert math.isnan(quad.statistics["max_rel_err"])
