@@ -4,8 +4,9 @@ Kolmogorov-Smirnov p-values come from the asymptotic Kolmogorov distribution,
 so sample counts below 1000 are rejected outright rather than silently giving
 bad p-values.  The multivariate two-sample test is an energy-distance
 permutation test: the upper block triangle of the pooled pairwise distances is
-streamed in row blocks through one product with a 0/1 indicator matrix whose
-columns are the observed split and every permuted split.
+built one square tile at a time, and each tile is multiplied into an int8
+membership matrix whose columns are the observed split and every permuted
+split.  The KS and energy-distance tests refuse samples that hold NaN or inf.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ __all__ = [
 ]
 
 _MIN_KS_COUNT = 1000
-_ROW_BLOCK = 256  # pooled rows per distance slab of the energy-distance test
+_ROW_BLOCK = 256  # side of a square distance tile of the energy-distance test
 _MAX_POINTS = 1600  # rows kept of each energy-distance sample
 
 
@@ -39,6 +40,12 @@ def _check_count(n: int):
         )
 
 
+def _check_finite(x: np.ndarray, name: str) -> np.ndarray:
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} holds NaN or inf")
+    return x
+
+
 def _as_columns(x) -> np.ndarray:
     """Float array of (rows, dim) samples; a 1-d array is one scalar per row."""
     x = np.asarray(x, dtype=float)
@@ -47,7 +54,7 @@ def _as_columns(x) -> np.ndarray:
 
 def ks_test_cdf(samples, cdf) -> tuple[float, float]:
     """One-sample KS statistic and asymptotic p-value against a given CDF."""
-    x = np.sort(np.asarray(samples, dtype=float))
+    x = np.sort(_check_finite(np.asarray(samples, dtype=float), "samples"))
     n = x.size
     _check_count(n)
     f = np.asarray(cdf(x), dtype=float)
@@ -61,8 +68,8 @@ def ks_test_cdf(samples, cdf) -> tuple[float, float]:
 
 def ks_test_two_sample(a, b) -> tuple[float, float]:
     """Two-sample KS statistic and asymptotic p-value."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
+    a = np.sort(_check_finite(np.asarray(a, dtype=float), "sample a"))
+    b = np.sort(_check_finite(np.asarray(b, dtype=float), "sample b"))
     _check_count(min(a.size, b.size))
     pooled = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, pooled, side="right") / a.size
@@ -110,19 +117,22 @@ def energy_distance_test(
 
     A 1-d sample is read as one scalar per row.
     Both samples are subsampled to at most 1600 rows; the
-    subsampling and the permutations are driven by ``seed``.  Time is
-    quadratic in the pooled size.  The symmetric (size, size) distance matrix
-    is never held: only its upper block triangle is built, one row block at
-    a time, each off-diagonal block weighted twice, so the distances and the
-    product with the split indicators cost half the full matrix.  Memory is
-    O(size * (n_permutations + block)).  Returns (statistic, p-value) with
+    subsampling and the permutations are driven by ``seed``.  A sample that
+    holds NaN or inf is refused before any row is dropped.  Time is quadratic
+    in the pooled size.  The symmetric (size, size) distance matrix is never
+    held: only its upper block triangle is built, one square (tile, tile)
+    tile at a time, each off-diagonal tile weighted twice, so the distances
+    and their product with the splits cost half the full matrix.  The splits
+    are one int8 membership matrix.  Memory is O(size * n_permutations)
+    bytes plus O(tile * (tile + n_permutations)) floats.  Returns
+    (statistic, p-value) with
     p = (1 + #{permuted >= observed}) / (1 + n_permutations).
     """
     if n_permutations < 1:
         raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x9E3779B9]))
-    a = _as_columns(a)
-    b = _as_columns(b)
+    a = _check_finite(_as_columns(a), "sample a")
+    b = _check_finite(_as_columns(b), "sample b")
     if a.shape[1] != b.shape[1]:
         raise ValueError("samples must share their dimension")
     if a.size == 0 or b.size == 0:
@@ -136,35 +146,40 @@ def energy_distance_test(
     n = a.shape[0]
     size = pooled.shape[0]
     m = size - n
-    # one 0/1 indicator column per split: column 0 is the observed split and
-    # column j + 1 permutation j, so every statistic reduces to ind' D ind
-    # and rowsum(D) @ ind
-    ind = np.zeros((size, n_permutations + 1))
-    ind[:n, 0] = 1.0
+    # one int8 membership column per split: column 0 is the observed split
+    # and column j + 1 permutation j, so every statistic reduces to
+    # member' D member and rowsum(D) @ member
+    member = np.zeros((size, n_permutations + 1), dtype=np.int8)
+    member[:n, 0] = 1
     for j in range(n_permutations):
-        ind[rng.permutation(size)[:n], j + 1] = 1.0
+        member[rng.permutation(size)[:n], j + 1] = 1
     # only the upper block triangle of the symmetric distance matrix D is
-    # built: the slab of row block lo:hi runs from column lo on, its diagonal
-    # block counts once and the blocks right of it twice.  The row sums of D
-    # (rowsum) collect each off-diagonal block along its rows and columns.
+    # built, one square tile at a time: the diagonal tile of row block I
+    # counts once and the tiles right of it twice (doubling the membership
+    # is exact).  rowsum collects each off-diagonal tile along its rows and
+    # its columns.  -2·pooled is scaled once, exactly, as a power of two.
+    left = -2.0 * pooled
     s_aa = np.zeros(n_permutations + 1)
     rowsum = np.zeros(size)
-    for lo in range(0, size, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, size)
-        # D[lo:hi, lo:] = sqrt(max(|a|²+|b|²-2a·b, 0))
-        slab = np.matmul(pooled[lo:hi], pooled[lo:].T)
-        slab *= -2.0
-        slab += sq[lo:hi, None]
-        slab += sq[None, lo:]
-        np.maximum(slab, 0.0, out=slab)
-        np.sqrt(slab, out=slab)
-        off = slab[:, hi - lo :]
-        rowsum[lo:hi] += slab.sum(axis=1)
-        rowsum[hi:] += off.sum(axis=0)
-        off *= 2.0
-        s_aa += np.einsum("ip,ip->p", ind[lo:hi], slab @ ind[lo:])
+    blocks = [slice(lo, min(lo + _ROW_BLOCK, size)) for lo in range(0, size, _ROW_BLOCK)]
+    for i, rows in enumerate(blocks):
+        acc = np.zeros((rows.stop - rows.start, n_permutations + 1))
+        for cols in blocks[i:]:
+            # D[rows, cols] = sqrt(max(|a|²+|b|²-2a·b, 0))
+            tile = left[rows] @ pooled[cols].T
+            tile += sq[rows, None]
+            tile += sq[None, cols]
+            np.maximum(tile, 0.0, out=tile)
+            np.sqrt(tile, out=tile)
+            rowsum[rows] += tile.sum(axis=1)
+            weight = 1.0
+            if cols is not rows:
+                rowsum[cols] += tile.sum(axis=0)
+                weight = 2.0
+            acc += tile @ (weight * member[cols])
+        s_aa += np.einsum("ip,ip->p", member[rows], acc)
     total = float(rowsum.sum())
-    col = rowsum @ ind
+    col = sum(rowsum[rows] @ member[rows] for rows in blocks)
     s_bb = total - 2.0 * col + s_aa
     s_ab = 0.5 * (total - s_aa - s_bb)
     stats = 2.0 * s_ab / (n * m) - s_aa / (n * n) - s_bb / (m * m)

@@ -157,8 +157,9 @@ def _dense_energy_distance_test(a, b, *, n_permutations=200, seed, max_points=16
 
 
 def test_energy_distance_memory_and_pinned_value(monkeypatch):
-    # 1600 + 1600 subsampled rows: the distances are streamed in slabs of at
-    # most (256, 3200), so no (3200, 3200) matrix (78 MiB) is ever alive
+    # 1600 + 1600 subsampled rows: the distances are built in (256, 256)
+    # tiles and the splits held as int8, so neither a (3200, 3200) matrix
+    # (78 MiB), a (256, 3200) slab nor a float (3200, 201) indicator is alive
     rng = np.random.default_rng(2024)
     a = rng.standard_normal((4096, 10))
     b = rng.standard_normal((4096, 10)) + 0.02
@@ -168,14 +169,14 @@ def test_energy_distance_memory_and_pinned_value(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 48 * 2**20
-    assert (stat, p) == (float.fromhex("0x1.0893215936800p-7"), 4.0 / 201.0)
+    assert peak < 8 * 2**20
+    assert (stat, p) == (float.fromhex("0x1.0893215933c00p-7"), 4.0 / 201.0)
     # the dense (3200, 3200) build sums the same distances in another order
     dense_stat, dense_p, mean_dist = _dense_energy_distance_test(a, b, seed=7)
     assert (dense_stat, dense_p) == (float.fromhex("0x1.0893215934000p-7"), p)
     assert abs(stat - dense_stat) <= 1e-12 * mean_dist
-    # 3000 + 3000 rows: a dense build needs two 275 MiB matrices; the
-    # streamed one stays within a bound that does not grow with the cap²
+    # 3000 + 3000 rows: a dense build needs two 275 MiB matrices; the tiled
+    # one stays within a bound that does not grow with the cap²
     monkeypatch.setattr(stat_tests, "_MAX_POINTS", 3000)
     tracemalloc.start()
     try:
@@ -183,7 +184,7 @@ def test_energy_distance_memory_and_pinned_value(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize(
@@ -238,3 +239,22 @@ def test_energy_distance_rejects_void_inputs():
     for empty_a, empty_b in ((a[:0], b), (a, b[:0])):
         with pytest.raises(ValueError, match="row"):
             energy_distance_test(empty_a, empty_b, seed=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tests_refuse_non_finite_samples(bad, monkeypatch):
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((1500, 2))
+    b = rng.standard_normal((1500, 2))
+    a[700, 1] = bad
+    with pytest.raises(ValueError, match="NaN or inf"):
+        ks_test_cdf(a[:, 1], lambda v: normal_cdf(v, 1.0))
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="NaN or inf"):
+            ks_test_two_sample(x[:, 1], y[:, 1])
+        # refused before the subsample, so whether or not the seed keeps the
+        # bad row out of the 100 kept
+        monkeypatch.setattr(stat_tests, "_MAX_POINTS", 100)
+        for seed in (0, 1, 2):
+            with pytest.raises(ValueError, match="NaN or inf"):
+                energy_distance_test(x, y, seed=seed)

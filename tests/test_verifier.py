@@ -169,6 +169,16 @@ def test_two_sample_agreement_null_and_shift():
         two_sample_agreement(a.points, b.points[:, :1], name="bad", parameters={}, seed=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_two_sample_agreement_refuses_non_finite_points(bad):
+    spec = fb.RootSystemSpec.a(2, 3.0)
+    a = fb.sample_exact(spec, 1.0, 1500, 1).points.copy()
+    b = fb.sample_exact(spec, 1.0, 1500, 2).points
+    a[3, 0] = bad
+    with pytest.raises(ValueError, match="NaN or inf"):
+        two_sample_agreement(a, b, name="bad", parameters={}, seed=0)
+
+
 def test_calibration_controls_false_positives():
     report = calibration_check("A", 2, 200.0, 1.0, count=5000, seed=1)
     assert report.passed
