@@ -250,24 +250,46 @@ _AUTOCORR_LIMIT = 0.05
 _BURN_IN = 1000
 _PILOT = 2000
 _MAX_THIN = 64
+_CHAIN_CHUNK = 4096
 
 
 def _run_independence_chain(spec, t, mean, chol, state, state_lp, state_lq, rng, steps):
-    """Vectorized proposal generation, sequential accept/reject."""
+    """Vectorized proposal generation, sequential accept/reject.
+
+    The accept/reject loop runs on Python floats, ``_CHAIN_CHUNK`` steps at a
+    time (``tolist`` of each chunk's slice, so the whole chain is never held
+    as Python objects).  Each decision is the same float expression as a
+    per-row numpy loop would evaluate.  The loop only records which proposal
+    the chain holds after each step (-1 while it still holds the incoming
+    ``state``); the rows are gathered once at the end with one fancy index.
+    """
     z = rng.standard_normal((steps, mean.size))
     proposals = mean + z @ chol.T
     prop_lq = -0.5 * np.sum(z**2, axis=1)
     prop_lp = _log_target(spec, t, proposals)
     logu = np.log(rng.random(steps))
-    out = np.empty_like(proposals)
+    held = np.full(steps, -1, dtype=np.intp)
     accepted = 0
-    for i in range(steps):
-        if logu[i] < (prop_lp[i] - state_lp) - (prop_lq[i] - state_lq):
-            state = proposals[i]
-            state_lp = prop_lp[i]
-            state_lq = prop_lq[i]
-            accepted += 1
-        out[i] = state
+    for start in range(0, steps, _CHAIN_CHUNK):
+        stop = start + _CHAIN_CHUNK
+        taken = []
+        for i, u, lp, lq in zip(
+            range(start, steps),
+            logu[start:stop].tolist(),
+            prop_lp[start:stop].tolist(),
+            prop_lq[start:stop].tolist(),
+        ):
+            if u < (lp - state_lp) - (lq - state_lq):
+                state_lp = lp
+                state_lq = lq
+                taken.append(i)
+        held[taken] = taken
+        accepted += len(taken)
+    np.maximum.accumulate(held, out=held)
+    out = proposals[held]
+    out[held < 0] = state
+    if accepted:
+        state = proposals[held[-1]].copy()
     return out, state, state_lp, state_lq, accepted
 
 

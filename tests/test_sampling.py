@@ -201,6 +201,89 @@ def test_metropolis_aborts_when_thinning_cannot_meet_the_autocorrelation_screen(
     assert "sample_exact" in message
 
 
+def _per_row_chain(spec, t, mean, chol, state, state_lp, state_lq, rng, steps):
+    """The accept/reject loop on numpy scalars and rows, one step at a time.
+
+    The reference for ``sampling._run_independence_chain``, which must give
+    the same bytes.
+    """
+    z = rng.standard_normal((steps, mean.size))
+    proposals = mean + z @ chol.T
+    prop_lq = -0.5 * np.sum(z**2, axis=1)
+    prop_lp = sampling._log_target(spec, t, proposals)
+    logu = np.log(rng.random(steps))
+    out = np.empty_like(proposals)
+    accepted = 0
+    for i in range(steps):
+        if logu[i] < (prop_lp[i] - state_lp) - (prop_lq[i] - state_lq):
+            state = proposals[i]
+            state_lp = prop_lp[i]
+            state_lq = prop_lq[i]
+            accepted += 1
+        out[i] = state
+    return out, state, state_lp, state_lq, accepted
+
+
+@pytest.mark.parametrize(
+    "spec, count, seed, inflation",
+    [
+        (RootSystemSpec.a(3, 200.0), 2048, 0, 1.5),  # thin 2: 4096 steps, one whole chunk
+        (RootSystemSpec.a(3, 200.0), 3001, 0, 1.5),  # thin 2: 6002 steps, a partial chunk
+        (RootSystemSpec.b(2, 50.0, 50.0), 3000, 2, 1.5),
+        (RootSystemSpec.b(3, 0.0, 200.0), 3000, 3, 1.5),
+        (RootSystemSpec.d(2, 200.0), 3000, 4, 1.5),
+        (RootSystemSpec.a(1, 3.0), 3000, 5, 1.5),
+        (RootSystemSpec.a(3, 200.0), 3000, 0, 3.0),  # acceptance 0.39, thin 10
+    ],
+    ids=["A3-whole-chunk", "A3-partial-chunk", "B2", "B3", "D2", "A1", "A3-low-acceptance"],
+)
+def test_chunked_chain_gives_the_per_row_bytes(monkeypatch, spec, count, seed, inflation):
+    monkeypatch.setattr(sampling, "_PROPOSAL_INFLATION", inflation)
+    fast = sample_metropolis(spec, 1.0, count, seed)
+    monkeypatch.setattr(sampling, "_run_independence_chain", _per_row_chain)
+    slow = sample_metropolis(spec, 1.0, count, seed)
+    assert fast.points.tobytes() == slow.points.tobytes()
+    assert fast.diagnostics.to_dict() == slow.diagnostics.to_dict()
+    if inflation > 1.5:
+        assert fast.diagnostics.acceptance_rate < 0.5
+
+
+@pytest.mark.parametrize(
+    "lift, first_move",
+    [(0.0, 1), (7.0, 6334), (np.inf, None)],
+    ids=["start", "start-held-past-a-chunk", "never-accepts"],
+)
+def test_chunked_chain_kernel_matches_per_row_kernel(lift, first_move):
+    # lifting the incoming state's log density makes the chain hold it for
+    # many steps (at inf, for all of them)
+    spec = RootSystemSpec.a(3, 200.0)
+    regime = sampling._freezing_regime(spec)
+    mean = np.sqrt(regime.m) * regime.target
+    chol = np.linalg.cholesky(1.5 * regime.sigma)
+    state_lp = float(sampling._log_target(spec, 1.0, mean[None, :])[0]) + lift
+    steps = 2 * sampling._CHAIN_CHUNK + 5
+    args = (spec, 1.0, mean, chol, mean.copy(), state_lp, 0.0)
+    fast = sampling._run_independence_chain(*args, np.random.default_rng(9), steps)
+    slow = _per_row_chain(*args, np.random.default_rng(9), steps)
+    assert fast[0].tobytes() == slow[0].tobytes()
+    assert np.asarray(fast[1]).tobytes() == np.asarray(slow[1]).tobytes()
+    assert fast[2:] == slow[2:]
+    moved = np.flatnonzero(np.any(slow[0] != mean, axis=1))
+    assert (int(moved[0]) if moved.size else None) == first_move
+
+
+def test_metropolis_chain_memory_stays_chunked():
+    # a tolist of the whole 40 000-step chain would take about 4 MiB more
+    spec = RootSystemSpec.a(3, 200.0)
+    tracemalloc.start()
+    try:
+        sample_metropolis(spec, 1.0, 20000, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
 def test_batch_dict_roundtrip_fields():
     batch = sample_tridiag_a(2, 1.0, 1.0, 500, seed=2)
     d = batch.diagnostics.to_dict()
