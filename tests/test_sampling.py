@@ -201,6 +201,14 @@ def test_metropolis_aborts_when_thinning_cannot_meet_the_autocorrelation_screen(
     assert "sample_exact" in message
 
 
+def test_metropolis_screen_stays_above_its_noise_at_small_counts():
+    # the lag-1 estimate has a standard error of about 1/sqrt(100) = 0.1; a
+    # fixed 0.05 screen aborted 14 of these 20 healthy chains
+    for seed in range(20):
+        batch = sample_metropolis(RootSystemSpec.a(3, 200.0), 1.0, 100, seed)
+        assert batch.diagnostics.extra["lag1_autocorr"] < 0.3
+
+
 def _per_row_chain(spec, t, mean, chol, state, state_lp, state_lq, rng, steps):
     """The accept/reject loop on numpy scalars and rows, one step at a time.
 
