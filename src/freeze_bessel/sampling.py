@@ -305,14 +305,14 @@ def sample_metropolis(spec: RootSystemSpec, t: float, count: int, seed: int) -> 
     the emitted points pass a lag-1 autocorrelation screen, and doubles the
     lag until they do.  The screen's limit is max(0.05, 3/sqrt(count)), three
     standard errors of the estimate at small counts and 0.05 from count 3600
-    up.  It raises ``SamplerAbort`` if the acceptance rate
-    degenerates (< 1e-3), or if the emitted points still fail the screen at
-    the largest lag (64).
+    up.  It raises ``SamplerAbort`` if the acceptance rate degenerates
+    (< 1e-3), or if the emitted points still fail the screen at the largest
+    lag (64).
 
-    Each stretch of the chain draws all its proposals and log densities as
-    arrays, then runs the accept/reject decisions on Python floats in chunks
-    of 4096 steps, recording which proposal the chain holds; the held rows
-    are gathered with one fancy index (see ``_run_independence_chain``).
+    Each stretch of the chain draws its proposals and log densities as
+    arrays, then decides accept/reject on Python floats in chunks of 4096
+    steps and gathers the held rows with one fancy index
+    (``_run_independence_chain``).
     """
     t = _as_time(t)
     if count < 1:
