@@ -274,7 +274,7 @@ def _run_independence_chain(spec, t, mean, chol, state, state_lp, state_lq, rng,
         stop = start + _CHAIN_CHUNK
         taken = []
         for i, u, lp, lq in zip(
-            range(start, steps),
+            range(start, stop),
             logu[start:stop].tolist(),
             prop_lp[start:stop].tolist(),
             prop_lq[start:stop].tolist(),
