@@ -53,10 +53,10 @@ def _as_kind(kind) -> RootKind:
     return RootKind(str(kind).upper())
 
 
-def _as_count(n) -> int:
-    """A particle count or degree as an int; 2.7, inf and NaN are refused."""
+def _as_count(n, name: str = "n") -> int:
+    """A particle count, degree or sample count as an int; 2.7, inf and NaN are refused."""
     if not math.isfinite(n) or n != int(n):
-        raise ValueError(f"n must be an integer, got {n!r}")
+        raise ValueError(f"{name} must be an integer, got {n!r}")
     return int(n)
 
 

@@ -12,7 +12,8 @@ the scaled limits of the multivariate Bessel function that drive the proofs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -137,13 +138,24 @@ class FreezingRegime:
     ===  ====================  ===================  ====  ==========  ===========
 
     B3 at k1 = 0 is the zero-axis regime B0.  The B(nu = 0) target has the
-    coordinates of the D target: its last coordinate is 0.
+    coordinates of the D target: its last coordinate is 0.  ``sigma`` is
+    built on first use and kept, so a caller that only rescales to the
+    target (``verify.lln_check``) builds neither S nor its inverse.
     """
 
     spec: RootSystemSpec
     m: float
     target: np.ndarray
-    sigma: np.ndarray
+    # the (kind, nu) of the precision matrix whose inverse is sigma
+    _precision: tuple[RootKind, float | None] = field(repr=False)
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        kind, nu = self._precision
+        # at n = 1 (B3 only) there are no pair roots and S_D is [[1]]; kind D itself needs n >= 2
+        if self.spec.n == 1 and kind is RootKind.D:
+            return np.ones((1, 1))
+        return covariance(precision_matrix(kind, self.spec.n, nu))
 
     @classmethod
     def from_theorem(
@@ -161,26 +173,24 @@ class FreezingRegime:
         if theorem == "A":
             spec = RootSystemSpec.a(n, strength)
             target = freezing_target(RootKind.A, n).coords
-            sigma = covariance(precision_matrix(RootKind.A, n))
-            return cls(spec, 2.0 * strength, target, sigma)
+            return cls(spec, 2.0 * strength, target, (RootKind.A, None))
         if theorem == "B1":
             if nu is None or nu <= 0:
                 raise ValueError("theorem B1 needs nu > 0 (nu = 0 is the one-sided regime)")
             spec = RootSystemSpec.b(n, nu * strength, strength)
             target = freezing_target(RootKind.B, n, nu).coords
-            sigma = covariance(precision_matrix(RootKind.B, n, nu))
+            precision = (RootKind.B, nu)
         elif theorem == "B3":
             if k1 is None or k1 < 0:
                 raise ValueError("theorem B3 needs fixed k1 >= 0")
             spec = RootSystemSpec.b(n, k1, strength)
             target = freezing_target(RootKind.B, n, 0.0).coords
-            # at n = 1 there are no pair roots and S_D is [[1]]; kind D itself needs n >= 2
-            sigma = covariance(precision_matrix(RootKind.D, n)) if n > 1 else np.ones((1, 1))
+            precision = (RootKind.D, None)
         else:
             spec = RootSystemSpec.d(n, strength)
             target = freezing_target(RootKind.D, n).coords
-            sigma = covariance(precision_matrix(RootKind.D, n))
-        return cls(spec, float(strength), target, sigma)
+            precision = (RootKind.D, None)
+        return cls(spec, float(strength), target, precision)
 
     def center(self, points: np.ndarray, t: float) -> np.ndarray:
         return points - math.sqrt(self.m * t) * self.target

@@ -32,6 +32,7 @@ import numpy as np
 from .core import (
     RootKind,
     RootSystemSpec,
+    _as_count,
     _as_time,
     in_chamber,
     log_weight_batch,
@@ -200,6 +201,7 @@ def sample_exact(
     symmetrization of the B law in that coordinate).
     """
     t = _as_time(t)
+    count = _as_count(count, "count")
     if count < 1:
         raise ValueError("count must be >= 1")
     pts = _map_subbatches(
@@ -253,31 +255,48 @@ _MAX_THIN = 64
 _CHAIN_CHUNK = 4096
 
 
-def _run_independence_chain(spec, t, mean, chol, state, state_lp, state_lq, rng, steps):
+def _run_independence_chain(spec, t, mean, chol, state, state_lp, state_lq, rng, steps, keep):
     """Vectorized proposal generation, sequential accept/reject.
+
+    Returns the rows of the stretch that ``keep`` (a slice of the step index)
+    selects, and the chain's state after the last step.  Only ``z`` and the
+    proposals are held as whole (steps, n) arrays, about 2n floats per step
+    at the proposal GEMM; ``z`` is freed before the target density runs, and
+    from there a stretch holds n + 4 floats per step: the proposals, their
+    two log densities, ``log u`` and the held index.  Both log densities are
+    per-row reductions taken on ``_CHAIN_CHUNK``-row slices, so the weight's
+    (rows, roots) temporaries stay at ``_CHAIN_CHUNK`` rows.
 
     The accept/reject loop runs on Python floats, ``_CHAIN_CHUNK`` steps at a
     time (``tolist`` of each chunk's slice, so the whole chain is never held
     as Python objects).  Each decision is the same float expression as a
     per-row numpy loop would evaluate.  The loop only records which proposal
     the chain holds after each step (-1 while it still holds the incoming
-    ``state``); the rows are gathered once at the end with one fancy index.
+    ``state``); the kept rows are gathered once at the end with one fancy
+    index.
     """
     z = rng.standard_normal((steps, mean.size))
-    proposals = mean + z @ chol.T
-    prop_lq = -0.5 * np.sum(z**2, axis=1)
-    prop_lp = _log_target(spec, t, proposals)
-    logu = np.log(rng.random(steps))
+    proposals = z @ chol.T
+    proposals += mean
+    chunks = [slice(start, start + _CHAIN_CHUNK) for start in range(0, steps, _CHAIN_CHUNK)]
+    prop_lq = np.empty(steps)
+    for rows in chunks:
+        prop_lq[rows] = -0.5 * np.sum(z[rows] ** 2, axis=1)
+    del z
+    prop_lp = np.empty(steps)
+    for rows in chunks:
+        prop_lp[rows] = _log_target(spec, t, proposals[rows])
+    logu = rng.random(steps)
+    np.log(logu, out=logu)
     held = np.full(steps, -1, dtype=np.intp)
     accepted = 0
-    for start in range(0, steps, _CHAIN_CHUNK):
-        stop = start + _CHAIN_CHUNK
+    for rows in chunks:
         taken = []
         for i, u, lp, lq in zip(
-            range(start, stop),
-            logu[start:stop].tolist(),
-            prop_lp[start:stop].tolist(),
-            prop_lq[start:stop].tolist(),
+            range(rows.start, rows.stop),
+            logu[rows].tolist(),
+            prop_lp[rows].tolist(),
+            prop_lq[rows].tolist(),
         ):
             if u < (lp - state_lp) - (lq - state_lq):
                 state_lp = lp
@@ -286,8 +305,9 @@ def _run_independence_chain(spec, t, mean, chol, state, state_lp, state_lq, rng,
         held[taken] = taken
         accepted += len(taken)
     np.maximum.accumulate(held, out=held)
-    out = proposals[held]
-    out[held < 0] = state
+    kept = held[keep]
+    out = proposals[kept]
+    out[kept < 0] = state
     if accepted:
         state = proposals[held[-1]].copy()
     return out, state, state_lp, state_lq, accepted
@@ -309,12 +329,16 @@ def sample_metropolis(spec: RootSystemSpec, t: float, count: int, seed: int) -> 
     (< 1e-3), or if the emitted points still fail the screen at the largest
     lag (64).
 
-    Each stretch of the chain draws its proposals and log densities as
-    arrays, then decides accept/reject on Python floats in chunks of 4096
-    steps and gathers the held rows with one fancy index
-    (``_run_independence_chain``).
+    Each stretch of the chain (burn-in, pilot, main) draws its proposals and
+    log densities as arrays, then decides accept/reject on Python floats in
+    chunks of 4096 steps and gathers only the rows it keeps with one fancy
+    index: none of the burn-in, all of the pilot and every ``thin``-th row of
+    the main stretch (``_run_independence_chain``).  A stretch's working set
+    is about 2n floats per step at the proposal GEMM, then n + 4, plus the
+    target density's 4096 × (number of positive roots) temporaries.
     """
     t = _as_time(t)
+    count = _as_count(count, "count")
     if count < 1:
         raise ValueError("count must be >= 1")
     regime = _freezing_regime(spec)
@@ -328,10 +352,10 @@ def sample_metropolis(spec: RootSystemSpec, t: float, count: int, seed: int) -> 
         raise SamplerAbort("chain cannot start: target density vanishes at the regime center")
     state_lq = 0.0
 
-    def advance(steps):
+    def advance(steps, keep):
         nonlocal state, state_lp, state_lq
         out, state, state_lp, state_lq, acc = _run_independence_chain(
-            spec, t, mean, chol, state, state_lp, state_lq, rng, steps
+            spec, t, mean, chol, state, state_lp, state_lq, rng, steps, keep
         )
         return out, acc
 
@@ -342,8 +366,8 @@ def sample_metropolis(spec: RootSystemSpec, t: float, count: int, seed: int) -> 
             "use sample_exact"
         )
 
-    advance(_BURN_IN)
-    pilot, pilot_acc = advance(_PILOT)
+    advance(_BURN_IN, slice(0))
+    pilot, pilot_acc = advance(_PILOT, slice(None))
     if pilot_acc / _PILOT < _MIN_ACCEPTANCE:
         raise abort(pilot_acc / _PILOT)
     rho = float(np.max(np.abs(lag1_autocorr(pilot))))
@@ -358,10 +382,9 @@ def sample_metropolis(spec: RootSystemSpec, t: float, count: int, seed: int) -> 
     accepted = 0
     total = 0
     while True:
-        chain, acc = advance(count * thin)
+        points, acc = advance(count * thin, slice(thin - 1, None, thin))
         accepted += acc
         total += count * thin
-        points = chain[thin - 1 :: thin][:count]
         emitted_rho = float(np.max(np.abs(lag1_autocorr(points))))
         if emitted_rho < limit:
             break

@@ -27,6 +27,7 @@ from .core import (
     ChamberPoint,
     RootKind,
     RootSystemSpec,
+    _as_count,
     _as_time,
     _chamber_order,
     _project_particle_major,
@@ -222,10 +223,13 @@ class SdeConfig:
 
     def __post_init__(self):
         _as_time(self.t)
+        object.__setattr__(self, "paths", _as_count(self.paths, "paths"))
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
-        if self.steps is not None and self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        if self.steps is not None:
+            object.__setattr__(self, "steps", _as_count(self.steps, "steps"))
+            if self.steps < 1:
+                raise ValueError("steps must be >= 1")
         x0 = self.x0
         if not isinstance(x0, StartDistribution):
             x0 = StartDistribution.at_point(
@@ -243,7 +247,7 @@ class SdeConfig:
     @property
     def resolved_steps(self) -> int:
         if self.steps is not None:
-            return int(self.steps)
+            return self.steps
         return max(1, math.ceil(_DEFAULT_STEPS_PER_UNIT_TIME * self.t))
 
 

@@ -8,6 +8,7 @@ from freeze_bessel import (
     bessel_limit_b1,
     covariance,
     determinant_identity,
+    freezing_target,
     log_norm_constant,
     precision_matrix,
     proof_constant_limit,
@@ -86,6 +87,24 @@ def test_covariance_a_matches_the_dumitriu_edelman_hermite_perturbation():
         d, e = q * q, 2.0 * q[:-1] * q[1:]
         sigma = covariance(precision_matrix("A", n))
         assert np.max(np.abs(d.T @ d + e.T @ e / 4.0 - sigma)) <= 1e-12 * np.max(np.abs(sigma)), n
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.0, 3.0])
+def test_covariance_b_matches_the_dumitriu_edelman_laguerre_perturbation(nu):
+    # the same first-order perturbation of the bidiagonal beta-Laguerre model:
+    # B0 has diagonal sqrt(2 nu + 2 (n - i)) and subdiagonal sqrt(2 (n - i));
+    # with u_j, v_j its singular vector pairs, P[j, i] = u_j[i] v_j[i] and
+    # R[j, i] = u_j[i + 1] v_j[i], Sigma_B = (P P^T + R R^T) / 2, and the
+    # singular values are the B(nu) freezing target
+    for n in range(1, 31):
+        i = np.arange(1, n + 1)
+        b0 = np.diag(np.sqrt(2.0 * nu + 2.0 * (n - i))) + np.diag(np.sqrt(2.0 * (n - i[:-1])), -1)
+        u, singular, vt = np.linalg.svd(b0)
+        p, r = (u * vt.T).T, (u[1:] * vt.T[:-1]).T
+        sigma = covariance(precision_matrix("B", n, nu))
+        assert np.max(np.abs((p @ p.T + r @ r.T) / 2.0 - sigma)) <= 1e-12 * np.max(np.abs(sigma)), n
+        target = freezing_target("B", n, nu).coords
+        assert np.max(np.abs(singular - target)) <= 1e-12 * np.max(target), n
 
 
 def test_determinant_identities():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from freeze_bessel.sampling import (
     sample_tridiag_a,
     sample_tridiag_b,
 )
+from freeze_bessel.sde import SdeConfig
 from freeze_bessel.stat_tests import ks_test_two_sample
 
 
@@ -171,6 +173,27 @@ def test_metropolis_is_deterministic_in_the_seed():
     assert m1.diagnostics.acceptance_rate == m2.diagnostics.acceptance_rate
 
 
+_A2 = RootSystemSpec.a(2, 5.0)
+_COUNTED = {
+    "sample_exact-count": lambda c: sample_exact(_A2, 1.0, c, 0).count,
+    "sample_metropolis-count": lambda c: sample_metropolis(_A2, 1.0, c, 0).count,
+    "SdeConfig-paths": lambda c: SdeConfig(_A2, [1.0, 0.0], 1.0, 0, paths=c).paths,
+    "SdeConfig-steps": lambda c: SdeConfig(_A2, [1.0, 0.0], 1.0, 0, steps=c).resolved_steps,
+}
+
+
+@pytest.mark.parametrize("entry", list(_COUNTED))
+def test_sample_counts_are_refused_unless_integral(entry):
+    # 2.5 used to run 2 rows, paths or steps, and inf to overflow
+    call = _COUNTED[entry]
+    for bad in (2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(bad)
+    for good in (3, 3.0, np.int64(3)):
+        value = call(good)
+        assert value == 3 and type(value) is int
+
+
 def test_metropolis_rejects_bad_arguments():
     # the proposal's freezing regime refuses k = 0
     with pytest.raises(ValueError, match="strength > 0"):
@@ -209,11 +232,12 @@ def test_metropolis_screen_stays_above_its_noise_at_small_counts():
         assert batch.diagnostics.extra["lag1_autocorr"] < 0.3
 
 
-def _per_row_chain(spec, t, mean, chol, state, state_lp, state_lq, rng, steps):
+def _per_row_chain(spec, t, mean, chol, state, state_lp, state_lq, rng, steps, keep):
     """The accept/reject loop on numpy scalars and rows, one step at a time.
 
     The reference for ``sampling._run_independence_chain``, which must give
-    the same bytes.
+    the same bytes.  It builds the whole stretch and returns the rows that
+    ``keep`` selects.
     """
     z = rng.standard_normal((steps, mean.size))
     proposals = mean + z @ chol.T
@@ -229,7 +253,7 @@ def _per_row_chain(spec, t, mean, chol, state, state_lp, state_lq, rng, steps):
             state_lq = prop_lq[i]
             accepted += 1
         out[i] = state
-    return out, state, state_lp, state_lq, accepted
+    return out[keep], state, state_lp, state_lq, accepted
 
 
 @pytest.mark.parametrize(
@@ -242,8 +266,9 @@ def _per_row_chain(spec, t, mean, chol, state, state_lp, state_lq, rng, steps):
         (RootSystemSpec.d(2, 200.0), 3000, 4, 1.5),
         (RootSystemSpec.a(1, 3.0), 3000, 5, 1.5),
         (RootSystemSpec.a(3, 200.0), 3000, 0, 3.0),  # acceptance 0.39, thin 10
+        (RootSystemSpec.a(10, 200.0), 2000, 1, 1.5),  # 45 pair roots, thin 8: 16 000 steps
     ],
-    ids=["A3-whole-chunk", "A3-partial-chunk", "B2", "B3", "D2", "A1", "A3-low-acceptance"],
+    ids=["A3-whole-chunk", "A3-partial-chunk", "B2", "B3", "D2", "A1", "A3-low-acceptance", "A10"],
 )
 def test_chunked_chain_gives_the_per_row_bytes(monkeypatch, spec, count, seed, inflation):
     monkeypatch.setattr(sampling, "_PROPOSAL_INFLATION", inflation)
@@ -257,13 +282,20 @@ def test_chunked_chain_gives_the_per_row_bytes(monkeypatch, spec, count, seed, i
 
 
 @pytest.mark.parametrize(
-    "lift, first_move",
-    [(0.0, 1), (7.0, 6334), (np.inf, None)],
-    ids=["start", "start-held-past-a-chunk", "never-accepts"],
+    "lift, first_move, keep",
+    [
+        (0.0, 1, slice(None)),
+        (7.0, 6334, slice(None)),
+        (7.0, 6334, slice(2, None, 3)),
+        (np.inf, None, slice(None)),
+        (0.0, 1, slice(0)),
+    ],
+    ids=["start", "start-held-past-a-chunk", "thin-3-keeps-held-start", "never-accepts", "keeps-none"],
 )
-def test_chunked_chain_kernel_matches_per_row_kernel(lift, first_move):
+def test_chunked_chain_kernel_matches_per_row_kernel(lift, first_move, keep):
     # lifting the incoming state's log density makes the chain hold it for
-    # many steps (at inf, for all of them)
+    # many steps (at inf, for all of them); at thin 3 the kept rows before
+    # step 6334 are copies of the incoming state
     spec = RootSystemSpec.a(3, 200.0)
     regime = sampling._freezing_regime(spec)
     mean = np.sqrt(regime.m) * regime.target
@@ -271,25 +303,41 @@ def test_chunked_chain_kernel_matches_per_row_kernel(lift, first_move):
     state_lp = float(sampling._log_target(spec, 1.0, mean[None, :])[0]) + lift
     steps = 2 * sampling._CHAIN_CHUNK + 5
     args = (spec, 1.0, mean, chol, mean.copy(), state_lp, 0.0)
-    fast = sampling._run_independence_chain(*args, np.random.default_rng(9), steps)
-    slow = _per_row_chain(*args, np.random.default_rng(9), steps)
-    assert fast[0].tobytes() == slow[0].tobytes()
+    fast = sampling._run_independence_chain(*args, np.random.default_rng(9), steps, keep)
+    slow = _per_row_chain(*args, np.random.default_rng(9), steps, slice(None))
+    assert fast[0].shape == (len(range(steps)[keep]), 3)
+    assert fast[0].tobytes() == slow[0][keep].tobytes()
     assert np.asarray(fast[1]).tobytes() == np.asarray(slow[1]).tobytes()
     assert fast[2:] == slow[2:]
     moved = np.flatnonzero(np.any(slow[0] != mean, axis=1))
     assert (int(moved[0]) if moved.size else None) == first_move
+    if keep == slice(2, None, 3):
+        assert np.all(fast[0][: first_move // 3] == mean)
 
 
-def test_metropolis_chain_memory_stays_chunked():
-    # a tolist of the whole 40 000-step chain would take about 4 MiB more
-    spec = RootSystemSpec.a(3, 200.0)
+@pytest.mark.parametrize(
+    "spec, count, seed, bound_mib",
+    [
+        (RootSystemSpec.a(3, 200.0), 20000, 0, 3.5),  # thin 2
+        (RootSystemSpec.a(3, 200.0), 20000, 5, 7.0),  # the screen fails at thin 2 and reruns at thin 4
+        (RootSystemSpec.a(10, 200.0), 5000, 0, 12.0),  # 45 pair roots, thin 8
+    ],
+    ids=["A3", "A3-thin-4", "A10"],
+)
+def test_metropolis_chain_memory_stays_chunked(spec, count, seed, bound_mib):
+    # a stretch holds z and the proposals whole, then n + 4 floats per step,
+    # and the weight's (rows, roots) temporaries for one chunk (peaks 2.8,
+    # 5.3 and 7.3 MiB).  The target density on the whole stretch fails all
+    # three cases (4.1, 8.5 and 32 MiB), keeping z alive fails the last two
+    # (7.2 and 10 MiB), and gathering every row before slicing the kept ones
+    # fails the thin-4 case (7.2 MiB)
     tracemalloc.start()
     try:
-        sample_metropolis(spec, 1.0, 20000, 0)
+        sample_metropolis(spec, 1.0, count, seed)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 2**20
+    assert peak < bound_mib * 2**20
 
 
 def test_batch_dict_roundtrip_fields():

@@ -54,6 +54,22 @@ def test_regime_scale_and_multiplicity_mappings():
     assert FreezingRegime is gaussian.FreezingRegime
 
 
+def test_regime_sigma_is_built_on_first_use(monkeypatch):
+    # lln_check reads only spec, m and target, so it builds no S and no Sigma
+    def refuse(*args, **kwargs):
+        raise AssertionError("precision_matrix called")
+
+    monkeypatch.setattr(gaussian, "precision_matrix", refuse)
+    for regime, nu, k1 in (("A", None, None), ("B", 1.5, None), ("B", 0.0, None), ("B3", None, 1.0)):
+        assert lln_check(regime, 3, 1e4, 1.0, nu=nu, k1=k1, count=200, seed=0).passed
+    monkeypatch.undo()
+    regime = FreezingRegime.from_theorem("D", 3, 9.0)
+    assert regime.sigma is regime.sigma
+    assert np.array_equal(regime.sigma, covariance(precision_matrix(RootKind.D, 3)))
+    # at n = 1, B3 has no pair roots and Sigma is [[1]]
+    assert np.array_equal(FreezingRegime.from_theorem("B3", 1, 50.0, k1=1.0).sigma, [[1.0]])
+
+
 def test_regime_validation():
     with pytest.raises(ValueError):
         FreezingRegime.from_theorem("B1", 2, 100.0)  # nu missing
