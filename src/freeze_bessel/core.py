@@ -54,9 +54,9 @@ def _as_kind(kind) -> RootKind:
 
 
 def _as_count(n, name: str = "n") -> int:
-    """A particle count, degree or sample count as an int; 2.7, inf and NaN are refused."""
-    if not math.isfinite(n) or n != int(n):
-        raise ValueError(f"{name} must be an integer, got {n!r}")
+    """A particle count, degree, sample or thread count as an int >= 1; 0, 2.7, inf and NaN are refused."""
+    if not (math.isfinite(n) and n == int(n) and n >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
     return int(n)
 
 
@@ -84,8 +84,6 @@ class RootSystemSpec:
         object.__setattr__(self, "kind", _as_kind(self.kind))
         n = _as_count(self.n)
         object.__setattr__(self, "n", n)
-        if n < 1:
-            raise ValueError("need at least one particle")
         if self.kind is RootKind.D and n < 2:
             raise ValueError("kind D needs n >= 2")
         if self.kind is RootKind.B:

@@ -80,8 +80,6 @@ def _zeros_cached(n: int, alpha: float | None) -> np.ndarray:
     """Descending zeros of the degree-n Hermite (``alpha`` None) or Laguerre
     L_n^(alpha) polynomial: the eigenvalues of its Jacobi matrix, then one
     Newton step."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
     j = np.arange(1, n)
     if alpha is None:
         family = "Hermite"
@@ -118,8 +116,6 @@ def laguerre_minus_one_zeros(n: int) -> np.ndarray:
     L_n^(-1)(x) = -(x/n) L_{n-1}^(1)(x), so the zero at the origin is exact.
     """
     n = _as_count(n)
-    if n < 1:
-        raise ValueError("degree must be >= 1")
     return np.append(laguerre_zeros(n - 1, 1.0), 0.0) if n > 1 else np.zeros(1)
 
 

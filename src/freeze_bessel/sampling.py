@@ -136,7 +136,7 @@ def _map_subbatches(fn, seed: int, count: int, threads: int | None):
     """
     jobs = _spawned_children(seed, count)
     if threads is not None and threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(lambda job: fn(*job, 1), jobs))
     else:
         parts = [fn(*job, threads) for job in jobs]
@@ -202,8 +202,7 @@ def sample_exact(
     """
     t = _as_time(t)
     count = _as_count(count, "count")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    threads = None if threads is None else _as_count(threads, "threads")
     pts = _map_subbatches(
         lambda child, size, threads: _exact_rows(spec, t, child, size, threads), seed, count, threads
     )
@@ -339,8 +338,6 @@ def sample_metropolis(spec: RootSystemSpec, t: float, count: int, seed: int) -> 
     """
     t = _as_time(t)
     count = _as_count(count, "count")
-    if count < 1:
-        raise ValueError("count must be >= 1")
     regime = _freezing_regime(spec)
     mean = math.sqrt(regime.m * t) * regime.target
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))

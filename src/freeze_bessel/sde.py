@@ -224,12 +224,9 @@ class SdeConfig:
     def __post_init__(self):
         _as_time(self.t)
         object.__setattr__(self, "paths", _as_count(self.paths, "paths"))
-        if self.paths < 1:
-            raise ValueError("paths must be >= 1")
         if self.steps is not None:
             object.__setattr__(self, "steps", _as_count(self.steps, "steps"))
-            if self.steps < 1:
-                raise ValueError("steps must be >= 1")
+        object.__setattr__(self, "threads", None if self.threads is None else _as_count(self.threads, "threads"))
         x0 = self.x0
         if not isinstance(x0, StartDistribution):
             x0 = StartDistribution.at_point(

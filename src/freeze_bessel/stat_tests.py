@@ -17,6 +17,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaincc, kolmogorov, ndtr
 
+from .core import _as_count
+
 __all__ = [
     "ks_test_cdf",
     "ks_test_two_sample",
@@ -128,8 +130,7 @@ def energy_distance_test(
     (statistic, p-value) with
     p = (1 + #{permuted >= observed}) / (1 + n_permutations).
     """
-    if n_permutations < 1:
-        raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
+    n_permutations = _as_count(n_permutations, "n_permutations")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x9E3779B9]))
     a = _check_finite(_as_columns(a), "sample a")
     b = _check_finite(_as_columns(b), "sample b")

@@ -20,6 +20,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.linalg import cython_lapack
 
+from .core import _as_count
+
 __all__ = ["tridiagonal_eigenvalues"]
 
 # Smallest n at which the per-matrix dsterf loop beats the batched dense
@@ -80,8 +82,10 @@ def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, *, threads: int |
     ``dsterf`` directly gives the same bytes without the (size, n, n) matrices.
     ``threads`` caps the worker threads of the ``dsterf`` path; None means
     every usable core.  The inputs are not modified.  Raises ``ValueError``
-    on mismatched shapes and ``RuntimeError`` if ``dsterf`` reports a failure.
+    on mismatched shapes or a ``threads`` that is not an integer >= 1, and
+    ``RuntimeError`` if ``dsterf`` reports a failure.
     """
+    threads = None if threads is None else _as_count(threads, "threads")
     diag = np.asarray(diag)
     off = np.asarray(off)
     if diag.ndim != 2:
@@ -100,7 +104,7 @@ def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, *, threads: int |
     # dsterf works in place: solve on private C-ordered float64 copies
     d = np.array(diag, dtype=np.float64, order="C")
     e = np.array(off, dtype=np.float64, order="C")
-    workers = max(1, min(_usable_cores() if threads is None else int(threads), size))
+    workers = max(1, min(_usable_cores() if threads is None else threads, size))
     bounds = [size * i // workers for i in range(workers + 1)]
     chunks = list(zip(bounds[:-1], bounds[1:]))
     if workers == 1:

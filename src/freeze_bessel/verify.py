@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import RootKind, RootSystemSpec, _as_time
+from .core import RootKind, RootSystemSpec, _as_count, _as_time
 from .equilibria import _POTENTIAL_TOL, _RESIDUAL_TOL, _gated_target, potential_identity_check
 from .gaussian import (
     FreezingRegime,
@@ -697,6 +697,7 @@ def run_suite(
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    n_max = None if n_max is None else _as_count(n_max, "n_max")
     overrides = {key: value for key, value in (("n", n), ("strength", strength), ("n_max", n_max))
                  if value is not None}
     plan, next_stream = [], dict.fromkeys(SUITES, 0)

@@ -192,16 +192,20 @@ def test_flags_a_command_does_not_take_exit_2(argv, message, capsys, tmp_path):
 
 
 
-@pytest.mark.parametrize("argv", [
-    ["sample", "--system", "A", "--n", "2", "--k", "1.0", "--t", "0", "--count", "3"],
-    ["sample", "--system", "A", "--n", "2", "--k", "1.0", "--count", "0"],
-    ["sde", "--system", "A", "--n", "2", "--k", "1.0", "--x0", "1,-1", "--paths", "0", "--steps", "5"],
-    ["verify", "--suite", "lln", "--quick", "--seed", "0", "--t", "0"],
-    ["verify", "--suite", "lln", "--quick", "--seed", "0", "--k", "0"],
-], ids=["sample-t0", "sample-count0", "sde-paths0", "verify-t0", "verify-k0"])
-def test_zero_arguments_are_refused_not_replaced_by_defaults(argv, capsys):
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "--system", "A", "--n", "2", "--k", "1.0", "--t", "0", "--count", "3"], "error: t must"),
+    (["sample", "--system", "A", "--n", "2", "--k", "1.0", "--count", "0"], "error: count must"),
+    (["sde", "--system", "A", "--n", "2", "--k", "1.0", "--x0", "1,-1", "--paths", "0", "--steps", "5"],
+     "error: paths must"),
+    (["verify", "--suite", "lln", "--quick", "--seed", "0", "--t", "0"], "error: t must"),
+    (["verify", "--suite", "lln", "--quick", "--seed", "0", "--k", "0"], "error:"),
+    # --n-max 0 used to fail inside numpy, and constants --n 0 to print log_value 0
+    (["verify", "--suite", "identities", "--n-max", "0"], "error: n_max must be an integer >= 1"),
+    (["constants", "--family", "cA", "--n", "0", "--k", "1"], "error: n must be an integer >= 1"),
+], ids=["sample-t0", "sample-count0", "sde-paths0", "verify-t0", "verify-k0", "verify-n_max0", "constants-n0"])
+def test_zero_arguments_are_refused_not_replaced_by_defaults(argv, message, capsys):
     assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

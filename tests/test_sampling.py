@@ -7,6 +7,7 @@ from scipy import stats as ss
 
 from freeze_bessel import sampling
 from freeze_bessel.core import RootKind, RootSystemSpec, in_chamber
+from freeze_bessel.equilibria import hermite_zeros
 from freeze_bessel.quadrature import chamber_moment
 from freeze_bessel.sampling import (
     SampleMethod,
@@ -18,6 +19,7 @@ from freeze_bessel.sampling import (
 )
 from freeze_bessel.sde import SdeConfig
 from freeze_bessel.stat_tests import ks_test_two_sample
+from freeze_bessel.tridiagonal import tridiagonal_eigenvalues
 
 
 def test_points_live_in_the_closed_chamber():
@@ -179,6 +181,9 @@ _COUNTED = {
     "sample_metropolis-count": lambda c: sample_metropolis(_A2, 1.0, c, 0).count,
     "SdeConfig-paths": lambda c: SdeConfig(_A2, [1.0, 0.0], 1.0, 0, paths=c).paths,
     "SdeConfig-steps": lambda c: SdeConfig(_A2, [1.0, 0.0], 1.0, 0, steps=c).resolved_steps,
+    "SdeConfig-threads": lambda c: SdeConfig(_A2, [1.0, 0.0], 1.0, 0, threads=c).threads,
+    "RootSystemSpec-n": lambda c: RootSystemSpec.a(c, 1.0).n,
+    "hermite_zeros-degree": lambda c: len(hermite_zeros(c)),
 }
 
 
@@ -186,12 +191,22 @@ _COUNTED = {
 def test_sample_counts_are_refused_unless_integral(entry):
     # 2.5 used to run 2 rows, paths or steps, and inf to overflow
     call = _COUNTED[entry]
-    for bad in (2.5, math.inf, math.nan):
+    for bad in (0, -1, 2.5, math.inf, math.nan):
         with pytest.raises(ValueError, match="must be an integer"):
             call(bad)
     for good in (3, 3.0, np.int64(3)):
         value = call(good)
         assert value == 3 and type(value) is int
+
+
+def test_thread_counts_are_refused_unless_a_positive_integer():
+    # the CLI's --threads refuses these; the library used to run them
+    diag, off = np.zeros((2, 3)), np.ones((2, 2))
+    for bad in (0, -1, 2.5):
+        with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+            sample_exact(_A2, 1.0, 5, 0, threads=bad)
+        with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+            tridiagonal_eigenvalues(diag, off, threads=bad)
 
 
 def test_metropolis_rejects_bad_arguments():
