@@ -97,16 +97,16 @@ class StartDistribution:
     def uniform(cls, lo, hi) -> "StartDistribution":
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        if lo.shape != hi.shape or np.any(lo >= hi):
-            raise ValueError("need lo < hi componentwise")
+        if lo.shape != hi.shape or not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
+            raise ValueError("need finite lo < hi componentwise")
         return cls(kind="uniform", lo=lo, hi=hi)
 
     @classmethod
     def mixture(cls, points, weights) -> "StartDistribution":
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         w = np.asarray(weights, dtype=float)
-        if w.size != pts.shape[0] or np.any(w < 0) or w.sum() <= 0:
-            raise ValueError("weights must be nonnegative, one per point, not all zero")
+        if w.size != pts.shape[0] or not np.all(np.isfinite(w) & (w >= 0)) or w.sum() <= 0:
+            raise ValueError("weights must be finite and nonnegative, one per point, not all zero")
         return cls(kind="mixture", points=pts, weights=w / w.sum())
 
     def draw(self, spec: RootSystemSpec, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -190,6 +190,14 @@ def test_config_checks_every_start_kind_against_the_spec():
     for lo, hi in (([0.5], [1.5]), ([0.5, 0.5, 0.5], [1.5, 1.5, 1.5])):
         with pytest.raises(ValueError, match="uniform start box must have 2 coordinates"):
             SdeConfig(spec=spec, x0=StartDistribution.uniform(lo, hi), t=1.0, seed=0)
+    # non-finite bounds and weights are refused when the start is built, not
+    # by rng.uniform (OverflowError) or at the first draw inside the run
+    for lo, hi in (([math.nan, 0.0], [1.0, 0.5]), ([0.5, 0.1], [math.inf, 0.4]), ([-math.inf, 0.1], [1.5, 0.4])):
+        with pytest.raises(ValueError, match="need finite lo < hi"):
+            StartDistribution.uniform(lo, hi)
+    for weights in ([math.nan, 1.0], [math.inf, 1.0]):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            StartDistribution.mixture([[1.0, 0.5], [2.0, 1.0]], weights)
     # a bad mixture row is refused when the config is built, not inside simulate_endpoints
     for rows, match in (
         ([[1.0, 0.5], [0.5, 1.0]], "lie in the chamber"),
