@@ -121,9 +121,9 @@ def _spawned_children(seed: int, count: int):
     return list(zip(children, sizes))
 
 
-def _spawn_seeds(seed: int, count: int) -> list[int]:
-    """``count`` independent integer seeds derived from ``seed``."""
-    children = np.random.SeedSequence(int(seed)).spawn(count)
+def _spawn_seeds(seed: int | list[int], count: int) -> list[int]:
+    """``count`` independent integer seeds derived from ``seed``, an int or a list of ints."""
+    children = np.random.SeedSequence(seed if isinstance(seed, list) else int(seed)).spawn(count)
     return [int(ch.generate_state(1)[0]) for ch in children]
 
 

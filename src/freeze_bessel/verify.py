@@ -667,12 +667,6 @@ SUITE_TABLE = (
 SUITES = (*dict.fromkeys(row.suite for row in SUITE_TABLE), "all")
 
 
-def _suite_seeds(seed: int, suite: str, count: int) -> list[int]:
-    """The first ``count`` seed streams of ``suite``, spawned from (seed, crc32 of its name)."""
-    children = np.random.SeedSequence([int(seed), zlib.crc32(suite.encode())]).spawn(count)
-    return [int(child.generate_state(1)[0]) for child in children]
-
-
 def run_suite(
     suite: str,
     *,
@@ -723,7 +717,7 @@ def run_suite(
             args.update(dict.fromkeys(row.takes[key], value))
         args = {key: value(args["n"]) if callable(value) else value for key, value in args.items()}
         if row.streams:
-            seeds = _suite_seeds(seed, row.suite, first + row.streams)[first:]
+            seeds = _spawn_seeds([int(seed), zlib.crc32(row.suite.encode())], first + row.streams)[first:]
             args.update(t=t, count=count, threads=threads, seed=seeds[0] if row.streams == 1 else seeds)
         result = row.check(**args)
         reports.extend(result if isinstance(result, list) else [result])
