@@ -208,9 +208,12 @@ class SdeConfig:
     the FREEZE_BESSEL_BUDGET environment variable (2e8 when unset), read when
     the simulation starts.  ``threads`` > 1 runs the 4096-path
     sub-batches on that many threads; the default runs them one after
-    another, because the pool is slower: B n=2 (k1 = k2 = 200), 16 384 paths,
-    t = 0.1 took 0.26-0.30 s serially and 0.32-0.37 s with ``threads=2`` on
-    a 2-core x86_64 container (seven runs each).
+    another.  Whether the pool pays depends on the regime: at k = 200,
+    t = 0.1 and 200 steps, the medians of six runs, serial against
+    ``threads=2``, on a 2-core x86_64 container with one BLAS thread, were
+    0.221 s against 0.260 s for B n=2 with 16 384 paths (the pool is slower),
+    0.340 s against 0.316 s for D n=3 with 12 288 paths, and 1.097 s against
+    0.834 s for A n=10 with 12 288 paths.
     """
 
     spec: RootSystemSpec
