@@ -12,19 +12,18 @@ seeded through ``SeedSequence``: a batch is regenerable bit-for-bit from
 (spec, t, method, seed, count), sub-batches get spawned child seeds and are
 merged in order, so results do not depend on how many worker threads ran them.
 
-The matrix models' eigenvalues come from ``tridiagonal.tridiagonal_eigenvalues``.
-``threads`` is the most worker threads a sampler call may start.  None lets
-that eigensolve spread its rows over every usable core (from n = 16 up, where
-it runs without the GIL); an explicit ``threads`` > 1 runs the 4096-row
-sub-batches on that many threads instead, each solving on one, so thread
-pools are never nested.
+The matrix models' 4096-row sub-batches run one after another in the calling
+thread, and their eigenvalues come from ``tridiagonal.tridiagonal_eigenvalues``,
+which is the samplers' one parallel layer.  ``threads`` caps the worker threads
+that eigensolve starts; None lets it spread its rows over every usable core
+(from n = 16 up, where it runs without the GIL; below that the dense
+``eigvalsh`` holds the GIL and runs on one thread).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,22 +126,6 @@ def _spawn_seeds(seed: int | list[int], count: int) -> list[int]:
     return [int(ch.generate_state(1)[0]) for ch in children]
 
 
-def _map_subbatches(fn, seed: int, count: int, threads: int | None):
-    """Stack ``fn(child, size, threads)`` over the sub-batches, in order.
-
-    An explicit ``threads`` > 1 runs the sub-batches on that many threads and
-    hands each ``threads=1``; otherwise they run one after another, each
-    handed ``threads`` as given.
-    """
-    jobs = _spawned_children(seed, count)
-    if threads is not None and threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda job: fn(*job, 1), jobs))
-    else:
-        parts = [fn(*job, threads) for job in jobs]
-    return np.vstack(parts)
-
-
 def _chi_matrix(rng, dofs: np.ndarray, rows: int) -> np.ndarray:
     """Columns of chi-distributed draws; zero degrees of freedom give zeros."""
     out = np.zeros((rows, dofs.size))
@@ -203,9 +186,7 @@ def sample_exact(
     t = _as_time(t)
     count = _as_count(count, "count")
     threads = None if threads is None else _as_count(threads, "threads")
-    pts = _map_subbatches(
-        lambda child, size, threads: _exact_rows(spec, t, child, size, threads), seed, count, threads
-    )
+    pts = np.vstack([_exact_rows(spec, t, child, size, threads) for child, size in _spawned_children(seed, count)])
     method = SampleMethod.TRIDIAG_A if spec.kind is RootKind.A else SampleMethod.TRIDIAG_B
     diag = BatchDiagnostics(acceptance_rate=None, ess=float(count), thin=1)
     return SampleBatch(spec, t, method, int(seed), pts, diag)

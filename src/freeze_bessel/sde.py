@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ from .core import (
     in_chamber,
     project_batch,  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
 )
-from .sampling import BatchDiagnostics, SampleBatch, SampleMethod, SamplerAbort, _map_subbatches
+from .sampling import BatchDiagnostics, SampleBatch, SampleMethod, SamplerAbort, _spawned_children
 
 __all__ = [
     "BUDGET_ENV_VAR",
@@ -207,8 +208,10 @@ class SdeConfig:
     ``steps`` defaults to 2000 per unit of time.  steps * paths is capped by
     the FREEZE_BESSEL_BUDGET environment variable (2e8 when unset), read when
     the simulation starts.  ``threads`` > 1 runs the 4096-path
-    sub-batches on that many threads; the default runs them one after
-    another.  Whether the pool pays depends on the regime: at k = 200,
+    sub-batches on that many threads, the SDE's one parallel layer (it
+    calls no eigensolve, so no pool nests inside it); the default runs
+    them one after another in the calling thread, with the same bytes.
+    Whether the pool pays depends on the regime: at k = 200,
     t = 0.1 and 200 steps, the medians of six runs, serial against
     ``threads=2``, on a 2-core x86_64 container with one BLAS thread, were
     0.221 s against 0.260 s for B n=2 with 16 384 paths (the pool is slower),
@@ -308,14 +311,14 @@ def simulate_endpoints(cfg: SdeConfig) -> SampleBatch:
             f"steps*paths = {steps * cfg.paths} exceeds budget {budget} "
             f"(raise {BUDGET_ENV_VAR} or lower the workload)"
         )
-    projected = []
-
-    def block(child, size, _threads):
-        x, rows = _simulate_block(cfg, child, size)
-        projected.append(rows)
-        return x
-
-    pts = _map_subbatches(block, cfg.seed, cfg.paths, cfg.threads)
+    jobs = _spawned_children(cfg.seed, cfg.paths)
+    if cfg.threads is not None and cfg.threads > 1 and len(jobs) > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            blocks = list(pool.map(lambda job: _simulate_block(cfg, *job), jobs))
+    else:
+        blocks = [_simulate_block(cfg, *job) for job in jobs]
+    parts, projected = zip(*blocks)
+    pts = np.vstack(parts)
     bad = ~np.all(np.isfinite(pts), axis=1)
     dropped = int(np.count_nonzero(bad))
     if dropped == cfg.paths:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as ss
 
-from freeze_bessel import sampling
+from freeze_bessel import sampling, tridiagonal
 from freeze_bessel.core import RootKind, RootSystemSpec, in_chamber
 from freeze_bessel.equilibria import hermite_zeros
 from freeze_bessel.quadrature import chamber_moment
@@ -64,12 +64,28 @@ def test_threads_do_not_change_the_output():
     ids=["A50", "B100", "D20"],
 )
 def test_exact_sampling_bytes_do_not_depend_on_threads(spec):
-    # the default spreads the n >= 16 eigensolve over every usable core;
-    # threads=2 runs the three sub-batches (4096, 4096, 7) on two threads
+    # the three sub-batches (4096, 4096, 7) run in order; the default spreads
+    # each n >= 16 eigensolve over every usable core, threads=2 over two
     count = 2 * 4096 + 7
     serial = sample_exact(spec, 1.0, count, seed=11, threads=1).points
     for threads in (None, 2):
         assert sample_exact(spec, 1.0, count, seed=11, threads=threads).points.tobytes() == serial.tobytes()
+
+
+def test_exact_sampling_threads_only_its_eigensolve(monkeypatch):
+    # one parallel layer: the sub-batches run in order, and threads=2 splits
+    # each one's dsterf rows in two
+    calls = []
+    sterf_rows = tridiagonal._sterf_rows
+
+    def recording(d, e, start, stop):
+        calls.append((d.shape[0], start, stop))
+        return sterf_rows(d, e, start, stop)
+
+    monkeypatch.setattr(tridiagonal, "_sterf_rows", recording)
+    sample_exact(RootSystemSpec.a(50, 1.0), 1.0, 2 * 4096 + 7, 11, threads=2)
+    halves = [(4096, 0, 2048), (4096, 2048, 4096)]
+    assert sorted(calls[:2]) + sorted(calls[2:4]) + sorted(calls[4:]) == [*halves, *halves, (7, 0, 3), (7, 3, 7)]
 
 
 def test_large_n_sampling_memory_stays_linear_in_n():

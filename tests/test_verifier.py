@@ -297,7 +297,8 @@ def test_clt_check_refuses_steps_without_a_start():
 
 
 def test_reports_do_not_depend_on_threads():
-    # 9000 rows are three sub-batches, so threads=2 runs them on a pool
+    # 9000 rows are three sub-batches: threads=2 runs the SDE's on a pool and
+    # hands the exact draws' eigensolve two threads
     mu = StartDistribution.uniform([0.36, 0.18], [0.44, 0.22])
     checks = (
         lambda threads: clt_gaussian_check("A", 2, 200.0, 1.0, count=9000, seed=0, threads=threads),
