@@ -114,7 +114,10 @@ def gaussian_battery(centered: np.ndarray, t: float, sigma: np.ndarray) -> tuple
     mean = pts.mean(axis=0)
     mean_norm = float(np.linalg.norm(mean))
     mean_limit = MEAN_SIGMA_MULT * math.sqrt(np.trace(tsig) / count)
-    emp = np.cov(pts, rowvar=False).reshape(n, n)
+    dev = pts - mean
+    # np.cov's GEMM sums in an order that depends on the BLAS thread count;
+    # einsum (without optimize) calls no BLAS, so the report bytes do not
+    emp = np.einsum("ij,ik->jk", dev, dev) / (count - 1)
     cov_err = float(np.linalg.norm(emp - tsig) / np.linalg.norm(tsig))
     maha = mahalanobis_sq(pts, tsig)
     _, p_maha = ks_test_cdf(maha, lambda q: chi_square_cdf(q, n))

@@ -352,16 +352,21 @@ def test_manifest_of_the_wrong_shape_exits_2(field, value, message, tmp_path, ca
     assert path.read_text() == original and copy.read_text() == edited
 
 
+def _run_cli(*argv, **env_vars):
+    """Run the command line in a fresh interpreter with ``env_vars`` set."""
+    env = {**os.environ, **env_vars}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "freeze_bessel.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_refused_replay_exits_2_as_a_process(tmp_path):
     path = tmp_path / "a.csv"
     assert main([*_SAMPLE, "--out", str(path)]) == 0
     copy = tmp_path / "edited.csv"
     _write_edited(path.read_text(), copy, {"n": 2.7})
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "freeze_bessel.cli", "--replay", str(copy)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_cli("--replay", str(copy))
     assert proc.returncode == 2
     assert "argument --n: invalid int value: '2.7'" in proc.stderr and "Traceback" not in proc.stderr
 
@@ -455,6 +460,19 @@ def test_verify_identities_exit_0(tmp_path, capsys):
     out = read_run_file(path)
     assert out["kind"] == "reports-json"
     assert all(r["passed"] for r in out["reports"])
+
+
+def test_verify_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # full mode: one-sided-B0's head covariance moved in its last digits
+    # with OpenBLAS's thread count while it was taken through a GEMM
+    reports = []
+    for blas_threads in ("1", "2"):
+        path = tmp_path / f"reports-{blas_threads}.json"
+        proc = _run_cli("verify", "--suite", "one-sided", "--seed", "0", "--out", str(path),
+                        OPENBLAS_NUM_THREADS=blas_threads)
+        assert proc.returncode == 1, proc.stderr  # one-sided-B0 and -B3 fail (ROADMAP item 1)
+        reports.append(read_run_file(path)["reports"])
+    assert reports[0] == reports[1]
 
 
 def test_verify_failing_suite_exits_1(monkeypatch, capsys):
