@@ -277,8 +277,8 @@ def log_norm_constant(family: str, **params) -> NormalizationConstant:
     * ``cA(n, k)``, ``cB(n, k1, k2)``, ``cD(n, k)``: normalization constants
       of the start-0 densities at t = 1;
     * ``tildeA(n, k)``: the rescaled constant of the A-type CLT proof;
-    * ``tildeB(n, nu, beta, x=None)``: its B-type analogue (x a start vector,
-      defaults to the origin).
+    * ``tildeB(n, nu, beta, x=None)``: its B-type analogue (x a start vector
+      of n finite coordinates, defaults to the origin).
     """
     if family not in _FAMILY_PARAMS:
         raise ValueError(f"unknown constant family {family!r}")
@@ -296,9 +296,13 @@ def log_norm_constant(family: str, **params) -> NormalizationConstant:
         val = _log_tilde_a(n, float(params["k"]))
     else:
         x = params.get("x")
+        if x is not None:
+            x = np.asarray(x, dtype=float)
+            if x.shape != (n,) or not np.all(np.isfinite(x)):
+                raise ValueError(f"tildeB needs x to be {n} finite coordinates, got {x.tolist()}")
         x_norm_sq = float(np.dot(x, x)) if x is not None else 0.0
         val = _log_tilde_b(n, float(params["nu"]), float(params["beta"]), x_norm_sq)
-        params = {**params, "x": None if x is None else list(np.asarray(x, float))}
+        params = {**params, "x": None if x is None else list(x)}
     return NormalizationConstant(family, dict(params), val)
 
 

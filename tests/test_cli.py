@@ -202,7 +202,13 @@ def test_flags_a_command_does_not_take_exit_2(argv, message, capsys, tmp_path):
     # --n-max 0 used to fail inside numpy, and constants --n 0 to print log_value 0
     (["verify", "--suite", "identities", "--n-max", "0"], "error: n_max must be an integer >= 1"),
     (["constants", "--family", "cA", "--n", "0", "--k", "1"], "error: n must be an integer >= 1"),
-], ids=["sample-t0", "sample-count0", "sde-paths0", "verify-t0", "verify-k0", "verify-n_max0", "constants-n0"])
+    # tildeB read only x.x, so a start of any length passed and NaN reached the JSON
+    (["constants", "--family", "tildeB", "--n", "2", "--nu", "1", "--beta", "10", "--x", "1,2,3"],
+     "error: tildeB needs x to be 2 finite coordinates"),
+    (["constants", "--family", "tildeB", "--n", "2", "--nu", "1", "--beta", "10", "--x", "nan,1"],
+     "error: tildeB needs x to be 2 finite coordinates"),
+], ids=["sample-t0", "sample-count0", "sde-paths0", "verify-t0", "verify-k0", "verify-n_max0", "constants-n0",
+        "constants-tildeB-x-length", "constants-tildeB-x-nan"])
 def test_zero_arguments_are_refused_not_replaced_by_defaults(argv, message, capsys):
     assert main(argv) == 2
     assert message in capsys.readouterr().err

@@ -149,6 +149,12 @@ def test_norm_constant_parameter_validation():
         log_norm_constant("cB", n=2, k1=1.0)
 
 
+@pytest.mark.parametrize("x", [[1.0, 2.0, 3.0], [1.0], [math.nan, 1.0], [math.inf, 1.0]])
+def test_tilde_b_refuses_a_start_that_is_not_n_finite_coordinates(x):
+    with pytest.raises(ValueError, match="tildeB needs x to be 2 finite coordinates"):
+        log_norm_constant("tildeB", n=2, nu=1.0, beta=10.0, x=x)
+
+
 def test_proof_constant_limits_a():
     for n in (1, 2, 4, 6):
         rep = proof_constant_limit("tildeA", n)
