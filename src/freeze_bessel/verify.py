@@ -116,7 +116,7 @@ def gaussian_battery(centered: np.ndarray, t: float, sigma: np.ndarray) -> tuple
     mean_limit = MEAN_SIGMA_MULT * math.sqrt(np.trace(tsig) / count)
     dev = pts - mean
     # np.cov's GEMM sums in an order that depends on the BLAS thread count;
-    # einsum (without optimize) calls no BLAS, so the report bytes do not
+    # einsum (without optimize) calls no BLAS and sums in one fixed order
     emp = np.einsum("ij,ik->jk", dev, dev) / (count - 1)
     cov_err = float(np.linalg.norm(emp - tsig) / np.linalg.norm(tsig))
     maha = mahalanobis_sq(pts, tsig)
