@@ -13,11 +13,14 @@ seeded through ``SeedSequence``: a batch is regenerable bit-for-bit from
 merged in order, so results do not depend on how many worker threads ran them.
 
 The matrix models' 4096-row sub-batches run one after another in the calling
-thread, and their eigenvalues come from ``tridiagonal.tridiagonal_eigenvalues``,
-which is the samplers' one parallel layer.  ``threads`` caps the worker threads
-that eigensolve starts; None lets it spread its rows over every usable core
-(from n = 16 up, where it runs without the GIL; below that the dense
-``eigvalsh`` holds the GIL and runs on one thread).
+thread.  Each builds its model's arrays in place and hands them to
+``tridiagonal._solve_in_place``, which from n = 16 up overwrites them with the
+eigenvalues, so a sub-batch holds about 2x its output for kind A (the two
+diagonals, then the solved rows) and 3x for kinds B and D (``d``, ``s`` and
+``d * s``).  That solve is the samplers' one parallel layer.  ``threads``
+caps the worker threads it starts; None lets it spread its rows over every
+usable core (from n = 16 up, where it runs without the GIL; below that the
+dense ``eigvalsh`` holds the GIL and runs on one thread).
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .core import (
 )
 from .gaussian import FreezingRegime
 from .stat_tests import lag1_autocorr
-from .tridiagonal import tridiagonal_eigenvalues
+from .tridiagonal import _solve_in_place
 
 __all__ = [
     "SampleMethod",
@@ -136,25 +139,38 @@ def _chi_matrix(rng, dofs: np.ndarray, rows: int) -> np.ndarray:
 
 
 def _exact_rows(spec: RootSystemSpec, t: float, child, size: int, threads: int | None) -> np.ndarray:
-    """One sub-batch of exact start-0 draws, in descending chamber order."""
+    """One sub-batch of exact start-0 draws, in descending chamber order.
+
+    The model's arrays are built and solved in place, so from n = 16 up the
+    sub-batch holds about 2 (kind A: the two diagonals, then the solved rows)
+    or 3 (kinds B and D: ``d``, ``s`` and ``d * s``) times its output; below
+    that the dense solve's (size, n, n) matrices dominate.
+    """
     rng = np.random.default_rng(child)
     n = spec.n
     kpair, kaxis = spec.pair_axis
     if spec.kind is RootKind.A:
         diag = rng.standard_normal((size, n))
-        off = _chi_matrix(rng, 2.0 * kpair * np.arange(n - 1, 0, -1), size) / math.sqrt(2.0)
-        return math.sqrt(t) * tridiagonal_eigenvalues(diag, off, threads=threads)
+        off = _chi_matrix(rng, 2.0 * kpair * np.arange(n - 1, 0, -1), size)
+        off /= math.sqrt(2.0)
+        pts = _solve_in_place(diag, off, threads)
+        pts *= math.sqrt(t)
+        return pts
     i = np.arange(1, n + 1)
     d = _chi_matrix(rng, 2.0 * kaxis + 1.0 + 2.0 * kpair * (n - i), size)
     s = _chi_matrix(rng, 2.0 * kpair * (n - i[:-1]), size)
     # B B^T of the lower bidiagonal B with diagonal d and subdiagonal s
-    diag = d**2
-    diag[:, 1:] += s**2
-    lam = tridiagonal_eigenvalues(diag, d[:, :-1] * s, threads=threads)
-    del d, s, diag  # freed before the sqrt allocates, which keeps the large-n peak RSS down
+    off = d[:, :-1] * s
+    np.square(s, out=s)
+    np.square(d, out=d)
+    d[:, 1:] += s
+    del s
+    pts = _solve_in_place(d, off, threads)
     # B B^T is positive semidefinite; rounding can leave its smallest
     # eigenvalue slightly negative, which the sqrt would turn to NaN
-    pts = np.sqrt(t * np.maximum(lam, 0.0, out=lam))
+    np.maximum(pts, 0.0, out=pts)
+    np.multiply(pts, t, out=pts)
+    np.sqrt(pts, out=pts)
     if spec.kind is RootKind.D:
         flip = rng.random(size) < 0.5
         pts[flip, -1] = -pts[flip, -1]
@@ -182,6 +198,11 @@ def sample_exact(
     Kind D uses the B model with zero axis multiplicity and then flips the
     sign of the last coordinate with probability 1/2 (the D law is the
     symmetrization of the B law in that coordinate).
+
+    The 4096-row sub-batches are built and solved in place, one at a time,
+    and merged at the end.  From n = 16 up a sub-batch holds about 2x its
+    output (A) or 3x (B, D) while it is built; the merge holds the
+    sub-batches and their merged copy, 2x the batch's output.
     """
     t = _as_time(t)
     count = _as_count(count, "count")

@@ -9,6 +9,11 @@ ctypes on the function pointer that ``scipy.linalg.cython_lapack`` exports.
 A ctypes call releases the GIL, so contiguous chunks of rows run on a thread
 pool; each row meets the same routine however the rows are chunked, so the
 bytes do not depend on the thread count.
+
+``dsterf`` overwrites its rows.  The public ``tridiagonal_eigenvalues``
+solves on C-ordered float64 copies of its inputs; the samplers build their
+model arrays themselves and hand them to ``_solve_in_place``, which saves
+those copies.
 """
 
 from __future__ import annotations
@@ -73,37 +78,28 @@ def _sterf_rows(d: np.ndarray, e: np.ndarray, start: int, stop: int) -> int:
     return 0
 
 
-def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, *, threads: int | None = None) -> np.ndarray:
-    """Descending eigenvalues of the symmetric tridiagonals with rows ``diag``
-    (size, n) on the diagonal and ``off`` (size, n-1) beside it.
+def _solve_in_place(d: np.ndarray, e: np.ndarray, threads: int | None) -> np.ndarray:
+    """Descending eigenvalues of the tridiagonals with rows ``d`` (size, n) and
+    ``e`` (size, n-1), C-ordered float64 arrays that the caller hands over.
 
-    numpy's ``eigvalsh`` (LAPACK ``dsyevd``) leaves an already tridiagonal
-    matrix as it is and hands its diagonals to ``dsterf``, so calling
-    ``dsterf`` directly gives the same bytes without the (size, n, n) matrices.
-    ``threads`` caps the worker threads of the ``dsterf`` path; None means
-    every usable core.  The inputs are not modified.  Raises ``ValueError``
-    on mismatched shapes or a ``threads`` that is not an integer >= 1, and
-    ``RuntimeError`` if ``dsterf`` reports a failure.
+    From ``_STERF_MIN_N`` up the eigenvalues overwrite ``d`` and come back as
+    its reversed view, and ``e`` is destroyed; below it the batched dense
+    ``eigvalsh`` returns a new array.  ``threads`` is the caller's to check;
+    the layout is checked here, as ``dsterf`` writes through raw row
+    addresses.
     """
-    threads = None if threads is None else _as_count(threads, "threads")
-    diag = np.asarray(diag)
-    off = np.asarray(off)
-    if diag.ndim != 2:
-        raise ValueError(f"diag must be (size, n), got shape {diag.shape}")
-    size, n = diag.shape
-    if off.shape != (size, max(n - 1, 0)):
-        raise ValueError(f"off must be ({size}, {max(n - 1, 0)}) beside a {diag.shape} diag, got {off.shape}")
+    size, n = d.shape
+    if not (d.dtype == e.dtype == np.float64 and d.flags.c_contiguous and e.flags.c_contiguous
+            and e.shape == (size, max(n - 1, 0))):
+        raise ValueError("the in-place solve takes C-ordered float64 rows (size, n) and (size, n-1)")
     if n < _STERF_MIN_N:
         mats = np.zeros((size, n, n))
         idx = np.arange(n)
-        mats[:, idx, idx] = diag
+        mats[:, idx, idx] = d
         j = idx[:-1]
-        mats[:, j, j + 1] = off
-        mats[:, j + 1, j] = off
+        mats[:, j, j + 1] = e
+        mats[:, j + 1, j] = e
         return np.linalg.eigvalsh(mats)[:, ::-1]
-    # dsterf works in place: solve on private C-ordered float64 copies
-    d = np.array(diag, dtype=np.float64, order="C")
-    e = np.array(off, dtype=np.float64, order="C")
     workers = max(1, min(_usable_cores() if threads is None else threads, size))
     bounds = [size * i // workers for i in range(workers + 1)]
     chunks = list(zip(bounds[:-1], bounds[1:]))
@@ -116,3 +112,30 @@ def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, *, threads: int |
     if info:
         raise RuntimeError(f"LAPACK dsterf failed with info={info} on a {n}x{n} tridiagonal")
     return d[:, ::-1]
+
+
+def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, *, threads: int | None = None) -> np.ndarray:
+    """Descending eigenvalues of the symmetric tridiagonals with rows ``diag``
+    (size, n) on the diagonal and ``off`` (size, n-1) beside it.
+
+    numpy's ``eigvalsh`` (LAPACK ``dsyevd``) leaves an already tridiagonal
+    matrix as it is and hands its diagonals to ``dsterf``, so calling
+    ``dsterf`` directly gives the same bytes without the (size, n, n) matrices.
+    ``threads`` caps the worker threads of the ``dsterf`` path; None means
+    every usable core.  The inputs are not modified: they are copied to
+    C-ordered float64 arrays, which the in-place solve then overwrites (the
+    samplers hand that solve arrays they own and skip the copy).  Raises
+    ``ValueError`` on mismatched shapes or a ``threads`` that is not an
+    integer >= 1, and ``RuntimeError`` if ``dsterf`` reports a failure.
+    """
+    threads = None if threads is None else _as_count(threads, "threads")
+    diag = np.asarray(diag)
+    off = np.asarray(off)
+    if diag.ndim != 2:
+        raise ValueError(f"diag must be (size, n), got shape {diag.shape}")
+    size, n = diag.shape
+    if off.shape != (size, max(n - 1, 0)):
+        raise ValueError(f"off must be ({size}, {max(n - 1, 0)}) beside a {diag.shape} diag, got {off.shape}")
+    d = np.array(diag, dtype=np.float64, order="C")
+    e = np.array(off, dtype=np.float64, order="C")
+    return _solve_in_place(d, e, threads)

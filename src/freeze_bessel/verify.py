@@ -182,7 +182,8 @@ def lln_check(
     batch = _draw(limit.spec, t, count, seed, threads)
     scaled = batch.points / math.sqrt(limit.m * t)
     mean_dev = float(np.max(np.abs(scaled.mean(axis=0) - limit.target)))
-    sup_dev = np.max(np.abs(scaled - limit.target), axis=1)
+    scaled -= limit.target
+    sup_dev = np.max(np.abs(scaled, out=scaled), axis=1)
     q95 = float(np.quantile(sup_dev, 0.95))
     passed = mean_dev < LLN_TOL and q95 < LLN_TOL
     return VerificationReport(

@@ -99,6 +99,30 @@ def test_large_n_sampling_memory_stays_linear_in_n():
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize(
+    "spec, rows, bound",
+    [
+        (RootSystemSpec.a(50, 1e4), 4096, 2.5),
+        (RootSystemSpec.a(200, 1e4), 512, 2.5),
+        (RootSystemSpec.b(100, 1e4, 1e4), 2048, 3.5),
+        (RootSystemSpec.d(20, 1e4), 4096, 3.5),
+    ],
+    ids=["A50", "A200", "B100", "D20"],
+)
+def test_exact_sampling_working_set_over_its_output(spec, rows, bound):
+    # the models are built and solved in place: A holds its two diagonals,
+    # then the solved rows (peak 2.0x the output); B and D hold d, s and d*s
+    # (3.1x).  A fresh array for each elementwise step plus a copy of the
+    # diagonals for the solve reads 4.0-4.1x and 5.9-6.0x
+    tracemalloc.start()
+    try:
+        batch = sample_exact(spec, 1.0, rows, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * batch.points.nbytes
+
+
 def test_time_enters_as_exact_sqrt_scaling():
     a1 = sample_tridiag_a(2, 2.0, 0.75, 2000, seed=11)
     a2 = sample_tridiag_a(2, 2.0, 3.0, 2000, seed=11)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dsterf
 
-from freeze_bessel.tridiagonal import _STERF_MIN_N, tridiagonal_eigenvalues
+from freeze_bessel.tridiagonal import _STERF_MIN_N, _solve_in_place, tridiagonal_eigenvalues
 
 
 def _dense_eigs_desc(diag, off):
@@ -129,6 +129,7 @@ def test_threaded_solver_matches_f2py_dsterf_bytes(n, rows):
 def test_strided_inputs_give_the_same_bytes_and_stay_unmodified():
     rng = np.random.default_rng(5)
     diag, off = _hermite_rows(rng, 40, 30)
+    plain = (diag.copy(), off.copy())
     want = tridiagonal_eigenvalues(diag, off)
     wide = np.zeros((40, 60))
     wide[:, ::2] = diag
@@ -139,8 +140,24 @@ def test_strided_inputs_give_the_same_bytes_and_stay_unmodified():
         assert got.tobytes() == want.tobytes()
         got = tridiagonal_eigenvalues(diag[::-1], off[::-1], threads=threads)
         assert got.tobytes() == want[::-1].tobytes()
+        # plain C-ordered float64 rows are what dsterf would overwrite uncopied
+        got = tridiagonal_eigenvalues(diag, off, threads=threads)
+        assert got.tobytes() == want.tobytes()
     assert np.array_equal(wide, before[0]) and np.array_equal(fortran, before[1])
+    assert diag.tobytes() == plain[0].tobytes() and off.tobytes() == plain[1].tobytes()
     assert np.array_equal(tridiagonal_eigenvalues(diag, off), want)
+
+
+def test_in_place_solve_refuses_rows_dsterf_cannot_walk():
+    d, e = np.ones((3, 20)), np.ones((3, 19))
+    for bad in (
+        (d.astype(np.float32), e),
+        (d, np.asfortranarray(e)),
+        (np.ones((3, 40))[:, ::2], e),
+        (d, np.ones((3, 20))),
+    ):
+        with pytest.raises(ValueError, match="C-ordered float64"):
+            _solve_in_place(*bad, None)
 
 
 def test_more_threads_than_cores_with_fast_switching_keep_the_bytes():
