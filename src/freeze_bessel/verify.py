@@ -41,6 +41,7 @@ from .report import VerificationReport
 from .sampling import SampleBatch, _spawn_seeds, sample_exact
 from .sde import SdeConfig, StartDistribution, simulate_endpoints
 from .stat_tests import (
+    _check_count,
     chi_square_cdf,
     energy_distance_test,
     half_normal_cdf,
@@ -110,6 +111,7 @@ def gaussian_battery(centered: np.ndarray, t: float, sigma: np.ndarray) -> tuple
     if pts.ndim != 2:
         raise ValueError("expected a 2-d batch")
     count, n = pts.shape
+    _check_count(count)
     tsig = t * np.asarray(sigma, dtype=float)
     mean = pts.mean(axis=0)
     mean_norm = float(np.linalg.norm(mean))

@@ -126,6 +126,15 @@ def test_gaussian_battery_detects_a_shift():
         gaussian_battery(centered[:, 0], 1.0, regime.sigma)
 
 
+def test_gaussian_battery_refuses_a_small_batch_before_dividing():
+    # the covariance divides by count - 1, so the count is refused first: at
+    # count 1 that division would raise a RuntimeWarning (an error here)
+    # instead of the KS tests' ValueError
+    for count in (1, 2, 999):
+        with pytest.raises(ValueError, match=f"need >= 1000 samples, got {count}"):
+            gaussian_battery(np.zeros((count, 2)), 1.0, np.eye(2))
+
+
 def test_lln_concentrates_at_high_multiplicity_only():
     good = lln_check("A", 2, 10_000.0, 1.0, count=20000, seed=0)
     assert good.passed
