@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .core import RootKind, RootSystemSpec
+from .core import RootKind, RootSystemSpec, _as_count
 from .equilibria import (
     freezing_target,
     hermite_zeros,
@@ -222,13 +222,6 @@ REGISTRY = {
 _GLOBAL_KEYS = {"command", "replay", "threads"}
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freeze-bessel",
@@ -238,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--replay", metavar="FILE", help="re-run the command recorded in FILE's manifest")
     parser.add_argument(
-        "--threads", type=_positive_int, default=None,
-        help="most worker threads a run may start (default: every usable core for the n >= 16 "
+        "--threads", type=int, default=None,
+        help="most worker threads a run may start (default: every usable core for the n >= 12 "
         "eigensolve of exact sampling, one thread for everything else)",
     )
     sub = parser.add_subparsers(dest="command")
@@ -349,11 +342,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        threads = None if args.threads is None else _as_count(args.threads, "threads")
         run = _parse_replay(parser, args.replay) if args.replay else args
         if not run.command:
             parser.print_help()
             return 2
-        return REGISTRY[run.command](_params_from_args(run), args.threads)
+        return REGISTRY[run.command](_params_from_args(run), threads)
     except RuntimeError as exc:  # SamplerAbort, BudgetExceeded and numerical failures
         print(f"abort: {exc}", file=sys.stderr)
         return 3

@@ -9,8 +9,9 @@ descending order:
 * kind B: ``x1 >= ... >= xn >= 0``
 * kind D: ``x1 >= ... >= x_{n-1} >= |xn|`` (last coordinate may be negative)
 
-Raw vectors enter through :func:`project_batch` (wrap a single result in
-:class:`ChamberPoint` to validate it).  ``log_weight_batch`` and
+Coordinates enter every function as arrays; raw vectors go through
+:func:`project_batch`, and :class:`ChamberPoint` validates one point but is
+no input format.  ``log_weight_batch`` and
 ``freezing_potential`` are total functions: they return ``-inf`` off the
 chamber and on walls where the weight vanishes, which is exactly what the
 Metropolis sampler needs for its accept/reject step.
@@ -73,7 +74,8 @@ class RootSystemSpec:
 
     ``multiplicity`` is a single coupling ``k >= 0`` for kinds A and D, and a
     pair ``(k1, k2)`` for kind B (``k1`` on the axis roots, ``k2`` on the
-    pairwise roots).
+    pairwise roots).  The constructor reads ``to_dict()`` output back:
+    ``RootSystemSpec(**spec.to_dict()) == spec``.
     """
 
     kind: RootKind
@@ -144,13 +146,6 @@ class RootSystemSpec:
         mult = list(self.multiplicity) if self.kind is RootKind.B else self.multiplicity
         return {"kind": self.kind.value, "n": self.n, "multiplicity": mult}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RootSystemSpec":
-        mult = data["multiplicity"]
-        if isinstance(mult, (list, tuple)):
-            mult = tuple(mult)
-        return cls(data["kind"], data["n"], mult)
-
 
 @lru_cache(maxsize=None)
 def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,12 +194,6 @@ def homogeneity_degree(spec: RootSystemSpec) -> float:
     return float(sum(k * i.size for i, _, _, k in _positive_roots(spec)))
 
 
-def _coords(y) -> np.ndarray:
-    if isinstance(y, ChamberPoint):
-        return y.coords
-    return np.asarray(y, dtype=float)
-
-
 def _chamber_order(kind: RootKind, x: np.ndarray, holds) -> np.ndarray:
     """``holds`` (``np.greater_equal`` or ``np.greater``) across the simple roots.
 
@@ -222,7 +211,7 @@ def _chamber_order(kind: RootKind, x: np.ndarray, holds) -> np.ndarray:
 
 def in_chamber(kind, pts) -> np.ndarray | bool:
     """Whether point(s) lie in the closed chamber.  Vectorized over leading axes."""
-    ordered = _chamber_order(_as_kind(kind), _coords(pts), np.greater_equal)
+    ordered = _chamber_order(_as_kind(kind), np.asarray(pts, dtype=float), np.greater_equal)
     if ordered.ndim == 0:
         return bool(ordered)
     return ordered
@@ -324,7 +313,7 @@ def freezing_potential(spec: RootSystemSpec, y) -> float:
     maximizer is the freezing target; for kind A this normalization puts the
     maximizer at sqrt(2) times the target vector.
     """
-    x = _coords(y)
+    x = np.asarray(y, dtype=float)
     kpair, kaxis = spec.pair_axis
     if spec.kind is RootKind.B and kpair == 0:
         raise ValueError("nu = k1/k2 undefined: k2 == 0")

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .core import RootKind, _as_count, _as_kind, _as_time, _positive_roots, _root_values, _unit_spec, freezing_potential
+from .core import RootKind, _as_count, _as_kind, _positive_roots, _root_values, _unit_spec, freezing_potential
 from .report import VerificationReport
 from .tridiagonal import tridiagonal_eigenvalues
 
@@ -37,7 +37,6 @@ __all__ = [
     "freezing_target",
     "stationarity_residual",
     "potential_identity_check",
-    "a_potential_discrepancy",
 ]
 
 
@@ -125,13 +124,18 @@ def laguerre_minus_one_zeros(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FreezingTarget:
-    """Deterministic limit configuration of a freezing regime."""
+    """Deterministic limit configuration of a freezing regime.
+
+    ``residual`` is the stationarity residual that the 1e-10 gate of
+    ``freezing_target`` measured (NaN on a target built by hand).
+    """
 
     kind: RootKind
     n: int
     nu: float | None
     coords: np.ndarray
     source: TargetSource
+    residual: float = math.nan
 
     def __post_init__(self):
         c = np.array(self.coords, dtype=float, copy=True)
@@ -144,7 +148,7 @@ _POTENTIAL_TOL = 1e-9
 
 
 @lru_cache(maxsize=None)
-def _gated_target_cached(kind: RootKind, n: int, nu: float | None) -> tuple[FreezingTarget, float]:
+def _gated_target_cached(kind: RootKind, n: int, nu: float | None) -> FreezingTarget:
     if kind is RootKind.A:
         target = FreezingTarget(kind, n, None, hermite_zeros(n), TargetSource.HERMITE)
     elif kind is RootKind.B and nu != 0:
@@ -158,11 +162,11 @@ def _gated_target_cached(kind: RootKind, n: int, nu: float | None) -> tuple[Free
         raise RuntimeError(
             f"stationarity residual {res:.3e} exceeds {_RESIDUAL_TOL} for {kind.value}, n={n}, nu={nu}"
         )
-    return target, res
+    return replace(target, residual=res)
 
 
-def _gated_target(kind, n: int, nu: float | None = None) -> tuple[FreezingTarget, float]:
-    """``freezing_target(kind, n, nu)`` and the stationarity residual its gate measured."""
+def freezing_target(kind, n: int, nu: float | None = None) -> FreezingTarget:
+    """Limit configuration for the given root system kind (nu for kind B only), cached and gated."""
     kind, n = _as_kind(kind), _as_count(n)
     if kind is not RootKind.B and nu is not None:
         raise ValueError("nu applies to kind B only")
@@ -171,11 +175,6 @@ def _gated_target(kind, n: int, nu: float | None = None) -> tuple[FreezingTarget
     if kind is RootKind.D and n < 2:
         raise ValueError("kind D needs n >= 2")
     return _gated_target_cached(kind, n, float(nu) if nu is not None else None)
-
-
-def freezing_target(kind, n: int, nu: float | None = None) -> FreezingTarget:
-    """Limit configuration for the given root system kind (nu for kind B only)."""
-    return _gated_target(kind, n, nu)[0]
 
 
 def stationarity_residual(target: FreezingTarget) -> float:
@@ -215,31 +214,22 @@ def _b_potential_max(n: int, nu: float) -> float:
     )
 
 
-def a_potential_discrepancy(n: int, t: float) -> float:
-    """W_A(z/sqrt(t)) + n(n-1)/2 - sum_j j log j for the Hermite zeros z.
-
-    W_A is ``core.freezing_potential`` of kind A, maximized at sqrt(2) z, so
-    the discrepancy vanishes at t = 1/2 only; callers that want the verified
-    identity should evaluate there.
-    """
-    _as_time(t)
-    w = freezing_potential(_unit_spec(RootKind.A, n, None), hermite_zeros(n) / math.sqrt(t))
-    return w + 0.5 * n * (n - 1) - _log_j_sum(n)
-
-
 def potential_identity_check(kind: str, n: int, nu: float | None = None) -> VerificationReport:
     """Check one closed-form equilibrium identity.
 
     ``kind`` is one of:
 
-    * ``"A_at_half"``: potential value identity at t = 1/2;
+    * ``"A_at_half"``: W_A(z/sqrt(t)) + n(n-1)/2 equals sum_j j log j at
+      t = 1/2 for the Hermite zeros z (``core.freezing_potential``'s W_A
+      peaks at sqrt(2) z, so no other t holds);
     * ``"A_sumsq"``: sum of squared Hermite zeros equals n(n-1)/2;
     * ``"B_full"``: B-type potential value at the target;
     * ``"B_norm"``: squared norm of the B target equals 2n(n + nu - 1).
     """
     params: dict = {"n": n}
     if kind == "A_at_half":
-        diff = abs(a_potential_discrepancy(n, 0.5))
+        w = freezing_potential(_unit_spec(RootKind.A, n, None), hermite_zeros(n) / math.sqrt(0.5))
+        diff = abs(w + 0.5 * n * (n - 1) - _log_j_sum(n))
         stats = {"abs_diff": diff}
     elif kind == "A_sumsq":
         z = hermite_zeros(n)

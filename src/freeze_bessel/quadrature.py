@@ -28,7 +28,7 @@ _N7, _W7 = np.polynomial.legendre.leggauss(7)
 _NODES = np.concatenate([_N15, _N7])
 _ATOL = 1e-12  # absolute error target of an integral
 _MAX_PANELS = 4000  # panels per integral before refinement stops
-_MOMENT_RTOL = 1e-8
+_RTOL = 1e-8  # relative error target of every arc integral
 
 
 def adaptive_gauss(f, a: float, b: float, *, rtol: float) -> float:
@@ -59,7 +59,7 @@ def adaptive_gauss(f, a: float, b: float, *, rtol: float) -> float:
     return total
 
 
-def _angular(spec: RootSystemSpec, g, rtol: float) -> tuple[float, float]:
+def _angular(spec: RootSystemSpec, g) -> tuple[float, float]:
     """(log c, I) with c * I = int_arc g(u) w_k(u) du and c the peak of w_k on the arc.
 
     ``g`` (default 1) takes u, a 1-D array, for one particle or (u1, u2) for two.
@@ -90,7 +90,7 @@ def _angular(spec: RootSystemSpec, g, rtol: float) -> tuple[float, float]:
         w = np.exp(log_w)
         return w if g is None else w * g(np.cos(theta), np.sin(theta))
 
-    return sum(k * math.log(peak) for k, _, peak in terms), adaptive_gauss(f, *arc, rtol=rtol)
+    return sum(k * math.log(peak) for k, _, peak in terms), adaptive_gauss(f, *arc, rtol=_RTOL)
 
 
 def _log_radial(spec: RootSystemSpec, t: float, degree: float) -> float:
@@ -101,19 +101,19 @@ def _log_radial(spec: RootSystemSpec, t: float, degree: float) -> float:
     return a * math.log(2.0 * t) + math.lgamma(a) - math.log(2.0)
 
 
-def _log_chamber_weight_integral(spec: RootSystemSpec, rtol: float) -> float:
-    log_peak, angular = _angular(spec, None, rtol)
+def _log_chamber_weight_integral(spec: RootSystemSpec) -> float:
+    log_peak, angular = _angular(spec, None)
     return _log_radial(spec, 1.0, 0.0) + log_peak + math.log(angular)
 
 
-def chamber_weight_integral(spec: RootSystemSpec, *, rtol: float = 1e-9) -> float:
+def chamber_weight_integral(spec: RootSystemSpec) -> float:
     """Direct quadrature of the defining integral int_chamber exp(-|y|^2/2) w_k(y) dy.
 
     n <= 2; the reciprocal is the closed-form normalization constant it
     checks.  Returns ``math.inf`` where the integral passes the float range.
     """
     try:
-        return math.exp(_log_chamber_weight_integral(spec, rtol))
+        return math.exp(_log_chamber_weight_integral(spec))
     except OverflowError:
         return math.inf
 
@@ -126,4 +126,4 @@ def chamber_moment(spec: RootSystemSpec, t: float, g, degree: float) -> float:
     """
     t = _as_time(t)
     radial = math.exp(_log_radial(spec, t, degree) - _log_radial(spec, t, 0.0))
-    return radial * _angular(spec, g, _MOMENT_RTOL)[1] / _angular(spec, None, _MOMENT_RTOL)[1]
+    return radial * _angular(spec, g)[1] / _angular(spec, None)[1]

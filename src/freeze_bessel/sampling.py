@@ -14,12 +14,12 @@ merged in order, so results do not depend on how many worker threads ran them.
 
 The matrix models' 4096-row sub-batches run one after another in the calling
 thread.  Each builds its model's arrays in place and hands them to
-``tridiagonal._solve_in_place``, which from n = 16 up overwrites them with the
+``tridiagonal._solve_in_place``, which from n = 12 up overwrites them with the
 eigenvalues, so a sub-batch holds about 2x its output for kind A (the two
 diagonals, then the solved rows) and 3x for kinds B and D (``d``, ``s`` and
 ``d * s``).  That solve is the samplers' one parallel layer.  ``threads``
 caps the worker threads it starts; None lets it spread its rows over every
-usable core (from n = 16 up, where it runs without the GIL; below that the
+usable core (from n = 12 up, where it runs without the GIL; below that the
 dense ``eigvalsh`` holds the GIL and runs on one thread).
 """
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -76,12 +76,7 @@ class BatchDiagnostics:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "acceptance_rate": self.acceptance_rate,
-            "ess": self.ess,
-            "thin": self.thin,
-            "extra": dict(self.extra),
-        }
+        return asdict(self)  # copies ``extra`` too
 
 
 @dataclass
@@ -141,7 +136,7 @@ def _chi_matrix(rng, dofs: np.ndarray, rows: int) -> np.ndarray:
 def _exact_rows(spec: RootSystemSpec, t: float, child, size: int, threads: int | None) -> np.ndarray:
     """One sub-batch of exact start-0 draws, in descending chamber order.
 
-    The model's arrays are built and solved in place, so from n = 16 up the
+    The model's arrays are built and solved in place, so from n = 12 up the
     sub-batch holds about 2 (kind A: the two diagonals, then the solved rows)
     or 3 (kinds B and D: ``d``, ``s`` and ``d * s``) times its output; below
     that the dense solve's (size, n, n) matrices dominate.
@@ -200,7 +195,7 @@ def sample_exact(
     symmetrization of the B law in that coordinate).
 
     The 4096-row sub-batches are built and solved in place, one at a time,
-    and merged at the end.  From n = 16 up a sub-batch holds about 2x its
+    and merged at the end.  From n = 12 up a sub-batch holds about 2x its
     output (A) or 3x (B, D) while it is built; the merge holds the
     sub-batches and their merged copy, 2x the batch's output.
     """

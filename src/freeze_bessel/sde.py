@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ChamberPoint,
     RootKind,
     RootSystemSpec,
     _as_count,
@@ -235,9 +234,7 @@ class SdeConfig:
         object.__setattr__(self, "threads", None if self.threads is None else _as_count(self.threads, "threads"))
         x0 = self.x0
         if not isinstance(x0, StartDistribution):
-            x0 = StartDistribution.at_point(
-                x0.coords if isinstance(x0, ChamberPoint) else np.asarray(x0, dtype=float)
-            )
+            x0 = StartDistribution.at_point(x0)
         object.__setattr__(self, "x0", x0)
         if x0.kind == "point":
             _validate_start(self.spec, x0.point)

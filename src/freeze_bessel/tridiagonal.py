@@ -4,7 +4,7 @@ It serves the exact samplers (batches of beta-Hermite and beta-Laguerre
 matrices) and the freezing targets (one-row batches of the recurrence Jacobi
 matrices whose spectra are the Hermite and Laguerre zeros).
 
-From n = 16 up, every row goes through LAPACK ``dsterf``, called through
+From n = 12 up, every row goes through LAPACK ``dsterf``, called through
 ctypes on the function pointer that ``scipy.linalg.cython_lapack`` exports.
 A ctypes call releases the GIL, so contiguous chunks of rows run on a thread
 pool; each row meets the same routine however the rows are chunked, so the
@@ -30,12 +30,14 @@ from .core import _as_count
 __all__ = ["tridiagonal_eigenvalues"]
 
 # Smallest n at which the per-matrix dsterf loop beats the batched dense
-# eigvalsh.  Measured on one thread with 4096 rows through the ctypes
-# binding, over two runs: equal within noise at n = 8-10 (dense/dsterf time
-# 0.93-1.02), dsterf 1.1-1.2x faster at n = 12-16 and 1.6-1.8x at n = 50.
-# Both paths give the same bytes; n = 16 is kept, as moving it to 12 would
-# gain at most 1.2x on n = 12-15, which no sampler default or check runs.
-_STERF_MIN_N = 16
+# eigvalsh.  Medians of 7 runs of 20 000 rows on one BLAS thread of a
+# 2-core x86_64 container, dense then dsterf: 90.5 and 95.2 ms at n = 8,
+# 123.4 and 123.5 ms at n = 10, 168.8 and 158.8 ms at n = 12, 246.1 and
+# 214.1 ms at n = 15.  Both paths give the same bytes, but the dense
+# (rows, n, n) matrices are n-fold the output while dsterf works in O(n)
+# per row: sample_exact's peak over its output is 14.9x dense and 2.1x
+# dsterf at A n = 12.  So n <= 10, where dense is no slower, stays dense.
+_STERF_MIN_N = 12
 
 
 def _capsule_function(capsule, prototype):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import RootKind, RootSystemSpec, _as_count, _as_time
-from .equilibria import _POTENTIAL_TOL, _RESIDUAL_TOL, _gated_target, potential_identity_check
+from .equilibria import _POTENTIAL_TOL, _RESIDUAL_TOL, freezing_target, potential_identity_check
 from .gaussian import (
     FreezingRegime,
     _DETERMINANT_TOL,
@@ -144,6 +144,13 @@ def gaussian_battery(centered: np.ndarray, t: float, sigma: np.ndarray) -> tuple
     return stats, bool(passed)
 
 
+def _gaussian_regime(theorem: str, n: int, strength: float, nu: float | None) -> FreezingRegime:
+    """The regime of a Gaussian check; B3 is refused, as its last coordinate is one-sided."""
+    if theorem == "B3":
+        raise ValueError("theorem B3 has a one-sided last coordinate, not a Gaussian limit: use one_sided_check")
+    return FreezingRegime.from_theorem(theorem, n, strength, nu=nu)
+
+
 def _battery_report(name: str, regime: FreezingRegime, batch: SampleBatch, parameters: dict, seed: int,
                     **labels) -> VerificationReport:
     """The battery report on ``batch`` centered by ``regime``, its statistics followed by ``labels``."""
@@ -224,7 +231,7 @@ def clt_gaussian_check(
     ``start_distribution_check``.  The report is named ``clt-<theorem>``,
     suffixed ``-sde`` for SDE endpoints.
     """
-    regime = FreezingRegime.from_theorem(theorem, n, strength, nu=nu)
+    regime = _gaussian_regime(theorem, n, strength, nu)
     start = None if start is None else np.asarray(start, dtype=float)
     batch = _draw(regime.spec, t, count, seed, threads, start, steps)
     method = "exact" if start is None else "sde"
@@ -272,7 +279,6 @@ def clt_type_a_limit_check(
 
 
 def one_sided_check(
-    regime: str,
     n: int,
     k2: float,
     t: float,
@@ -284,14 +290,15 @@ def one_sided_check(
 ) -> VerificationReport:
     """Half-space limit of B-type laws with large pair multiplicity.
 
-    Regime "B0" is k1 = 0 and rejects any other k1; regime "B3" keeps the
-    passed k1 fixed.  Both use FreezingRegime B3: the batch is centered by
-    sqrt(k2 t) times the D-type target (last coordinate zero), then (a) the
-    centered last coordinate must be nonnegative for every sample, (b) it is
-    KS-tested against sqrt(t * Sigma_D[n-1, n-1]) times chi with 2*k1 + 1
-    degrees of freedom, the law of the last diagonal entry of the bidiagonal
-    Laguerre model (``fixed_axis_ks_p``), and (c) the first n-1 coordinates
-    run the Gaussian battery against the matching block of N(0, t*Sigma_D).
+    FreezingRegime B3 keeps the passed k1 fixed; the report is named
+    ``one-sided-B0`` at k1 = 0, the zero-axis regime, and ``one-sided-B3``
+    otherwise.  The batch is centered by sqrt(k2 t) times the D-type target
+    (last coordinate zero), then (a) the centered last coordinate must be
+    nonnegative for every sample, (b) it is KS-tested against
+    sqrt(t * Sigma_D[n-1, n-1]) times chi with 2*k1 + 1 degrees of freedom,
+    the law of the last diagonal entry of the bidiagonal Laguerre model
+    (``fixed_axis_ks_p``), and (c) the first n-1 coordinates run the
+    Gaussian battery against the matching block of N(0, t*Sigma_D).
 
     At k1 = 0 the law in (b) is the half-normal with variance
     t * Sigma_D[n-1, n-1].  That half-normal KS p-value is also reported for
@@ -300,10 +307,6 @@ def one_sided_check(
     """
     if n < 2:
         raise ValueError("one-sided regimes need n >= 2")
-    if regime not in ("B0", "B3"):
-        raise ValueError(f"unknown one-sided regime {regime!r}")
-    if regime == "B0" and k1 != 0:
-        raise ValueError(f"regime B0 has k1 = 0, got k1 = {k1}")
     limit = FreezingRegime.from_theorem("B3", n, k2, k1=k1)
     sigma_d = limit.sigma
     batch = _draw(limit.spec, t, count, seed, threads)
@@ -317,7 +320,7 @@ def one_sided_check(
     head_stats, head_passed = gaussian_battery(centered[:, : n - 1], t, sigma_d[: n - 1, : n - 1])
     passed = violations == 0 and p_axis > P_THRESHOLD and head_passed
     return VerificationReport(
-        name=f"one-sided-{regime}",
+        name="one-sided-B0" if k1 == 0 else "one-sided-B3",
         parameters={"n": n, "k1": k1, "k2": k2, "t": t, "count": count},
         statistics={
             "half_space_violations": violations,
@@ -443,7 +446,7 @@ def calibration_check(
     law, so the battery should pass on at least ``CALIBRATION_MIN_PASSES`` of
     ``CALIBRATION_SEEDS`` independent seeds.
     """
-    regime = FreezingRegime.from_theorem(theorem, n, strength, nu=nu)
+    regime = _gaussian_regime(theorem, n, strength, nu)
     chol = np.linalg.cholesky(t * regime.sigma)
     outcomes = []
     for child in np.random.SeedSequence(int(seed)).spawn(CALIBRATION_SEEDS):
@@ -482,7 +485,7 @@ def covariance_error_trend(
     errors = []
     seeds = _spawn_seeds(seed, len(TREND_STRENGTHS))
     for s, child in zip(TREND_STRENGTHS, seeds):
-        regime = FreezingRegime.from_theorem(theorem, n, s, nu=nu)
+        regime = _gaussian_regime(theorem, n, s, nu)
         batch = _draw(regime.spec, t, count, child, threads)
         stats, _ = gaussian_battery(regime.center(batch.points, t), t, regime.sigma)
         errors.append(stats["cov_frobenius_rel_err"])
@@ -505,9 +508,8 @@ def covariance_error_trend(
 
 # the log_norm_constant family of each root kind
 _NORM_FAMILY = {RootKind.A: "cA", RootKind.B: "cB", RootKind.D: "cD"}
-# the identity grids: axis ratios nu, and the quadrature rtol with the tolerance it supports
+# the identity grids' axis ratios nu, and the tolerance that the quadrature's rtol supports
 _NU_GRID = (0.5, 1.0, 2.5)
-_QUADRATURE_RTOL = 1e-8
 _QUADRATURE_TOL = 1e-6
 
 
@@ -535,7 +537,7 @@ def identity_reports(
     )]
 
     def quadrature_rel_err(spec: RootSystemSpec) -> float:
-        integral = chamber_weight_integral(spec, rtol=_QUADRATURE_RTOL)
+        integral = chamber_weight_integral(spec)
         family = _NORM_FAMILY[spec.kind]
         log_c = log_norm_constant(family, **{f: getattr(spec, f) for f in _FAMILY_PARAMS[family]}).log_value
         return abs(integral * math.exp(log_c) - 1.0)
@@ -558,7 +560,7 @@ def identity_reports(
         ),
         _worst_of_grid(
             "stationarity-residuals", {"n_max": n_max_residual},
-            (_gated_target(kind, i, nu)[1]
+            (freezing_target(kind, i, nu).residual
              for i in range(1, n_max_residual + 1) for kind, nu in targets if kind is not RootKind.D or i >= 2),
             "residual", _RESIDUAL_TOL,
         ),
@@ -663,9 +665,8 @@ SUITE_TABLE = (
              takes=_strength_as("beta"), full_only=True, streams=3),
     SuiteRow("clt-b2", clt_type_a_limit_check, {"n": 2, "k1": 5000.0, "k2": 1.0}, takes=_strength_as("k1")),
     SuiteRow("clt-d", clt_gaussian_check, {"theorem": "D", "n": 2, "strength": 200.0}),
-    SuiteRow("one-sided", one_sided_check, {"regime": "B0", "n": 2, "k2": 200.0}, takes=_strength_as("k2")),
-    SuiteRow("one-sided", one_sided_check, {"regime": "B3", "n": 2, "k2": 200.0, "k1": 1.0},
-             takes=_strength_as("k2")),
+    SuiteRow("one-sided", one_sided_check, {"n": 2, "k2": 200.0}, takes=_strength_as("k2")),
+    SuiteRow("one-sided", one_sided_check, {"n": 2, "k2": 200.0, "k1": 1.0}, takes=_strength_as("k2")),
     *(SuiteRow("start-dist", start_distribution_check, {"n": 2, "nu": 1.0, "beta": 200.0, "mu": mu, "steps": 2000},
                takes=_strength_as("beta"), full_only=i > 0) for i, mu in enumerate(_STARTS)),
 )

@@ -101,8 +101,10 @@ def test_particle_count_is_refused_unless_integral(entry):
 
 
 def test_spec_dict_roundtrip():
+    # the constructor reads to_dict() output, also after a JSON round trip (B's pair comes back a list)
     for spec in (RootSystemSpec.a(4, 1.5), RootSystemSpec.b(2, 0.5, 3.0), RootSystemSpec.d(3, 2.0)):
-        assert RootSystemSpec.from_dict(spec.to_dict()) == spec
+        assert RootSystemSpec(**spec.to_dict()) == spec
+        assert RootSystemSpec(**json.loads(json.dumps(spec.to_dict()))) == spec
 
 
 def test_in_chamber_by_kind():

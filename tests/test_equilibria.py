@@ -7,7 +7,6 @@ from freeze_bessel import equilibria
 from freeze_bessel import (
     RootSystemSpec,
     TargetSource,
-    a_potential_discrepancy,
     freezing_potential,
     freezing_target,
     hermite_zeros,
@@ -127,13 +126,13 @@ def test_stationarity_residuals_small():
         *(("D", n, None) for n in (2, 3, 10, 50)),
     ]
     for kind, n, nu in cases:
-        # the gate keeps the residual it measured, which the identity report reads
-        target, residual = equilibria._gated_target(kind, n, nu)
-        assert target is freezing_target(kind, n, nu=nu)
-        assert residual == stationarity_residual(target) < 1e-10
+        # the target carries the residual its gate measured, which the identity report reads
+        target = freezing_target(kind, n, nu=nu)
+        assert target is freezing_target(kind, n, nu)
+        assert target.residual == stationarity_residual(target) < 1e-10
     # B with nu = 0 has D's target and D's roots, so the same residual
     for n in (2, 3, 10, 50):
-        assert equilibria._gated_target("B", n, 0.0)[1] == equilibria._gated_target("D", n)[1]
+        assert freezing_target("B", n, 0.0).residual == freezing_target("D", n).residual
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -201,8 +200,3 @@ def test_potential_identity_checks_pass():
         assert abs(w - equilibria._b_potential_max(n, 0.0)) < 1e-9, n
 
 
-def test_a_potential_discrepancy_vanishes_only_at_half():
-    for n in (2, 3, 8):
-        assert abs(a_potential_discrepancy(n, 0.5)) < 1e-10
-        assert abs(a_potential_discrepancy(n, 1.0)) > 1e-3
-        assert abs(a_potential_discrepancy(n, 0.25)) > 1e-3

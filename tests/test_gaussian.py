@@ -77,34 +77,51 @@ def test_covariance_inverts_precision():
         assert np.allclose(pm.matrix @ covariance(pm), np.eye(pm.n), atol=1e-11)
 
 
-def test_covariance_a_matches_the_dumitriu_edelman_hermite_perturbation():
+def _dumitriu_edelman_sigma_a(n):
     # first-order large-beta perturbation of the beta-Hermite model (Dumitriu-Edelman):
     # with Q the eigenvectors of the Jacobi matrix with off-diagonal sqrt(n - i),
     # Sigma_A = D^T D + E^T E / 4 for D = Q o Q and E = 2 Q[:-1] o Q[1:]
+    off = np.sqrt(np.arange(n - 1, 0, -1.0))
+    _, q = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    d, e = q * q, 2.0 * q[:-1] * q[1:]
+    return d.T @ d + e.T @ e / 4.0
+
+
+def test_covariance_a_matches_the_dumitriu_edelman_hermite_perturbation():
     for n in range(2, 41):
-        off = np.sqrt(np.arange(n - 1, 0, -1.0))
-        _, q = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-        d, e = q * q, 2.0 * q[:-1] * q[1:]
         sigma = covariance(precision_matrix("A", n))
-        assert np.max(np.abs(d.T @ d + e.T @ e / 4.0 - sigma)) <= 1e-12 * np.max(np.abs(sigma)), n
+        assert np.max(np.abs(_dumitriu_edelman_sigma_a(n) - sigma)) <= 1e-12 * np.max(np.abs(sigma)), n
+    # at large n, S itself against the perturbation, with no inverse: S Sigma_DE = I
+    for n in (100, 400, 1000):
+        residual = precision_matrix("A", n).matrix @ _dumitriu_edelman_sigma_a(n) - np.eye(n)
+        assert np.max(np.abs(residual)) <= 1e-11, n
 
 
-@pytest.mark.parametrize("nu", [0.5, 1.0, 3.0])
-def test_covariance_b_matches_the_dumitriu_edelman_laguerre_perturbation(nu):
+def _dumitriu_edelman_sigma_b(n, nu):
     # the same first-order perturbation of the bidiagonal beta-Laguerre model:
     # B0 has diagonal sqrt(2 nu + 2 (n - i)) and subdiagonal sqrt(2 (n - i));
     # with u_j, v_j its singular vector pairs, P[j, i] = u_j[i] v_j[i] and
     # R[j, i] = u_j[i + 1] v_j[i], Sigma_B = (P P^T + R R^T) / 2, and the
     # singular values are the B(nu) freezing target
+    i = np.arange(1, n + 1)
+    b0 = np.diag(np.sqrt(2.0 * nu + 2.0 * (n - i))) + np.diag(np.sqrt(2.0 * (n - i[:-1])), -1)
+    u, singular, vt = np.linalg.svd(b0)
+    p, r = (u * vt.T).T, (u[1:] * vt.T[:-1]).T
+    return (p @ p.T + r @ r.T) / 2.0, singular
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.0, 3.0])
+def test_covariance_b_matches_the_dumitriu_edelman_laguerre_perturbation(nu):
     for n in range(1, 31):
-        i = np.arange(1, n + 1)
-        b0 = np.diag(np.sqrt(2.0 * nu + 2.0 * (n - i))) + np.diag(np.sqrt(2.0 * (n - i[:-1])), -1)
-        u, singular, vt = np.linalg.svd(b0)
-        p, r = (u * vt.T).T, (u[1:] * vt.T[:-1]).T
+        sigma_de, singular = _dumitriu_edelman_sigma_b(n, nu)
         sigma = covariance(precision_matrix("B", n, nu))
-        assert np.max(np.abs((p @ p.T + r @ r.T) / 2.0 - sigma)) <= 1e-12 * np.max(np.abs(sigma)), n
+        assert np.max(np.abs(sigma_de - sigma)) <= 1e-12 * np.max(np.abs(sigma)), n
         target = freezing_target("B", n, nu).coords
         assert np.max(np.abs(singular - target)) <= 1e-12 * np.max(target), n
+    if nu == 1.0:  # at large n, S itself against the perturbation, with no inverse: S Sigma_DE = I
+        for n in (100, 400, 1000):
+            residual = precision_matrix("B", n, nu).matrix @ _dumitriu_edelman_sigma_b(n, nu)[0] - np.eye(n)
+            assert np.max(np.abs(residual)) <= 1e-11, n
 
 
 def test_determinant_identities():

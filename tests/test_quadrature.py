@@ -157,7 +157,7 @@ def test_chamber_moment_t_scaling():
 @pytest.mark.parametrize("spec", IDENTITY_GRID_N2, ids=_spec_id)
 def test_batched_inner_integrals_match_nested_scalar_reference(spec):
     # the polar oracle against the Cartesian 2-D integral: no shared geometry or weight code
-    got = chamber_weight_integral(spec, rtol=1e-8)
+    got = chamber_weight_integral(spec)
     ref = _nested_chamber_weight_integral(spec, 1e-8)
     assert abs(got - ref) <= 1e-14 * abs(ref)
 
@@ -176,7 +176,7 @@ def test_identity_grid_integrand_call_budget(spec, monkeypatch):
         return integrate(f_counted, a, b, **kw)
 
     monkeypatch.setattr(quadrature, "adaptive_gauss", counted)
-    chamber_weight_integral(spec, rtol=1e-8)
+    chamber_weight_integral(spec)
     assert 0 < len(calls) <= 10
 
 
@@ -200,7 +200,7 @@ def test_large_multiplicity_integrals_meet_the_constants_in_log_space(spec):
         log_c = log_norm_constant("cB", n=2, k1=spec.k1, k2=spec.k2).log_value
     else:
         log_c = log_norm_constant("cD", n=2, k=spec.k).log_value
-    assert quadrature._log_chamber_weight_integral(spec, 1e-9) == pytest.approx(-log_c, abs=1e-8)
+    assert quadrature._log_chamber_weight_integral(spec) == pytest.approx(-log_c, abs=1e-8)
     assert chamber_weight_integral(spec) == math.inf
 
 

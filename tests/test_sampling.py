@@ -106,14 +106,18 @@ def test_large_n_sampling_memory_stays_linear_in_n():
         (RootSystemSpec.a(200, 1e4), 512, 2.5),
         (RootSystemSpec.b(100, 1e4, 1e4), 2048, 3.5),
         (RootSystemSpec.d(20, 1e4), 4096, 3.5),
+        (RootSystemSpec.a(12, 1e4), 4096, 2.5),
+        (RootSystemSpec.b(15, 1e4, 1e4), 4096, 3.5),
     ],
-    ids=["A50", "A200", "B100", "D20"],
+    ids=["A50", "A200", "B100", "D20", "A12", "B15"],
 )
 def test_exact_sampling_working_set_over_its_output(spec, rows, bound):
     # the models are built and solved in place: A holds its two diagonals,
     # then the solved rows (peak 2.0x the output); B and D hold d, s and d*s
     # (3.1x).  A fresh array for each elementwise step plus a copy of the
-    # diagonals for the solve reads 4.0-4.1x and 5.9-6.0x
+    # diagonals for the solve reads 4.0-4.1x and 5.9-6.0x.  From n = 12 the
+    # solve is dsterf's; the dense (rows, n, n) matrices read 14.9x at A12
+    # and 17.9x at B15
     tracemalloc.start()
     try:
         batch = sample_exact(spec, 1.0, rows, 0)

@@ -95,6 +95,14 @@ def test_regime_validation():
         calibration_check("A", 2, 0.0)
 
 
+def test_gaussian_checks_refuse_the_one_sided_regime_by_name():
+    # B3's last coordinate is one-sided; these checks take no k1 and point to the check that does
+    for check in (lambda: clt_gaussian_check("B3", 2, 200.0, 1.0), lambda: calibration_check("B3", 2, 200.0),
+                  lambda: verify.covariance_error_trend("B3", 2)):
+        with pytest.raises(ValueError, match="one-sided last coordinate.*one_sided_check"):
+            check()
+
+
 def test_regime_center_subtracts_scaled_target():
     regime = FreezingRegime.from_theorem("A", 2, 8.0)
     pts = np.zeros((3, 2))
@@ -166,7 +174,8 @@ def test_clt_battery_passes_on_exact_sampler():
 
 
 def test_one_sided_check_on_zero_axis_multiplicity():
-    report = one_sided_check("B0", 2, 200.0, 1.0, count=20000, seed=0)
+    report = one_sided_check(2, 200.0, 1.0, count=20000, seed=0)
+    assert report.name == "one-sided-B0"
     assert report.passed
     assert report.statistics["half_space_violations"] == 0
     assert report.statistics["half_normal_ks_p"] > 0.01
@@ -175,11 +184,9 @@ def test_one_sided_check_on_zero_axis_multiplicity():
         report.statistics["half_normal_ks_p"], abs=1e-9
     )
     with pytest.raises(ValueError):
-        one_sided_check("B7", 2, 200.0, 1.0, seed=0)
-    with pytest.raises(ValueError):
-        one_sided_check("B0", 1, 200.0, 1.0, seed=0)
-    with pytest.raises(ValueError, match="B0 has k1 = 0"):
-        one_sided_check("B0", 2, 200.0, 1.0, k1=1.0, seed=0)
+        one_sided_check(1, 200.0, 1.0, seed=0)
+    with pytest.raises(ValueError, match="k1 >= 0"):
+        one_sided_check(2, 200.0, 1.0, k1=-1.0, seed=0)
 
 
 def test_two_sample_agreement_null_and_shift():
