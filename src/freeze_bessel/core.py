@@ -217,7 +217,7 @@ def in_chamber(kind, pts) -> np.ndarray | bool:
     return ordered
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity: the generated == fails on ndarray fields
 class ChamberPoint:
     """A point validated against the closed chamber of its root system kind."""
 

@@ -20,7 +20,6 @@ from scipy.linalg import solve_triangular
 
 from .core import RootKind, RootSystemSpec, _as_count, _as_kind, _positive_roots, _root_values, _unit_spec, in_chamber
 from .equilibria import _b_potential_max, _log_j_sum, freezing_target
-from .report import VerificationReport
 from .special import log_factorial, log_gamma
 
 __all__ = [
@@ -37,8 +36,6 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
-_DETERMINANT_TOL = 1e-8
-_PROOF_TOL = 5e-3
 # the multiplicities along which proof_constant_limit follows each constant
 _PROOF_GRID = (10.0, 100.0, 1000.0, 2000.0)
 
@@ -51,7 +48,7 @@ def _exp_or_inf(log_value: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity: the generated == fails on ndarray fields
 class PrecisionMatrix:
     """Limit precision matrix S together with its Cholesky factor."""
 
@@ -120,7 +117,7 @@ def covariance(pm: PrecisionMatrix) -> np.ndarray:
     return 0.5 * (sigma + sigma.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity: the generated == fails on ndarray fields
 class FreezingRegime:
     """The centering data of one freezing limit: spec, scale m, target, Sigma.
 
@@ -196,22 +193,14 @@ class FreezingRegime:
         return points - math.sqrt(self.m * t) * self.target
 
 
-def determinant_identity(kind, n: int, nu: float | None = None) -> VerificationReport:
-    """det S against its closed form: n! for kind A, n! * 2^n for B, n! * 2^(n-1) for D."""
+def determinant_identity(kind, n: int, nu: float | None = None) -> float:
+    """Relative error of det S against its closed form: n! for kind A, n! * 2^n for B, n! * 2^(n-1) for D."""
     kind = _as_kind(kind)
     pm = precision_matrix(kind, n, nu)
-    n = pm.n
-    log_expected = log_factorial(n)
+    log_expected = log_factorial(pm.n)
     if kind is not RootKind.A:
-        log_expected += (n if kind is RootKind.B else n - 1) * math.log(2.0)
-    rel_err = abs(math.expm1(pm.log_det - log_expected))
-    return VerificationReport(
-        name=f"determinant-identity-{kind.value}",
-        parameters={"n": n, "nu": nu},
-        statistics={"log_det": pm.log_det, "log_expected": log_expected, "rel_err": rel_err},
-        tolerances={"rel_err": _DETERMINANT_TOL},
-        passed=rel_err < _DETERMINANT_TOL,
-    )
+        log_expected += (pm.n if kind is RootKind.B else pm.n - 1) * math.log(2.0)
+    return abs(math.expm1(pm.log_det - log_expected))
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +295,17 @@ def log_norm_constant(family: str, **params) -> NormalizationConstant:
     return NormalizationConstant(family, dict(params), val)
 
 
-def proof_constant_limit(family: str, n: int, nu: float | None = None) -> VerificationReport:
-    """Convergence of the rescaled proof constants to their closed-form limits.
+def proof_constant_limit(family: str, n: int, nu: float | None = None) -> list[float]:
+    """Relative errors of a rescaled proof constant against its closed-form limit.
 
-    Evaluates the constant (tildeB at the start x = 0) along the multiplicity
-    grid 10, 100, 1000, 2000 and reports relative errors against the limit;
-    passes when the error at the largest grid point is below 5e-3 and the
-    error sequence is non-increasing (up to rounding).
+    Evaluates the constant (tildeB at the start x = 0, axis ratio nu > 0;
+    tildeA takes no nu) along the multiplicity grid 10, 100, 1000, 2000 and
+    returns the relative error at each grid point, in grid order.
     """
     n = _as_count(n)
     if family == "tildeA":
+        if nu is not None:
+            raise ValueError("tildeA takes no nu")
         limit = _log_tilde_a_limit(n)
         logs = [_log_tilde_a(n, k) for k in _PROOF_GRID]
     elif family == "tildeB":
@@ -325,16 +315,7 @@ def proof_constant_limit(family: str, n: int, nu: float | None = None) -> Verifi
         logs = [_log_tilde_b(n, nu, beta, 0.0) for beta in _PROOF_GRID]
     else:
         raise ValueError(f"unknown proof-constant family {family!r}")
-    errs = [abs(math.expm1(lv - limit)) for lv in logs]
-    slack = 1e-12  # exact-constant cases (e.g. tildeA with n=1) sit at rounding level
-    decreasing = all(errs[i + 1] <= errs[i] + slack for i in range(len(errs) - 1))
-    return VerificationReport(
-        name=f"proof-constant-limit-{family}",
-        parameters={"n": n, "nu": nu, "grid": list(_PROOF_GRID)},
-        statistics={"rel_errs": errs, "final_rel_err": errs[-1], "decreasing": decreasing},
-        tolerances={"final_rel_err": _PROOF_TOL},
-        passed=(errs[-1] < _PROOF_TOL) and decreasing,
-    )
+    return [abs(math.expm1(lv - limit)) for lv in logs]
 
 
 # ---------------------------------------------------------------------------

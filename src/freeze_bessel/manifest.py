@@ -13,7 +13,7 @@ from __future__ import annotations
 import datetime
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -55,15 +55,7 @@ class RunManifest:
     timestamp: str = field(default_factory=_utc_now)
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": _plain(self.parameters),
-            "seed": self.seed,
-            "version": self.version,
-            "numpy_version": self.numpy_version,
-            "scipy_version": self.scipy_version,
-            "timestamp": self.timestamp,
-        }
+        return {**asdict(self), "parameters": _plain(self.parameters)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), separators=(", ", ": "))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = ["VerificationReport"]
 
@@ -36,14 +36,7 @@ class VerificationReport:
     seed: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "parameters": _plain(self.parameters),
-            "statistics": _plain(self.statistics),
-            "tolerances": _plain(self.tolerances),
-            "passed": bool(self.passed),
-            "seed": self.seed,
-        }
+        return _plain(asdict(self))
 
     def summary_line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"

@@ -73,7 +73,7 @@ def path_step_budget() -> int:
 # starting points
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity: the generated == fails on ndarray fields
 class StartDistribution:
     """Initial law of the particles: a point, a box, or a point mixture.
 

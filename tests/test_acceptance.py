@@ -49,13 +49,11 @@ from freeze_bessel.verify import (
 def test_criterion_01_determinant_identities():
     start = time.monotonic()
     for n in range(1, 13):
-        rep = determinant_identity(RootKind.A, n)
-        assert rep.statistics["rel_err"] < 1e-8, f"A n={n}"
-        assert rep.statistics["log_expected"] == pytest.approx(math.lgamma(n + 1))
+        assert determinant_identity(RootKind.A, n) < 1e-8, f"A n={n}"
+        assert precision_matrix(RootKind.A, n).log_det == pytest.approx(math.lgamma(n + 1))
         for nu in (0.5, 1.0, 2.5):
-            rep = determinant_identity(RootKind.B, n, nu)
-            assert rep.statistics["rel_err"] < 1e-8, f"B n={n} nu={nu}"
-            assert rep.statistics["log_expected"] == pytest.approx(
+            assert determinant_identity(RootKind.B, n, nu) < 1e-8, f"B n={n} nu={nu}"
+            assert precision_matrix(RootKind.B, n, nu).log_det == pytest.approx(
                 math.lgamma(n + 1) + n * math.log(2.0)
             )
     assert time.monotonic() - start < 1.0
@@ -70,10 +68,10 @@ def test_criterion_02_equilibrium_residuals_and_potential_identities():
         if n >= 2:
             assert stationarity_residual(freezing_target(RootKind.D, n)) < 1e-10
     for n in range(1, 31):
-        assert potential_identity_check("A_at_half", n).statistics["abs_diff"] < 1e-9
+        assert potential_identity_check("A_at_half", n) < 1e-9
         for nu in (1.0, 2.5):
-            assert potential_identity_check("B_full", n, nu).statistics["abs_diff"] < 1e-9
-            assert potential_identity_check("B_norm", n, nu).statistics["abs_diff"] < 1e-9
+            assert potential_identity_check("B_full", n, nu) < 1e-9
+            assert potential_identity_check("B_norm", n, nu) < 1e-9
     assert time.monotonic() - start < 5.0
 
 
@@ -100,14 +98,9 @@ def test_criterion_03_normalization_constants_match_quadrature():
 def test_criterion_04_proof_constants_approach_their_limits():
     start = time.monotonic()
     for n in range(1, 7):
-        rep_a = proof_constant_limit("tildeA", n=n)
-        assert rep_a.passed
-        assert rep_a.statistics["final_rel_err"] < 5e-3
-        assert rep_a.statistics["decreasing"]
-        rep_b = proof_constant_limit("tildeB", n=n, nu=1.0)
-        assert rep_b.passed
-        assert rep_b.statistics["final_rel_err"] < 5e-3
-        assert rep_b.statistics["decreasing"]
+        for errs in (proof_constant_limit("tildeA", n=n), proof_constant_limit("tildeB", n=n, nu=1.0)):
+            assert errs[-1] < 5e-3
+            assert all(later <= earlier + 1e-12 for earlier, later in zip(errs, errs[1:])), errs
     assert time.monotonic() - start < 1.0
 
 

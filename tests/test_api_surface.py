@@ -56,6 +56,26 @@ def test_no_module_level_import_is_unused():
     assert not unused, f"unused module-level imports: {unused}"
 
 
+def _imports_report(path: Path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".report", "freeze_bessel.report") or (
+                module in (".", "freeze_bessel") and any(alias.name == "report" for alias in node.names)
+            ):
+                return True
+        elif isinstance(node, ast.Import) and any(alias.name == "freeze_bessel.report" for alias in node.names):
+            return True
+    return False
+
+
+def test_only_verify_builds_reports():
+    # the per-point checkers of gaussian and equilibria return numbers; verify
+    # decides every verdict, manifest writes reports, and __init__ exports the class
+    importers = sorted(path.stem for path in SRC.glob("*.py") if _imports_report(path))
+    assert importers == ["__init__", "manifest", "verify"]
+
+
 def test_console_script_is_cli_main():
     # CI runs from the source tree and never installs the package, so this is
     # the one check of the entry point that users run

@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 from freeze_bessel import core
 from freeze_bessel import (
     ChamberPoint,
+    FreezingRegime,
     RootKind,
     RootSystemSpec,
+    SdeConfig,
+    StartDistribution,
     determinant_identity,
     freezing_potential,
     freezing_target,
@@ -23,6 +26,7 @@ from freeze_bessel import (
     laguerre_zeros,
     log_norm_constant,
     log_weight_batch,
+    potential_identity_check,
     precision_matrix,
     project_batch,
     proof_constant_limit,
@@ -100,11 +104,50 @@ def test_particle_count_is_refused_unless_integral(entry):
     assert len(outputs) == 1
 
 
+# each identity checker called with a nu that its family takes no part in
+_NU_REFUSALS = {
+    "determinant_identity-A": lambda: determinant_identity("A", 3, nu=1.0),
+    "proof_constant_limit-tildeA": lambda: proof_constant_limit("tildeA", 3, nu=2.0),
+    "potential_identity_check-A_sumsq": lambda: potential_identity_check("A_sumsq", 3, nu=1.0),
+    "potential_identity_check-A_at_half": lambda: potential_identity_check("A_at_half", 3, nu=1.0),
+}
+
+
+@pytest.mark.parametrize("call", list(_NU_REFUSALS))
+def test_identity_checkers_refuse_a_nu_their_family_ignores(call):
+    with pytest.raises(ValueError, match="nu"):
+        _NU_REFUSALS[call]()
+
+
 def test_spec_dict_roundtrip():
     # the constructor reads to_dict() output, also after a JSON round trip (B's pair comes back a list)
     for spec in (RootSystemSpec.a(4, 1.5), RootSystemSpec.b(2, 0.5, 3.0), RootSystemSpec.d(3, 2.0)):
         assert RootSystemSpec(**spec.to_dict()) == spec
         assert RootSystemSpec(**json.loads(json.dumps(spec.to_dict()))) == spec
+
+
+def _hand_built_regime():
+    regime = FreezingRegime.from_theorem("D", 3, 2.0)
+    return FreezingRegime(regime.spec, regime.m, regime.target.copy(), regime._precision)
+
+
+# makes one instance of each record with an ndarray field (SdeConfig holds one through its start)
+_ARRAY_RECORDS = {
+    "ChamberPoint": lambda: ChamberPoint("A", [1.0, 0.0]),
+    "FreezingTarget": lambda: dataclasses.replace(freezing_target("A", 3)),
+    "PrecisionMatrix": lambda: precision_matrix("A", 3),
+    "StartDistribution": lambda: StartDistribution.at_point([1.0, 0.5]),
+    "SdeConfig": lambda: SdeConfig(RootSystemSpec.b(2, 1.0, 1.0), [1.0, 0.5], 1.0, 0),
+    "FreezingRegime": _hand_built_regime,
+}
+
+
+@pytest.mark.parametrize("record", list(_ARRAY_RECORDS))
+def test_records_with_array_fields_compare_and_hash_by_identity(record):
+    a, b = _ARRAY_RECORDS[record](), _ARRAY_RECORDS[record]()
+    assert a is not b
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 def test_in_chamber_by_kind():

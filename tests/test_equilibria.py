@@ -191,9 +191,7 @@ def test_nan_zeros_fail_loudly(monkeypatch):
 def test_potential_identity_checks_pass():
     for kind, nu in (("A_at_half", None), ("A_sumsq", None), ("B_full", 1.0), ("B_norm", 2.5)):
         for n in (1, 2, 5, 17, 30):
-            rep = potential_identity_check(kind, n, nu=nu)
-            assert rep.passed, (kind, n, rep.statistics)
-            assert rep.statistics["abs_diff"] < 1e-9
+            assert potential_identity_check(kind, n, nu=nu) < 1e-9, (kind, n)
     # the D potential peaks at the D target with the B closed form at nu = 0
     for n in (2, 3, 5, 10, 30):
         w = freezing_potential(RootSystemSpec.d(n, 1.0), freezing_target("D", n).coords)

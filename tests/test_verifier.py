@@ -245,6 +245,20 @@ def test_identity_report_fails_on_a_nan_grid_value(monkeypatch):
     assert math.isnan(quad.statistics["max_rel_err"])
 
 
+@pytest.mark.parametrize("rel_err, monotone", [
+    (lambda k: 20.0 / k, True),  # falls along the grid, but ends at 1e-2, above 5e-3
+    (lambda k: 1e-6 * k, False),  # rises, but ends at 2e-3, below 5e-3
+], ids=["falling-above-tol", "rising-below-tol"])
+def test_proof_grid_monotone_flag_is_the_non_increasing_rule(monkeypatch, rel_err, monotone):
+    limit = gaussian._log_tilde_a_limit
+    monkeypatch.setattr(gaussian, "_log_tilde_a", lambda n, k: limit(n) + math.log1p(rel_err(k)))
+    reports = identity_reports(n_max_det=2, n_max_residual=2, n_max_potential=2, tilde_n_max=2)
+    proof = next(r for r in reports if r.name == "proof-constant-limit-tildeA")
+    assert proof.statistics["monotone"] is monotone
+    assert proof.statistics["max_final_rel_err"] == pytest.approx(rel_err(2000.0))
+    assert not proof.passed
+
+
 def test_run_suite_requires_seed_for_randomized_suites():
     with pytest.raises(ValueError, match="seed"):
         run_suite("lln")
