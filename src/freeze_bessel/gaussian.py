@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .core import RootKind, RootSystemSpec, _as_count, _as_kind, _positive_roots, _root_values, _unit_spec, in_chamber
 from .equilibria import _b_potential_max, _log_j_sum, freezing_target
@@ -111,6 +110,8 @@ def precision_matrix(kind, n: int, nu: float | None = None) -> PrecisionMatrix:
 
 def covariance(pm: PrecisionMatrix) -> np.ndarray:
     """Sigma = S^{-1} via the stored Cholesky factor."""
+    from scipy.linalg import solve_triangular  # on first use: most commands never need it
+
     eye = np.eye(pm.n)
     linv = solve_triangular(pm.chol, eye, lower=True)
     sigma = linv.T @ linv
@@ -268,12 +269,19 @@ def log_norm_constant(family: str, **params) -> NormalizationConstant:
     * ``tildeA(n, k)``: the rescaled constant of the A-type CLT proof;
     * ``tildeB(n, nu, beta, x=None)``: its B-type analogue (x a start vector
       of n finite coordinates, defaults to the origin).
+
+    Raises ``ValueError`` on an unknown family, a missing parameter, or one
+    that the family does not take.
     """
     if family not in _FAMILY_PARAMS:
         raise ValueError(f"unknown constant family {family!r}")
     missing = [name for name in _FAMILY_PARAMS[family] if name not in params]
     if missing:
         raise ValueError(f"family {family!r} needs parameters {missing}")
+    taken = (*_FAMILY_PARAMS[family], "x") if family == "tildeB" else _FAMILY_PARAMS[family]
+    untaken = [name for name in params if name not in taken]
+    if untaken:
+        raise ValueError(f"family {family!r} takes no parameters {untaken}")
     n = params["n"] = _as_count(params["n"])
     if family == "cA":
         val = _log_c_a(n, float(params["k"]))

@@ -19,8 +19,10 @@ eigenvalues, so a sub-batch holds about 2x its output for kind A (the two
 diagonals, then the solved rows) and 3x for kinds B and D (``d``, ``s`` and
 ``d * s``).  That solve is the samplers' one parallel layer.  ``threads``
 caps the worker threads it starts; None lets it spread its rows over every
-usable core (from n = 12 up, where it runs without the GIL; below that the
-dense ``eigvalsh`` holds the GIL and runs on one thread).
+usable core (from n = 12 up, where ``dsterf`` runs without the GIL).  Below
+that the dense ``eigvalsh`` runs on one thread.  It too releases the GIL,
+but a row split of it bought no end-to-end time on 2 cores and raised the
+peak memory.
 """
 
 from __future__ import annotations

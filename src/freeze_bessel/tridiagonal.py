@@ -6,9 +6,12 @@ matrices whose spectra are the Hermite and Laguerre zeros).
 
 From n = 12 up, every row goes through LAPACK ``dsterf``, called through
 ctypes on the function pointer that ``scipy.linalg.cython_lapack`` exports.
-A ctypes call releases the GIL, so contiguous chunks of rows run on a thread
-pool; each row meets the same routine however the rows are chunked, so the
-bytes do not depend on the thread count.
+That pointer is bound on first use, once per process, by the calling thread
+before any row pool starts: importing ``scipy.linalg`` costs a process about
+0.15 s and 25 MB, and below n = 12 nothing needs it.  A ctypes call releases
+the GIL, so contiguous chunks of rows run on a thread pool; each row meets
+the same routine however the rows are chunked, so the bytes do not depend on
+the thread count.
 
 ``dsterf`` overwrites its rows.  The public ``tridiagonal_eigenvalues``
 solves on C-ordered float64 copies of its inputs; the samplers build their
@@ -19,11 +22,11 @@ those copies.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.linalg import cython_lapack
 
 from .core import _as_count
 
@@ -48,12 +51,21 @@ def _capsule_function(capsule, prototype):
     return prototype(get_pointer(capsule, get_name(capsule)))
 
 
-_INT_P = ctypes.POINTER(ctypes.c_int)
-# dsterf(n, d, e, info): d and e are raw addresses of float64 rows
-_DSTERF = _capsule_function(
-    cython_lapack.__pyx_capi__["dsterf"],
-    ctypes.CFUNCTYPE(None, _INT_P, ctypes.c_void_p, ctypes.c_void_p, _INT_P),
-)
+@functools.cache
+def _dsterf():
+    """LAPACK ``dsterf(n, d, e, info)``, d and e raw addresses of float64 rows.
+
+    Bound on the first call, which imports ``scipy.linalg``.
+    ``_solve_in_place`` makes that call in its own thread before it starts a
+    row pool, so no worker thread imports.
+    """
+    from scipy.linalg import cython_lapack
+
+    int_p = ctypes.POINTER(ctypes.c_int)
+    return _capsule_function(
+        cython_lapack.__pyx_capi__["dsterf"],
+        ctypes.CFUNCTYPE(None, int_p, ctypes.c_void_p, ctypes.c_void_p, int_p),
+    )
 
 
 def _usable_cores() -> int:
@@ -64,9 +76,10 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _sterf_rows(d: np.ndarray, e: np.ndarray, start: int, stop: int) -> int:
+def _sterf_rows(dsterf, d: np.ndarray, e: np.ndarray, start: int, stop: int) -> int:
     """Overwrite rows ``start:stop`` of the C-contiguous float64 ``d`` (rows, n)
-    with their ascending eigenvalues (``e`` (rows, n-1) is destroyed).
+    with their ascending eigenvalues (``e`` (rows, n-1) is destroyed), calling
+    the bound ``dsterf`` once per row.
 
     Returns 0, or the ``info`` of the first row that ``dsterf`` failed on.
     """
@@ -74,7 +87,7 @@ def _sterf_rows(d: np.ndarray, e: np.ndarray, start: int, stop: int) -> int:
     n_c, info = ctypes.c_int(n), ctypes.c_int(0)
     d_addr, e_addr = d.ctypes.data, e.ctypes.data
     for row in range(start, stop):
-        _DSTERF(n_c, d_addr + 8 * n * row, e_addr + 8 * (n - 1) * row, info)
+        dsterf(n_c, d_addr + 8 * n * row, e_addr + 8 * (n - 1) * row, info)
         if info.value:
             return info.value
     return 0
@@ -102,14 +115,15 @@ def _solve_in_place(d: np.ndarray, e: np.ndarray, threads: int | None) -> np.nda
         mats[:, j, j + 1] = e
         mats[:, j + 1, j] = e
         return np.linalg.eigvalsh(mats)[:, ::-1]
+    dsterf = _dsterf()  # bound here, in the calling thread, before any pool starts
     workers = max(1, min(_usable_cores() if threads is None else threads, size))
     bounds = [size * i // workers for i in range(workers + 1)]
     chunks = list(zip(bounds[:-1], bounds[1:]))
     if workers == 1:
-        infos = [_sterf_rows(d, e, *chunks[0])]
+        infos = [_sterf_rows(dsterf, d, e, *chunks[0])]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            infos = list(pool.map(lambda chunk: _sterf_rows(d, e, *chunk), chunks))
+            infos = list(pool.map(lambda chunk: _sterf_rows(dsterf, d, e, *chunk), chunks))
     info = next((i for i in infos if i), 0)
     if info:
         raise RuntimeError(f"LAPACK dsterf failed with info={info} on a {n}x{n} tridiagonal")

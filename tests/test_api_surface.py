@@ -86,14 +86,40 @@ def test_console_script_is_cli_main():
     assert getattr(importlib.import_module(module), name) is cli.main
 
 
+# (command, whether scipy.linalg and scipy.special may be loaded after it);
+# None is the bare import of freeze_bessel.cli
+_SCIPY_LOADS = [
+    (None, {"scipy.linalg": False, "scipy.special": False}),
+    (["sample", "--system", "A", "--n", "3", "--k", "5", "--count", "100"],
+     {"scipy.linalg": False, "scipy.special": False}),
+    (["sde", "--system", "B", "--n", "2", "--k1", "1", "--k2", "1", "--x0", "1,0.5", "--steps", "5", "--paths", "20"],
+     {"scipy.linalg": False, "scipy.special": False}),
+    (["verify", "--suite", "identities", "--quick"], {"scipy.linalg": True, "scipy.special": False}),
+    (["sample", "--system", "A", "--n", "20", "--k", "5", "--count", "10"], {"scipy.linalg": True}),
+]
+_LOADED_AFTER = """
+import contextlib, io, sys
+from freeze_bessel.cli import main
+if len(sys.argv) > 1:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0
+print(" ".join(sorted(sys.modules)))
+"""
+
+
 def test_cli_import_loads_no_heavy_scipy_subpackage():
-    # each of these adds 15-38 MB of resident memory to every command, and
-    # the package needs only scipy.linalg and scipy.special at import time
+    # each of the three heavy subpackages adds 15-38 MB of resident memory to
+    # every command.  scipy.linalg and scipy.special bring numpy.f2py,
+    # numpy.testing and numpy.ma with them (about 30 MB and 0.2 s at
+    # import), so the package imports each on the first call that needs it
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
-    code = "import sys, freeze_bessel.cli; print(' '.join(sorted(sys.modules)))"
-    loaded = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True,
-    ).stdout.split()
-    heavy = [m for m in loaded if ".".join(m.split(".")[:2]) in ("scipy.integrate", "scipy.stats", "scipy.optimize")]
-    assert not heavy, heavy
+    for argv, expected in _SCIPY_LOADS:
+        loaded = subprocess.run(
+            [sys.executable, "-c", _LOADED_AFTER, *(argv or [])],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        ).stdout.split()
+        heavy = [m for m in loaded if ".".join(m.split(".")[:2]) in ("scipy.integrate", "scipy.stats", "scipy.optimize")]
+        case = argv or "import freeze_bessel.cli"
+        assert not heavy, (case, heavy)
+        assert {name: name in loaded for name in expected} == expected, case

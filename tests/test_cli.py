@@ -420,7 +420,7 @@ def test_target_past_the_precision_envelope_exits_3(capsys):
 def test_lapack_failure_exits_3(monkeypatch, capsys):
     import freeze_bessel.tridiagonal as tridiagonal
 
-    monkeypatch.setattr(tridiagonal, "_sterf_rows", lambda d, e, start, stop: 1)
+    monkeypatch.setattr(tridiagonal, "_sterf_rows", lambda dsterf, d, e, start, stop: 1)
     assert main(["sample", "--system", "A", "--n", "20", "--k", "5", "--count", "10"]) == 3
     assert "dsterf failed with info=1" in capsys.readouterr().err
 
@@ -431,9 +431,9 @@ def test_lapack_failure_in_a_worker_thread_exits_3(monkeypatch, capsys):
     solve = tridiagonal._sterf_rows
     starts = []
 
-    def fail_second_chunk(d, e, start, stop):
+    def fail_second_chunk(dsterf, d, e, start, stop):
         starts.append(start)
-        return 1 if start > 0 else solve(d, e, start, stop)
+        return 1 if start > 0 else solve(dsterf, d, e, start, stop)
 
     monkeypatch.setattr(tridiagonal, "_sterf_rows", fail_second_chunk)
     assert main(["--threads", "2", "sample", "--system", "A", "--n", "50", "--k", "5", "--count", "10"]) == 3

@@ -161,6 +161,10 @@ def test_norm_constant_parameter_validation():
         log_norm_constant("cQ", n=2, k=1.0)
     with pytest.raises(ValueError):
         log_norm_constant("cB", n=2, k1=1.0)
+    with pytest.raises(ValueError, match=r"family 'cA' takes no parameters \['nu', 'k2'\]"):
+        log_norm_constant("cA", n=2, k=1.0, nu=5.0, k2=3.0)
+    with pytest.raises(ValueError, match=r"family 'tildeA' takes no parameters \['x'\]"):
+        log_norm_constant("tildeA", n=2, k=10.0, x=[1.0, 0.0])
 
 
 @pytest.mark.parametrize("x", [[1.0, 2.0, 3.0], [1.0], [math.nan, 1.0], [math.inf, 1.0]])

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,7 +69,7 @@ def test_threads_do_not_change_the_output():
 )
 def test_exact_sampling_bytes_do_not_depend_on_threads(spec):
     # the three sub-batches (4096, 4096, 7) run in order; the default spreads
-    # each n >= 16 eigensolve over every usable core, threads=2 over two
+    # each n >= 12 eigensolve over every usable core, threads=2 over two
     count = 2 * 4096 + 7
     serial = sample_exact(spec, 1.0, count, seed=11, threads=1).points
     for threads in (None, 2):
@@ -78,14 +82,50 @@ def test_exact_sampling_threads_only_its_eigensolve(monkeypatch):
     calls = []
     sterf_rows = tridiagonal._sterf_rows
 
-    def recording(d, e, start, stop):
+    def recording(dsterf, d, e, start, stop):
         calls.append((d.shape[0], start, stop))
-        return sterf_rows(d, e, start, stop)
+        return sterf_rows(dsterf, d, e, start, stop)
 
     monkeypatch.setattr(tridiagonal, "_sterf_rows", recording)
     sample_exact(RootSystemSpec.a(50, 1.0), 1.0, 2 * 4096 + 7, 11, threads=2)
     halves = [(4096, 0, 2048), (4096, 2048, 4096)]
     assert sorted(calls[:2]) + sorted(calls[2:4]) + sorted(calls[4:]) == [*halves, *halves, (7, 0, 3), (7, 3, 7)]
+
+
+# Draws A n = 20 (dsterf rows) in a fresh process at threads=2, then 1, and
+# prints whether scipy.linalg was still unloaded before the first draw, the
+# threads that imported it, whether the two draws agree, and their SHA-256.
+# "eager" binds dsterf before the first draw, as the package did when
+# scipy.linalg was a module-level import.
+_FIRST_BINDING = """
+import hashlib, sys, threading
+binders = set()
+sys.addaudithook(lambda event, args: event == "import" and str(args[0]).startswith("scipy.linalg")
+                 and binders.add(threading.current_thread().name))
+from freeze_bessel import RootSystemSpec, sample_exact, tridiagonal
+if sys.argv[1] == "eager":
+    tridiagonal._dsterf()
+unbound = "scipy.linalg" not in sys.modules
+draws = [sample_exact(RootSystemSpec.a(20, 5.0), 1.0, 3001, 17, threads=threads).points.tobytes() for threads in (2, 1)]
+print(unbound, ",".join(sorted(binders)), draws[0] == draws[1], hashlib.sha256(draws[0]).hexdigest())
+"""
+
+
+def test_first_dsterf_call_under_a_pool_binds_in_the_calling_thread():
+    # dsterf is bound on first use; the first call of a process may come with
+    # threads=2, and the binding must still happen once, in the calling
+    # thread, before the row pool starts
+    src = Path(tridiagonal.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    lazy, eager = (
+        subprocess.run([sys.executable, "-c", _FIRST_BINDING, mode], env=env, capture_output=True, text=True,
+                       timeout=120, check=True).stdout.split()
+        for mode in ("lazy", "eager")
+    )
+    assert lazy[:3] == ["True", "MainThread", "True"]
+    assert eager[1:3] == ["MainThread", "True"]
+    assert lazy[3] == eager[3]
 
 
 def test_large_n_sampling_memory_stays_linear_in_n():
