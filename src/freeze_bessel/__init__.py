@@ -8,7 +8,6 @@ paths, and a statistical verification harness for the limit theorems.
 
 from ._version import __version__
 from .core import (
-    ChamberPoint,
     RootKind,
     RootSystemSpec,
     freezing_potential,
@@ -28,7 +27,6 @@ from .equilibria import (
     stationarity_residual,
 )
 from .gaussian import (
-    NormalizationConstant,
     PrecisionMatrix,
     bessel_a_on_diagonal_ray,
     bessel_limit_b1,
@@ -77,7 +75,6 @@ from .verify import (
 
 __all__ = [
     "__version__",
-    "ChamberPoint",
     "RootKind",
     "RootSystemSpec",
     "freezing_potential",
@@ -93,7 +90,6 @@ __all__ = [
     "laguerre_zeros",
     "potential_identity_check",
     "stationarity_residual",
-    "NormalizationConstant",
     "PrecisionMatrix",
     "bessel_a_on_diagonal_ray",
     "bessel_limit_b1",

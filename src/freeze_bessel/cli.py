@@ -23,7 +23,7 @@ from .equilibria import (
     laguerre_minus_one_zeros,
     laguerre_zeros,
 )
-from .gaussian import _FAMILY_PARAMS, covariance, log_norm_constant, precision_matrix
+from .gaussian import _FAMILY_PARAMS, _exp_or_inf, covariance, log_norm_constant, precision_matrix
 from .manifest import (
     MANIFEST_PREFIX,
     RunManifest,
@@ -40,11 +40,8 @@ from .verify import SUITES, run_suite
 __all__ = ["main"]
 
 
-def _parse_vector(value: str, n: int | None = None) -> np.ndarray:
-    vec = np.array([float(p) for p in value.replace(";", ",").split(",") if p.strip()])
-    if n is not None and vec.shape != (n,):
-        raise ValueError(f"expected {n} comma-separated coordinates, got {vec.size}")
-    return vec
+def _parse_vector(value: str) -> np.ndarray:
+    return np.array([float(p) for p in value.replace(";", ",").split(",") if p.strip()])
 
 
 def _refuse_untaken(owner: str, params: dict, taken, offered) -> None:
@@ -150,8 +147,8 @@ def cmd_constants(params: dict, threads: int | None = None) -> int:
     kwargs: dict = {name: params[name] for name in names}
     if family == "tildeB" and params["x"] is not None:
         kwargs["x"] = _parse_vector(params["x"]).tolist()
-    const = log_norm_constant(family, **kwargs)
-    obj = {"family": family, "params": kwargs, "log_value": const.log_value, "value": const.value}
+    log_value = log_norm_constant(family, **kwargs)
+    obj = {"family": family, "params": kwargs, "log_value": log_value, "value": _exp_or_inf(log_value)}
     _emit_json(obj, params["out"], RunManifest("constants", params, seed=None))
     return 0
 
@@ -176,7 +173,7 @@ def cmd_sde(params: dict, threads: int | None = None) -> int:
     spec = _spec_from_params(params)
     cfg = SdeConfig(
         spec=spec,
-        x0=StartDistribution.at_point(_parse_vector(params["x0"], spec.n)),
+        x0=StartDistribution.at_point(_parse_vector(params["x0"])),
         t=params["t"],
         seed=params["seed"],
         steps=params["steps"],

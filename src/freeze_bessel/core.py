@@ -10,8 +10,8 @@ descending order:
 * kind D: ``x1 >= ... >= x_{n-1} >= |xn|`` (last coordinate may be negative)
 
 Coordinates enter every function as arrays; raw vectors go through
-:func:`project_batch`, and :class:`ChamberPoint` validates one point but is
-no input format.  ``log_weight_batch`` and
+:func:`project_batch`, and every single-point argument of the package goes
+through one rule, ``_as_point``.  ``log_weight_batch`` and
 ``freezing_potential`` are total functions: they return ``-inf`` off the
 chamber and on walls where the weight vanishes, which is exactly what the
 Metropolis sampler needs for its accept/reject step.
@@ -33,7 +33,6 @@ import numpy as np
 __all__ = [
     "RootKind",
     "RootSystemSpec",
-    "ChamberPoint",
     "homogeneity_degree",
     "in_chamber",
     "project_batch",
@@ -66,6 +65,24 @@ def _as_time(t) -> float:
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"t must be finite and > 0, got {t}")
     return float(t)
+
+
+def _as_point(x, n: int | None, kind, name: str) -> np.ndarray:
+    """One point as a float array of shape (n,), or of any length >= 1 when n is None.
+
+    The coordinates must be finite and, when ``kind`` is not None, lie in
+    that kind's closed chamber; anything else is refused naming ``name``.
+    """
+    width = "one or more" if n is None else str(n)
+    try:
+        p = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be {width} finite coordinates, got {x!r}") from None
+    if p.ndim != 1 or p.size == 0 or (n is not None and p.size != n) or not np.all(np.isfinite(p)):
+        raise ValueError(f"{name} must be {width} finite coordinates, got {p.tolist()}")
+    if kind is not None and not in_chamber(kind, p):
+        raise ValueError(f"{name} {p.tolist()} lies outside the closed {_as_kind(kind).value} chamber")
+    return p
 
 
 @dataclass(frozen=True)
@@ -215,30 +232,6 @@ def in_chamber(kind, pts) -> np.ndarray | bool:
     if ordered.ndim == 0:
         return bool(ordered)
     return ordered
-
-
-@dataclass(frozen=True, eq=False)  # compared by identity: the generated == fails on ndarray fields
-class ChamberPoint:
-    """A point validated against the closed chamber of its root system kind."""
-
-    kind: RootKind
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "kind", _as_kind(self.kind))
-        c = np.array(self.coords, dtype=float, copy=True)
-        if c.ndim != 1 or c.size < 1:
-            raise ValueError("coords must be a 1-d vector")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coords must be finite")
-        if not in_chamber(self.kind, c):
-            raise ValueError(f"point {c.tolist()} violates the {self.kind.value} chamber order")
-        c.setflags(write=False)
-        object.__setattr__(self, "coords", c)
-
-    @property
-    def n(self) -> int:
-        return self.coords.size
 
 
 def _project_particle_major(kind: RootKind, x: np.ndarray) -> int:

@@ -17,14 +17,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import RootKind, RootSystemSpec, _as_count, _as_kind, _positive_roots, _root_values, _unit_spec, in_chamber
+from .core import RootKind, RootSystemSpec, _as_count, _as_kind, _as_point, _positive_roots, _root_values, _unit_spec
 from .equilibria import _b_potential_max, _log_j_sum, freezing_target
 from .special import log_factorial, log_gamma
 
 __all__ = [
     "FreezingRegime",
     "PrecisionMatrix",
-    "NormalizationConstant",
     "precision_matrix",
     "covariance",
     "determinant_identity",
@@ -62,19 +61,6 @@ class PrecisionMatrix:
     def det(self) -> float:
         """det S, or inf past the float range (kind A from n = 171, where det S = n!)."""
         return _exp_or_inf(self.log_det)
-
-
-@dataclass(frozen=True)
-class NormalizationConstant:
-    """A closed-form constant kept in log space."""
-
-    family: str
-    parameters: dict
-    log_value: float
-
-    @property
-    def value(self) -> float:
-        return _exp_or_inf(self.log_value)
 
 
 def precision_matrix(kind, n: int, nu: float | None = None) -> PrecisionMatrix:
@@ -259,19 +245,20 @@ _FAMILY_PARAMS = {
 }
 
 
-def log_norm_constant(family: str, **params) -> NormalizationConstant:
-    """Closed-form constant, assembled in log space.
+def log_norm_constant(family: str, **params) -> float:
+    """Closed-form constant, returned as its logarithm.
 
     Families and parameters:
 
     * ``cA(n, k)``, ``cB(n, k1, k2)``, ``cD(n, k)``: normalization constants
-      of the start-0 densities at t = 1;
+      of the start-0 densities at t = 1, with the multiplicities of the
+      family's ``RootSystemSpec``;
     * ``tildeA(n, k)``: the rescaled constant of the A-type CLT proof;
     * ``tildeB(n, nu, beta, x=None)``: its B-type analogue (x a start vector
       of n finite coordinates, defaults to the origin).
 
-    Raises ``ValueError`` on an unknown family, a missing parameter, or one
-    that the family does not take.
+    Raises ``ValueError`` on an unknown family, a missing parameter, one
+    that the family does not take, or multiplicities its spec refuses.
     """
     if family not in _FAMILY_PARAMS:
         raise ValueError(f"unknown constant family {family!r}")
@@ -282,25 +269,21 @@ def log_norm_constant(family: str, **params) -> NormalizationConstant:
     untaken = [name for name in params if name not in taken]
     if untaken:
         raise ValueError(f"family {family!r} takes no parameters {untaken}")
-    n = params["n"] = _as_count(params["n"])
+    n = _as_count(params["n"])
     if family == "cA":
-        val = _log_c_a(n, float(params["k"]))
-    elif family == "cB":
-        val = _log_c_b(n, float(params["k1"]), float(params["k2"]))
-    elif family == "cD":
-        val = _log_c_d(n, float(params["k"]))
-    elif family == "tildeA":
-        val = _log_tilde_a(n, float(params["k"]))
-    else:
-        x = params.get("x")
-        if x is not None:
-            x = np.asarray(x, dtype=float)
-            if x.shape != (n,) or not np.all(np.isfinite(x)):
-                raise ValueError(f"tildeB needs x to be {n} finite coordinates, got {x.tolist()}")
-        x_norm_sq = float(np.dot(x, x)) if x is not None else 0.0
-        val = _log_tilde_b(n, float(params["nu"]), float(params["beta"]), x_norm_sq)
-        params = {**params, "x": None if x is None else list(x)}
-    return NormalizationConstant(family, dict(params), val)
+        return _log_c_a(n, RootSystemSpec.a(n, params["k"]).k)
+    if family == "cB":
+        spec = RootSystemSpec.b(n, params["k1"], params["k2"])
+        return _log_c_b(n, spec.k1, spec.k2)
+    if family == "cD":
+        return _log_c_d(n, RootSystemSpec.d(n, params["k"]).k)
+    if family == "tildeA":
+        return _log_tilde_a(n, float(params["k"]))
+    x = params.get("x")
+    if x is not None:
+        x = _as_point(x, n, None, "tildeB x")
+    x_norm_sq = float(np.dot(x, x)) if x is not None else 0.0
+    return _log_tilde_b(n, float(params["nu"]), float(params["beta"]), x_norm_sq)
 
 
 def proof_constant_limit(family: str, n: int, nu: float | None = None) -> list[float]:
@@ -337,15 +320,11 @@ def bessel_limit_b1(x, y, nu: float) -> float:
     exp(|x|^2 |y|^2 / (4 n (nu + n - 1))); in particular the limit is 1 when
     either argument vanishes.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = _as_point(x, None, RootKind.B, "x")
+    y = _as_point(y, x.size, RootKind.B, "y")
     n = x.size
-    if y.size != n:
-        raise ValueError("x and y must have the same length")
-    if not (in_chamber(RootKind.B, x) and in_chamber(RootKind.B, y)):
-        raise ValueError("x and y must lie in the closed B chamber")
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
+    if not (math.isfinite(nu) and nu >= 0):
+        raise ValueError(f"nu must be finite and >= 0, got {nu}")
     if nu + n - 1 <= 0:
         raise ValueError("need nu + n - 1 > 0")
     return math.exp(float(x @ x) * float(y @ y) / (4.0 * n * (nu + n - 1.0)))
@@ -357,14 +336,9 @@ def bessel_a_on_diagonal_ray(x, y) -> float:
     The value is exp(c * sum(x)), for every multiplicity.  ``y`` may be the
     scalar c or a constant vector; a non-constant vector is rejected.
     """
-    x = np.asarray(x, dtype=float)
-    y_arr = np.asarray(y, dtype=float)
-    if y_arr.ndim == 0:
-        c = float(y_arr)
-    else:
-        if y_arr.size != x.size:
-            raise ValueError("y must be scalar or match the length of x")
-        if not np.all(y_arr == y_arr.flat[0]):
-            raise ValueError("y must be a constant vector c*(1,...,1)")
-        c = float(y_arr.flat[0])
-    return math.exp(c * float(np.sum(x)))
+    x = _as_point(x, None, None, "x")
+    y = np.asarray(y, dtype=float)
+    ray = _as_point(np.full(x.size, y) if y.ndim == 0 else y, x.size, None, "y")
+    if not np.all(ray == ray[0]):
+        raise ValueError("y must be a constant vector c*(1,...,1)")
+    return math.exp(float(ray[0]) * float(np.sum(x)))

@@ -28,10 +28,10 @@ from .core import (
     RootKind,
     RootSystemSpec,
     _as_count,
+    _as_point,
     _as_time,
     _chamber_order,
     _project_particle_major,
-    in_chamber,
     project_batch,  # noqa: F401  (perfbench/tracing.py wraps it in this namespace)
 )
 from .sampling import BatchDiagnostics, SampleBatch, SampleMethod, SamplerAbort, _spawned_children
@@ -132,15 +132,9 @@ class StartDistribution:
 
 
 def _validate_start(spec: RootSystemSpec, x0) -> None:
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (spec.n,):
-        raise ValueError(f"start must have {spec.n} coordinates")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("start must be finite")
+    x = _as_point(x0, spec.n, spec.kind, "start")
     if np.all(x == 0.0):
         raise ValueError("start at the origin is refused: use an exact start-0 sampler instead")
-    if not in_chamber(spec.kind, x):
-        raise ValueError("start must lie in the chamber (project it first)")
     if not _chamber_order(spec.kind, x, np.greater):
         raise ValueError("start must be strictly inside the chamber (no wall contact)")
 

@@ -107,6 +107,7 @@ def _draw(spec, t, count, seed, threads, start=None, steps=None) -> SampleBatch:
 
 def gaussian_battery(centered: np.ndarray, t: float, sigma: np.ndarray) -> tuple[dict, bool]:
     """Run the four-part Gaussian test battery on already-centered samples."""
+    _as_time(t)
     pts = np.asarray(centered, dtype=float)
     if pts.ndim != 2:
         raise ValueError("expected a 2-d batch")
@@ -446,6 +447,7 @@ def calibration_check(
     law, so the battery should pass on at least ``CALIBRATION_MIN_PASSES`` of
     ``CALIBRATION_SEEDS`` independent seeds.
     """
+    _as_time(t)
     regime = _gaussian_regime(theorem, n, strength, nu)
     chol = np.linalg.cholesky(t * regime.sigma)
     outcomes = []
@@ -545,7 +547,7 @@ def identity_reports(
     def quadrature_rel_err(spec: RootSystemSpec) -> float:
         integral = chamber_weight_integral(spec)
         family = _NORM_FAMILY[spec.kind]
-        log_c = log_norm_constant(family, **{f: getattr(spec, f) for f in _FAMILY_PARAMS[family]}).log_value
+        log_c = log_norm_constant(family, **{f: getattr(spec, f) for f in _FAMILY_PARAMS[family]})
         return abs(integral * math.exp(log_c) - 1.0)
 
     proofs = {

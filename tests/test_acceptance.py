@@ -86,11 +86,11 @@ def test_criterion_03_normalization_constants_match_quadrature():
     for spec in settings:
         integral = chamber_weight_integral(spec)
         if spec.kind is RootKind.A:
-            log_c = log_norm_constant("cA", n=spec.n, k=spec.k).log_value
+            log_c = log_norm_constant("cA", n=spec.n, k=spec.k)
         elif spec.kind is RootKind.B:
-            log_c = log_norm_constant("cB", n=spec.n, k1=spec.k1, k2=spec.k2).log_value
+            log_c = log_norm_constant("cB", n=spec.n, k1=spec.k1, k2=spec.k2)
         else:
-            log_c = log_norm_constant("cD", n=spec.n, k=spec.k).log_value
+            log_c = log_norm_constant("cD", n=spec.n, k=spec.k)
         assert abs(integral * math.exp(log_c) - 1.0) < 1e-6, spec
     assert time.monotonic() - start < 30.0
 

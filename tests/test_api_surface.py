@@ -1,6 +1,6 @@
-"""The public surface resolves, and no source module keeps an unused import.
+"""The public surface resolves and is used, and no source module keeps an unused import.
 
-Both checks use the standard library only (``ast`` and ``importlib``), so
+The checks use the standard library only (``ast``, ``importlib`` and ``inspect``), so
 they run wherever tier-1 runs, with no linter installed.  An import that a
 module keeps on purpose for another namespace carries ``# noqa: F401`` on its
 line.
@@ -8,6 +8,7 @@ line.
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -54,6 +55,37 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_module_level_import_is_unused():
     unused = [entry for path in sorted(SRC.glob("*.py")) for entry in _unused_imports(path)]
     assert not unused, f"unused module-level imports: {unused}"
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every ast.Name id and ast.Attribute attr, except those inside the class statement of that name."""
+    read = set()
+
+    def visit(node, inside):
+        if isinstance(node, ast.ClassDef):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in inside:
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            read.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return read
+
+
+def test_every_exported_class_is_used_in_the_package():
+    # a public class that no module constructs, annotates or reads is a record
+    # that nothing takes; __init__ only re-exports, so it does not count
+    read = set().union(*(_names_read(ast.parse(SRC.joinpath(f"{m}.py").read_text(encoding="utf-8")))
+                         for m in MODULES))
+    unused = []
+    for m in MODULES:
+        mod = importlib.import_module(f"freeze_bessel.{m}")
+        unused += [f"{m}.{name}" for name in getattr(mod, "__all__", ())
+                   if inspect.isclass(getattr(mod, name)) and name not in read]
+    assert not unused, f"exported classes no module uses: {unused}"
 
 
 def _imports_report(path: Path) -> bool:

@@ -204,14 +204,31 @@ def test_flags_a_command_does_not_take_exit_2(argv, message, capsys, tmp_path):
     (["constants", "--family", "cA", "--n", "0", "--k", "1"], "error: n must be an integer >= 1"),
     # tildeB read only x.x, so a start of any length passed and NaN reached the JSON
     (["constants", "--family", "tildeB", "--n", "2", "--nu", "1", "--beta", "10", "--x", "1,2,3"],
-     "error: tildeB needs x to be 2 finite coordinates"),
+     "error: tildeB x must be 2 finite coordinates"),
     (["constants", "--family", "tildeB", "--n", "2", "--nu", "1", "--beta", "10", "--x", "nan,1"],
-     "error: tildeB needs x to be 2 finite coordinates"),
+     "error: tildeB x must be 2 finite coordinates"),
 ], ids=["sample-t0", "sample-count0", "sde-paths0", "verify-t0", "verify-k0", "verify-n_max0", "constants-n0",
         "constants-tildeB-x-length", "constants-tildeB-x-nan"])
 def test_zero_arguments_are_refused_not_replaced_by_defaults(argv, message, capsys):
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["constants", "--family", "cA", "--n", "2", "--k=-0.3"], "multiplicities must be finite and >= 0"),
+    (["constants", "--family", "cB", "--n", "2", "--k1=-0.2", "--k2", "1"], "multiplicities must be finite and >= 0"),
+    (["constants", "--family", "cB", "--n", "2", "--k1", "1", "--k2=-0.4"], "multiplicities must be finite and >= 0"),
+    (["constants", "--family", "cD", "--n", "2", "--k=-0.1"], "multiplicities must be finite and >= 0"),
+    (["constants", "--family", "cD", "--n", "1", "--k", "1"], "kind D needs n >= 2"),
+    (["sde", "--system", "B", "--n", "2", "--k1", "1", "--k2", "1", "--x0", "1,0.5,0.2"],
+     "start must be 2 finite coordinates"),
+], ids=["cA-k", "cB-k1", "cB-k2", "cD-k", "cD-n1", "sde-x0-width"])
+def test_spec_and_point_rules_refuse_input_exit_2(argv, message, capsys, tmp_path):
+    # the constants printed a log value for multiplicities the spec refuses
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

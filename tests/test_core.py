@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from freeze_bessel import core
 from freeze_bessel import (
-    ChamberPoint,
     FreezingRegime,
     RootKind,
     RootSystemSpec,
@@ -133,7 +132,6 @@ def _hand_built_regime():
 
 # makes one instance of each record with an ndarray field (SdeConfig holds one through its start)
 _ARRAY_RECORDS = {
-    "ChamberPoint": lambda: ChamberPoint("A", [1.0, 0.0]),
     "FreezingTarget": lambda: dataclasses.replace(freezing_target("A", 3)),
     "PrecisionMatrix": lambda: precision_matrix("A", 3),
     "StartDistribution": lambda: StartDistribution.at_point([1.0, 0.5]),
@@ -237,15 +235,22 @@ def test_projection_fixes_chamber_points():
 
 
 def test_chamber_point_validation():
-    p = ChamberPoint(RootKind.A, [1.0, -1.0])
-    assert p.n == 2
-    with pytest.raises(ValueError):
-        p.coords[0] = 5.0
-    with pytest.raises(ValueError):
-        ChamberPoint(RootKind.A, [0.0, 1.0])
-    with pytest.raises(ValueError):
-        ChamberPoint(RootKind.B, [1.0, np.nan])
-    assert ChamberPoint(RootKind.B, project_batch(RootKind.B, [-3.0, 1.0])).coords.tolist() == [3.0, 1.0]
+    # the one rule every single-point argument goes through
+    p = core._as_point([1, -1], 2, RootKind.A, "x")
+    assert p.dtype == np.float64 and p.tolist() == [1.0, -1.0]
+    assert core._as_point([0.5, 2.0, -1.0], None, None, "x").shape == (3,)
+    assert core._as_point(project_batch(RootKind.B, [-3.0, 1.0]), 2, "B", "x").tolist() == [3.0, 1.0]
+    for bad, n, kind, message in (
+        ([0.0, 1.0], 2, RootKind.A, "start \\[0.0, 1.0\\] lies outside the closed A chamber"),
+        ([1.0, np.nan], 2, RootKind.B, "start must be 2 finite coordinates"),
+        ([1.0, 0.5, 0.2], 2, None, "start must be 2 finite coordinates"),
+        (np.ones((2, 2)), None, None, "start must be one or more finite coordinates"),
+        ([], None, None, "start must be one or more"),
+        (5.0, None, None, "start must be one or more"),
+        ([[1.0], [2.0, 3.0]], None, None, "start must be one or more"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            core._as_point(bad, n, kind, "start")
 
 
 def test_log_weight_closed_forms():

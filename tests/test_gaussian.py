@@ -13,6 +13,7 @@ from freeze_bessel import (
     precision_matrix,
     proof_constant_limit,
 )
+from freeze_bessel.gaussian import _exp_or_inf
 
 
 def test_precision_matrix_a_two_and_three():
@@ -110,18 +111,31 @@ def _dumitriu_edelman_sigma_b(n, nu):
     return (p @ p.T + r @ r.T) / 2.0, singular
 
 
-@pytest.mark.parametrize("nu", [0.5, 1.0, 3.0])
+def _dumitriu_edelman_sigma(n, nu):
+    # at nu = 0 the model is B0, whose limit is Sigma_D: the last diagonal entry
+    # of B0 is chi_1, whose fluctuation has unit variance, not the 1/2 of the
+    # large-dof expansion, so Sigma_D[n, n] = 2 Sigma_DE[n, n] (1/n against 1/(2n))
+    sigma_de, singular = _dumitriu_edelman_sigma_b(n, nu)
+    if nu == 0.0:
+        sigma_de[-1, -1] *= 2.0
+    return sigma_de, singular
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 3.0])
 def test_covariance_b_matches_the_dumitriu_edelman_laguerre_perturbation(nu):
-    for n in range(1, 31):
-        sigma_de, singular = _dumitriu_edelman_sigma_b(n, nu)
-        sigma = covariance(precision_matrix("B", n, nu))
+    # nu = 0 is kind D, which needs n >= 2
+    kind, pm_nu = ("D", None) if nu == 0.0 else ("B", nu)
+    for n in range(2 if kind == "D" else 1, 31):
+        sigma_de, singular = _dumitriu_edelman_sigma(n, nu)
+        sigma = covariance(precision_matrix(kind, n, pm_nu))
         assert np.max(np.abs(sigma_de - sigma)) <= 1e-12 * np.max(np.abs(sigma)), n
         target = freezing_target("B", n, nu).coords
         assert np.max(np.abs(singular - target)) <= 1e-12 * np.max(target), n
-    if nu == 1.0:  # at large n, S itself against the perturbation, with no inverse: S Sigma_DE = I
-        for n in (100, 400, 1000):
-            residual = precision_matrix("B", n, nu).matrix @ _dumitriu_edelman_sigma_b(n, nu)[0] - np.eye(n)
-            assert np.max(np.abs(residual)) <= 1e-11, n
+    # at large n, S itself against the perturbation, with no inverse: S Sigma_DE = I
+    # (kind D stops below n = 1000, where its freezing target fails the stationarity gate)
+    for n in {0.0: (100, 400), 1.0: (100, 400, 1000)}.get(nu, ()):
+        residual = precision_matrix(kind, n, pm_nu).matrix @ _dumitriu_edelman_sigma(n, nu)[0] - np.eye(n)
+        assert np.max(np.abs(residual)) <= 1e-11, n
 
 
 def test_determinant_identities():
@@ -142,16 +156,16 @@ def test_determinant_identities():
 
 
 def test_norm_constant_known_values():
-    assert log_norm_constant("cA", n=1, k=3.0).value == pytest.approx(1 / math.sqrt(2 * math.pi), rel=1e-13)
-    assert log_norm_constant("cA", n=2, k=1.0).value == pytest.approx(1 / (2 * math.pi), rel=1e-13)
+    assert math.exp(log_norm_constant("cA", n=1, k=3.0)) == pytest.approx(1 / math.sqrt(2 * math.pi), rel=1e-13)
+    assert math.exp(log_norm_constant("cA", n=2, k=1.0)) == pytest.approx(1 / (2 * math.pi), rel=1e-13)
     # N=1 B-type: the defining integral is 2^(k1-1/2) Gamma(k1+1/2)
     for k1 in (0.5, 1.0, 2.5):
         want = 1.0 / (2 ** (k1 - 0.5) * math.gamma(k1 + 0.5))
-        assert log_norm_constant("cB", n=1, k1=k1, k2=9.9).value == pytest.approx(want, rel=1e-12)
+        assert math.exp(log_norm_constant("cB", n=1, k1=k1, k2=9.9)) == pytest.approx(want, rel=1e-12)
     # past the float range the value is inf, as PrecisionMatrix.det is
-    const = log_norm_constant("cA", n=300, k=0.001)
-    assert const.log_value == pytest.approx(1158.38, rel=1e-5)
-    assert const.value == math.inf
+    log_value = log_norm_constant("cA", n=300, k=0.001)
+    assert log_value == pytest.approx(1158.38, rel=1e-5)
+    assert _exp_or_inf(log_value) == math.inf
 
 
 def test_norm_constant_parameter_validation():
@@ -169,7 +183,7 @@ def test_norm_constant_parameter_validation():
 
 @pytest.mark.parametrize("x", [[1.0, 2.0, 3.0], [1.0], [math.nan, 1.0], [math.inf, 1.0]])
 def test_tilde_b_refuses_a_start_that_is_not_n_finite_coordinates(x):
-    with pytest.raises(ValueError, match="tildeB needs x to be 2 finite coordinates"):
+    with pytest.raises(ValueError, match="tildeB x must be 2 finite coordinates"):
         log_norm_constant("tildeB", n=2, nu=1.0, beta=10.0, x=x)
 
 
@@ -201,7 +215,7 @@ def test_bessel_limit_b1():
         bessel_limit_b1(np.array([1.0, 2.0]), y, nu=1.0)  # not in the B chamber
     with pytest.raises(ValueError):
         bessel_limit_b1(x, y, nu=-1.0)
-    with pytest.raises(ValueError, match="same length"):
+    with pytest.raises(ValueError, match="y must be 2 finite coordinates"):
         bessel_limit_b1(x, np.array([1.5, 0.5, 0.25]), nu=1.0)
 
 
@@ -213,3 +227,19 @@ def test_bessel_a_on_diagonal_ray():
         bessel_a_on_diagonal_ray(x, np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         bessel_a_on_diagonal_ray(x, np.array([1.0, 2.0, 1.0]))
+
+
+# each Bessel limit called with a point or parameter the point rule refuses
+_BESSEL_REFUSALS = {
+    "b1-inf-x": (lambda: bessel_limit_b1([math.inf, 1.0], [1.0, 0.5], 1.0), "x must be one or more finite"),
+    "b1-nan-nu": (lambda: bessel_limit_b1([2.0, 1.0], [1.0, 0.5], math.nan), "nu must be finite"),
+    "a-matrix-x": (lambda: bessel_a_on_diagonal_ray(np.ones((2, 3)), 1.0), "x must be one or more finite"),
+    "a-nan-x": (lambda: bessel_a_on_diagonal_ray([1.0, math.nan], 1.0), "x must be one or more finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BESSEL_REFUSALS))
+def test_bessel_limits_refuse_what_the_point_rule_refuses(case):
+    call, message = _BESSEL_REFUSALS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

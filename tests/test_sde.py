@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as ss
 
-from freeze_bessel.core import ChamberPoint, RootKind, RootSystemSpec, in_chamber, project_batch
+from freeze_bessel.core import RootKind, RootSystemSpec, in_chamber, project_batch
 from freeze_bessel.sampling import SampleMethod, _spawned_children
 from freeze_bessel.sde import (
     BUDGET_ENV_VAR,
@@ -125,8 +125,7 @@ def test_drift_memory_stays_linear_in_n():
 
 def test_drift_accepts_chamber_point():
     spec = RootSystemSpec.a(2, 1.0)
-    pt = ChamberPoint(spec.kind, np.array([1.0, -1.0]))
-    assert np.allclose(drift_batch(spec, pt.coords), np.array([0.5, -0.5]), atol=1e-15)
+    assert np.allclose(drift_batch(spec, np.array([1.0, -1.0])), np.array([0.5, -0.5]), atol=1e-15)
 
 
 def test_start_distribution_draws():
@@ -200,9 +199,9 @@ def test_config_checks_every_start_kind_against_the_spec():
             StartDistribution.mixture([[1.0, 0.5], [2.0, 1.0]], weights)
     # a bad mixture row is refused when the config is built, not inside simulate_endpoints
     for rows, match in (
-        ([[1.0, 0.5], [0.5, 1.0]], "lie in the chamber"),
+        ([[1.0, 0.5], [0.5, 1.0]], "outside the closed B chamber"),
         ([[1.0, 0.5], [1.0, 0.0]], "strictly inside"),
-        ([[1.0, 0.5, 0.2], [2.0, 1.0, 0.5]], "2 coordinates"),
+        ([[1.0, 0.5, 0.2], [2.0, 1.0, 0.5]], "start must be 2 finite coordinates"),
     ):
         with pytest.raises(ValueError, match=match):
             SdeConfig(spec=spec, x0=StartDistribution.mixture(rows, [0.5, 0.5]), t=1.0, seed=0)

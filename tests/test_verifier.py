@@ -143,6 +143,21 @@ def test_gaussian_battery_refuses_a_small_batch_before_dividing():
             gaussian_battery(np.zeros((count, 2)), 1.0, np.eye(2))
 
 
+_BAD_TIMES = (0.0, -1.0, math.inf, math.nan)
+
+
+@pytest.mark.parametrize("check", ["battery", "calibration"])
+@pytest.mark.parametrize("t", _BAD_TIMES, ids=[str(t) for t in _BAD_TIMES])
+def test_battery_and_calibration_refuse_a_bad_time(check, t):
+    # the battery divided by t * Sigma's trace and the calibration factored
+    # t * Sigma, so these raised RuntimeWarnings, "math domain error" or LinAlgError
+    with pytest.raises(ValueError, match="t must be finite and > 0"):
+        if check == "battery":
+            gaussian_battery(np.random.default_rng(0).standard_normal((2000, 2)), t, np.eye(2))
+        else:
+            calibration_check("A", 2, 200.0, t, count=2000, seed=0)
+
+
 def test_lln_concentrates_at_high_multiplicity_only():
     good = lln_check("A", 2, 10_000.0, 1.0, count=20000, seed=0)
     assert good.passed
