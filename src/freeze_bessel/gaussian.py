@@ -214,8 +214,8 @@ def _log_c_d(n: int, k: float) -> float:
 
 
 def _log_tilde_a(n: int, k: float) -> float:
-    if k <= 0:
-        raise ValueError("tildeA needs k > 0")
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError(f"tildeA needs a finite k > 0, got {k}")
     return _log_c_a(n, k) + 0.5 * k * n * (n - 1) * (math.log(k) - 1.0) + k * _log_j_sum(n)
 
 
@@ -224,8 +224,9 @@ def _log_tilde_a_limit(n: int) -> float:
 
 
 def _log_tilde_b(n: int, nu: float, beta: float, x_norm_sq: float) -> float:
-    if beta <= 0 or nu <= 0:
-        raise ValueError("tildeB needs nu > 0 and beta > 0")
+    for name, value in (("nu", nu), ("beta", beta)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"tildeB needs a finite {name} > 0, got {value}")
     return (
         _log_c_b(n, nu * beta, beta)
         + beta * _b_potential_max(n, nu)
@@ -327,7 +328,7 @@ def bessel_limit_b1(x, y, nu: float) -> float:
         raise ValueError(f"nu must be finite and >= 0, got {nu}")
     if nu + n - 1 <= 0:
         raise ValueError("need nu + n - 1 > 0")
-    return math.exp(float(x @ x) * float(y @ y) / (4.0 * n * (nu + n - 1.0)))
+    return _exp_or_inf(float(x @ x) * float(y @ y) / (4.0 * n * (nu + n - 1.0)))
 
 
 def bessel_a_on_diagonal_ray(x, y) -> float:
@@ -341,4 +342,4 @@ def bessel_a_on_diagonal_ray(x, y) -> float:
     ray = _as_point(np.full(x.size, y) if y.ndim == 0 else y, x.size, None, "y")
     if not np.all(ray == ray[0]):
         raise ValueError("y must be a constant vector c*(1,...,1)")
-    return math.exp(float(ray[0]) * float(np.sum(x)))
+    return _exp_or_inf(float(ray[0]) * float(np.sum(x)))

@@ -73,13 +73,22 @@ def path_step_budget() -> int:
 # starting points
 
 
+def _owned(x) -> np.ndarray:
+    """A read-only float copy of ``x``: a start checked once must not move with the caller's array."""
+    a = np.array(x, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)  # compared by identity: the generated == fails on ndarray fields
 class StartDistribution:
     """Initial law of the particles: a point, a box, or a point mixture.
 
     The support must sit strictly inside the chamber; the uniform variant
     draws from a box intersected with the chamber by rejection.  ``SdeConfig``
-    checks the start against its spec once, so ``draw`` does not.
+    checks the start against its spec once, so ``draw`` does not; the
+    constructors keep read-only copies of their arrays, so the checked start
+    cannot change afterwards.
     """
 
     kind: str  # "point" | "uniform" | "mixture"
@@ -91,23 +100,23 @@ class StartDistribution:
 
     @classmethod
     def at_point(cls, x) -> "StartDistribution":
-        return cls(kind="point", point=np.asarray(x, dtype=float))
+        return cls(kind="point", point=_owned(x))
 
     @classmethod
     def uniform(cls, lo, hi) -> "StartDistribution":
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
+        lo = _owned(lo)
+        hi = _owned(hi)
         if lo.shape != hi.shape or not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
             raise ValueError("need finite lo < hi componentwise")
         return cls(kind="uniform", lo=lo, hi=hi)
 
     @classmethod
     def mixture(cls, points, weights) -> "StartDistribution":
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.atleast_2d(_owned(points))
         w = np.asarray(weights, dtype=float)
         if w.size != pts.shape[0] or not np.all(np.isfinite(w) & (w >= 0)) or w.sum() <= 0:
             raise ValueError("weights must be finite and nonnegative, one per point, not all zero")
-        return cls(kind="mixture", points=pts, weights=w / w.sum())
+        return cls(kind="mixture", points=pts, weights=_owned(w / w.sum()))
 
     def draw(self, spec: RootSystemSpec, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "point":

@@ -5,13 +5,13 @@ matrices) and the freezing targets (one-row batches of the recurrence Jacobi
 matrices whose spectra are the Hermite and Laguerre zeros).
 
 From n = 12 up, every row goes through LAPACK ``dsterf``, called through
-ctypes on the function pointer that ``scipy.linalg.cython_lapack`` exports.
-That pointer is bound on first use, once per process, by the calling thread
-before any row pool starts: importing ``scipy.linalg`` costs a process about
-0.15 s and 25 MB, and below n = 12 nothing needs it.  A ctypes call releases
-the GIL, so contiguous chunks of rows run on a thread pool; each row meets
-the same routine however the rows are chunked, so the bytes do not depend on
-the thread count.
+ctypes on the function pointer that the ``scipy.linalg.cython_lapack``
+extension exports.  It is bound on first use, once per process, by the
+calling thread before any row pool starts, and loads that one extension
+(0.003 s and 2 MB), not the ``scipy.linalg`` package (0.15 s and 23 MB).  A
+ctypes call releases the GIL, so contiguous chunks of rows run on a thread
+pool; each row meets the same routine however the rows are chunked, so the
+bytes do not depend on the thread count.
 
 ``dsterf`` overwrites its rows.  The public ``tridiagonal_eigenvalues``
 solves on C-ordered float64 copies of its inputs; the samplers build their
@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -55,12 +57,19 @@ def _capsule_function(capsule, prototype):
 def _dsterf():
     """LAPACK ``dsterf(n, d, e, info)``, d and e raw addresses of float64 rows.
 
-    Bound on the first call, which imports ``scipy.linalg``.
+    Bound on the first call, which loads the ``cython_lapack`` extension
+    without running ``scipy/linalg/__init__.py``; where no extension file is
+    found, it imports the module through ``scipy.linalg``.
     ``_solve_in_place`` makes that call in its own thread before it starts a
     row pool, so no worker thread imports.
     """
-    from scipy.linalg import cython_lapack
-
+    linalg_dir = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg.cython_lapack", linalg_dir)
+    if spec is None:
+        from scipy.linalg import cython_lapack
+    else:
+        cython_lapack = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(cython_lapack)
     int_p = ctypes.POINTER(ctypes.c_int)
     return _capsule_function(
         cython_lapack.__pyx_capi__["dsterf"],

@@ -126,8 +126,10 @@ _SCIPY_LOADS = [
      {"scipy.linalg": False, "scipy.special": False}),
     (["sde", "--system", "B", "--n", "2", "--k1", "1", "--k2", "1", "--x0", "1,0.5", "--steps", "5", "--paths", "20"],
      {"scipy.linalg": False, "scipy.special": False}),
-    (["verify", "--suite", "identities", "--quick"], {"scipy.linalg": True, "scipy.special": False}),
-    (["sample", "--system", "A", "--n", "20", "--k", "5", "--count", "10"], {"scipy.linalg": True}),
+    # dsterf (n >= 12) is bound from the cython_lapack extension alone, without scipy.linalg
+    (["verify", "--suite", "identities", "--quick"], {"scipy.linalg": False, "scipy.special": False}),
+    (["sample", "--system", "A", "--n", "20", "--k", "5", "--count", "10"], {"scipy.linalg": False}),
+    (["target", "--system", "D", "--n", "300"], {"scipy.linalg": False, "scipy.special": False}),
 ]
 _LOADED_AFTER = """
 import contextlib, io, sys

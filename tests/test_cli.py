@@ -222,9 +222,21 @@ def test_zero_arguments_are_refused_not_replaced_by_defaults(argv, message, caps
     (["constants", "--family", "cD", "--n", "1", "--k", "1"], "kind D needs n >= 2"),
     (["sde", "--system", "B", "--n", "2", "--k1", "1", "--k2", "1", "--x0", "1,0.5,0.2"],
      "start must be 2 finite coordinates"),
-], ids=["cA-k", "cB-k1", "cB-k2", "cD-k", "cD-n1", "sde-x0-width"])
+    (["constants", "--family", "tildeA", "--n", "2", "--k", "nan"], "tildeA needs a finite k > 0, got nan"),
+    (["constants", "--family", "tildeA", "--n", "2", "--k", "inf"], "tildeA needs a finite k > 0, got inf"),
+    (["constants", "--family", "tildeB", "--n", "2", "--nu", "nan", "--beta", "10"],
+     "tildeB needs a finite nu > 0, got nan"),
+    (["constants", "--family", "tildeB", "--n", "2", "--nu", "inf", "--beta", "10"],
+     "tildeB needs a finite nu > 0, got inf"),
+    (["constants", "--family", "tildeB", "--n", "2", "--nu", "1", "--beta", "nan"],
+     "tildeB needs a finite beta > 0, got nan"),
+    (["constants", "--family", "tildeB", "--n", "2", "--nu", "1", "--beta", "inf"],
+     "tildeB needs a finite beta > 0, got inf"),
+], ids=["cA-k", "cB-k1", "cB-k2", "cD-k", "cD-n1", "sde-x0-width", "tildeA-k-nan", "tildeA-k-inf",
+        "tildeB-nu-nan", "tildeB-nu-inf", "tildeB-beta-nan", "tildeB-beta-inf"])
 def test_spec_and_point_rules_refuse_input_exit_2(argv, message, capsys, tmp_path):
-    # the constants printed a log value for multiplicities the spec refuses
+    # the constants printed a log value for multiplicities the spec refuses,
+    # and tildeA's k and tildeB's nu and beta reached log_gamma unchecked
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err

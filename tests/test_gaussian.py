@@ -187,6 +187,19 @@ def test_tilde_b_refuses_a_start_that_is_not_n_finite_coordinates(x):
         log_norm_constant("tildeB", n=2, nu=1.0, beta=10.0, x=x)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("family, name", [("tildeA", "k"), ("tildeB", "nu"), ("tildeB", "beta")],
+                         ids=["tildeA-k", "tildeB-nu", "tildeB-beta"])
+def test_tilde_constants_refuse_a_non_finite_parameter(family, name, value):
+    # these reached log_gamma, whose message named neither the family nor the parameter
+    params = {"n": 2, "k": 10.0} if family == "tildeA" else {"n": 2, "nu": 1.0, "beta": 10.0}
+    with pytest.raises(ValueError, match=f"{family} needs a finite {name} > 0, got {value}"):
+        log_norm_constant(family, **{**params, name: value})
+    if name == "nu":
+        with pytest.raises(ValueError, match=f"tildeB needs a finite nu > 0, got {value}"):
+            proof_constant_limit("tildeB", 2, nu=value)
+
+
 def _non_increasing(errs):
     return all(later <= earlier + 1e-12 for earlier, later in zip(errs, errs[1:]))
 
@@ -227,6 +240,17 @@ def test_bessel_a_on_diagonal_ray():
         bessel_a_on_diagonal_ray(x, np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         bessel_a_on_diagonal_ray(x, np.array([1.0, 2.0, 1.0]))
+
+
+def test_bessel_limits_past_the_float_range_are_inf():
+    # math.exp raised OverflowError here; PrecisionMatrix.det and the constants give inf
+    assert bessel_limit_b1([30.0, 1.0], [30.0, 1.0], 0.5) == math.inf
+    assert bessel_a_on_diagonal_ray([400.0, 400.0], 2.0) == math.inf
+    # in range, and just below the overflow, the value is math.exp's, bit for bit
+    x, y = np.array([2.0, 1.0]), np.array([1.5, 0.5])
+    assert bessel_limit_b1(x, y, 1.0) == math.exp(float(x @ x) * float(y @ y) / (4.0 * 2 * (1.0 + 2 - 1.0)))
+    assert bessel_a_on_diagonal_ray([354.0, 354.5], 1.0) == math.exp(708.5)
+    assert bessel_a_on_diagonal_ray([1.0, 0.5, -0.2], -0.7) == math.exp(-0.7 * float(np.sum([1.0, 0.5, -0.2])))
 
 
 # each Bessel limit called with a point or parameter the point rule refuses

@@ -209,6 +209,37 @@ def test_config_checks_every_start_kind_against_the_spec():
     SdeConfig(spec=spec, x0=StartDistribution.mixture([[1.0, 0.5], [2.0, 1.0]], [0.5, 0.5]), t=1.0, seed=0)
 
 
+def test_start_keeps_its_own_copy_of_the_callers_arrays():
+    # the constructors stored views of float64 inputs, so writing to the
+    # caller's array moved a start that SdeConfig had already checked
+    spec = RootSystemSpec.b(2, 1.0, 1.0)
+    x = np.array([1.0, 0.5])
+    lo, hi = np.array([0.5, 0.1]), np.array([1.5, 0.4])
+    rows, weights = np.array([[1.0, 0.5], [2.0, 1.0]]), np.array([0.5, 0.5])
+    starts = {
+        "raw": x,
+        "point": StartDistribution.at_point(x),
+        "uniform": StartDistribution.uniform(lo, hi),
+        "mixture": StartDistribution.mixture(rows, weights),
+    }
+    configs = {name: SdeConfig(spec, start, 0.1, 5, steps=20, paths=64) for name, start in starts.items()}
+    want = {name: simulate_endpoints(cfg).points.tobytes() for name, cfg in configs.items()}
+    x[:] = [-1.0, 5.0]
+    lo[:], hi[:] = [-5.0, -5.0], [-4.0, -4.0]
+    rows[:] = [[-1.0, 5.0], [-2.0, 6.0]]
+    weights[:] = [1.0, 0.0]
+    assert configs["raw"].x0.point.tolist() == configs["point"].x0.point.tolist() == [1.0, 0.5]
+    assert configs["uniform"].x0.lo.tolist() == [0.5, 0.1] and configs["uniform"].x0.hi.tolist() == [1.5, 0.4]
+    assert configs["mixture"].x0.points.tolist() == [[1.0, 0.5], [2.0, 1.0]]
+    assert configs["mixture"].x0.weights.tolist() == [0.5, 0.5]
+    assert {name: simulate_endpoints(cfg).points.tobytes() for name, cfg in configs.items()} == want
+    start = configs["mixture"].x0
+    for held in (configs["point"].x0.point, configs["uniform"].x0.lo, configs["uniform"].x0.hi,
+                 start.points, start.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 0.0
+
+
 def test_budget_enforcement(monkeypatch):
     monkeypatch.setenv(BUDGET_ENV_VAR, "5000")
     spec = RootSystemSpec.a(2, 1.0)

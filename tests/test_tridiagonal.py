@@ -1,4 +1,9 @@
+import ctypes
+import importlib.machinery
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dsterf
 
+from freeze_bessel import tridiagonal
 from freeze_bessel.tridiagonal import _STERF_MIN_N, _solve_in_place, tridiagonal_eigenvalues
 
 
@@ -170,3 +176,60 @@ def test_more_threads_than_cores_with_fast_switching_keep_the_bytes():
             assert tridiagonal_eigenvalues(diag, off, threads=8).tobytes() == want.tobytes()
     finally:
         sys.setswitchinterval(interval)
+
+
+def _address(function) -> int:
+    return ctypes.cast(function, ctypes.c_void_p).value
+
+
+# Binds dsterf in a fresh process, then imports scipy.linalg, and prints
+# whether the binding left scipy.linalg unloaded, whether the package's f2py
+# dsterf gives the bound solver's bytes, and whether the package's
+# cython_lapack capsule points at the bound function.
+_LONE_EXTENSION = """
+import ctypes, sys
+import numpy as np
+from freeze_bessel import tridiagonal
+bound = tridiagonal._dsterf()
+print("scipy.linalg" not in sys.modules)
+import scipy.linalg
+from scipy.linalg import cython_lapack
+d, e = np.linspace(-1.0, 2.0, 20), np.linspace(0.5, 1.5, 19)
+lam, info = scipy.linalg.lapack.dsterf(d, e)
+print(info == 0 and lam[::-1].tobytes() == tridiagonal.tridiagonal_eigenvalues([d], [e])[0].tobytes())
+again = tridiagonal._capsule_function(cython_lapack.__pyx_capi__["dsterf"], type(bound))
+print(ctypes.cast(bound, ctypes.c_void_p).value == ctypes.cast(again, ctypes.c_void_p).value)
+"""
+
+
+def test_dsterf_binding_loads_the_extension_alone():
+    # binding dsterf used to import all of scipy.linalg (numpy.f2py,
+    # numpy.testing and numpy.ma with it); a later import of the package
+    # must still work and export the same function
+    src = Path(tridiagonal.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _LONE_EXTENSION], env=env, capture_output=True, text=True,
+                         timeout=120, check=True).stdout.split()
+    assert out == ["True", "True", "True"]
+
+
+def test_install_without_the_extension_file_binds_through_scipy_linalg(monkeypatch):
+    # where PathFinder finds no cython_lapack file (a zipped or frozen
+    # install), the binding imports the module through scipy.linalg
+    import scipy.linalg.cython_lapack  # noqa: F401  (in sys.modules, so the fallback import needs no finder)
+
+    find_spec = importlib.machinery.PathFinder.find_spec
+    refused = []
+
+    def no_extension(name, path=None, target=None):
+        if name == "scipy.linalg.cython_lapack":
+            refused.append(name)
+            return None
+        return find_spec(name, path, target)
+
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", no_extension)
+    fallback = tridiagonal._dsterf.__wrapped__()
+    monkeypatch.undo()
+    assert refused == ["scipy.linalg.cython_lapack"]
+    assert _address(fallback) == _address(tridiagonal._dsterf())
