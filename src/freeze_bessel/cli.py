@@ -40,8 +40,12 @@ from .verify import SUITES, run_suite
 __all__ = ["main"]
 
 
-def _parse_vector(value: str) -> np.ndarray:
-    return np.array([float(p) for p in value.replace(";", ",").split(",") if p.strip()])
+def _parse_vector(value: str, flag: str) -> np.ndarray:
+    """The comma-separated numbers of ``flag``; an empty or non-numeric entry is bad input."""
+    try:
+        return np.array([float(p) for p in value.split(",")])
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated numbers, got {value!r}") from None
 
 
 def _refuse_untaken(owner: str, params: dict, taken, offered) -> None:
@@ -146,7 +150,7 @@ def cmd_constants(params: dict, threads: int | None = None) -> int:
                     ("k", "k1", "k2", "nu", "beta", "x"))
     kwargs: dict = {name: params[name] for name in names}
     if family == "tildeB" and params["x"] is not None:
-        kwargs["x"] = _parse_vector(params["x"]).tolist()
+        kwargs["x"] = _parse_vector(params["x"], "--x").tolist()
     log_value = log_norm_constant(family, **kwargs)
     obj = {"family": family, "params": kwargs, "log_value": log_value, "value": _exp_or_inf(log_value)}
     _emit_json(obj, params["out"], RunManifest("constants", params, seed=None))
@@ -173,7 +177,7 @@ def cmd_sde(params: dict, threads: int | None = None) -> int:
     spec = _spec_from_params(params)
     cfg = SdeConfig(
         spec=spec,
-        x0=StartDistribution.at_point(_parse_vector(params["x0"])),
+        x0=StartDistribution.at_point(_parse_vector(params["x0"], "--x0")),
         t=params["t"],
         seed=params["seed"],
         steps=params["steps"],
@@ -191,7 +195,6 @@ def cmd_verify(params: dict, threads: int | None = None) -> int:
         params["suite"],
         seed=seed,
         quick=params["quick"],
-        threads=threads,
         n=params["n"],
         strength=params["k"],
         t=params["t"],
@@ -229,8 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--replay", metavar="FILE", help="re-run the command recorded in FILE's manifest")
     parser.add_argument(
         "--threads", type=int, default=None,
-        help="most worker threads a run may start (default: every usable core for the n >= 12 "
-        "eigensolve of exact sampling, one thread for everything else)",
+        help="most worker threads of the n >= 12 eigensolve of sample and of the path pool of sde "
+        "(default: every usable core for the eigensolve, one thread for the paths); other commands, "
+        "verify included, accept it and run at the defaults",
     )
     sub = parser.add_subparsers(dest="command")
 

@@ -60,6 +60,17 @@ def _as_count(n, name: str = "n") -> int:
     return int(n)
 
 
+def _as_seed(seed) -> int:
+    """A random seed as an int >= 0, of any size; 1.5, -1, inf and NaN are refused."""
+    try:
+        ok = seed == int(seed) and seed >= 0
+    except (ValueError, OverflowError):  # int() of NaN and of inf
+        ok = False
+    if not ok:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
+
+
 def _as_time(t) -> float:
     """A time as a float; zero, negative and non-finite times are refused."""
     if not (math.isfinite(t) and t > 0):

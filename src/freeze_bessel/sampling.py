@@ -37,6 +37,7 @@ from .core import (
     RootKind,
     RootSystemSpec,
     _as_count,
+    _as_seed,
     _as_time,
     in_chamber,
     log_weight_batch,
@@ -110,19 +111,20 @@ class SampleBatch:
 
 
 def _spawned_children(seed: int, count: int):
+    """One child of ``seed``, already checked by ``core._as_seed``, per sub-batch of ``count`` rows."""
     sizes = []
     remaining = int(count)
     while remaining > 0:
         size = min(_SUBBATCH, remaining)
         sizes.append(size)
         remaining -= size
-    children = np.random.SeedSequence(int(seed)).spawn(len(sizes))
+    children = np.random.SeedSequence(seed).spawn(len(sizes))
     return list(zip(children, sizes))
 
 
 def _spawn_seeds(seed: int | list[int], count: int) -> list[int]:
     """``count`` independent integer seeds derived from ``seed``, an int or a list of ints."""
-    children = np.random.SeedSequence(seed if isinstance(seed, list) else int(seed)).spawn(count)
+    children = np.random.SeedSequence(seed if isinstance(seed, list) else _as_seed(seed)).spawn(count)
     return [int(ch.generate_state(1)[0]) for ch in children]
 
 
@@ -203,25 +205,22 @@ def sample_exact(
     """
     t = _as_time(t)
     count = _as_count(count, "count")
+    seed = _as_seed(seed)
     threads = None if threads is None else _as_count(threads, "threads")
     pts = np.vstack([_exact_rows(spec, t, child, size, threads) for child, size in _spawned_children(seed, count)])
     method = SampleMethod.TRIDIAG_A if spec.kind is RootKind.A else SampleMethod.TRIDIAG_B
     diag = BatchDiagnostics(acceptance_rate=None, ess=float(count), thin=1)
-    return SampleBatch(spec, t, method, int(seed), pts, diag)
+    return SampleBatch(spec, t, method, seed, pts, diag)
 
 
-def sample_tridiag_a(
-    n: int, k: float, t: float, count: int, seed: int, *, threads: int | None = None
-) -> SampleBatch:
+def sample_tridiag_a(n: int, k: float, t: float, count: int, seed: int) -> SampleBatch:
     """Exact start-0 samples of the A-type law (see :func:`sample_exact`)."""
-    return sample_exact(RootSystemSpec.a(n, k), t, count, seed, threads=threads)
+    return sample_exact(RootSystemSpec.a(n, k), t, count, seed)
 
 
-def sample_tridiag_b(
-    n: int, k1: float, k2: float, t: float, count: int, seed: int, *, threads: int | None = None
-) -> SampleBatch:
+def sample_tridiag_b(n: int, k1: float, k2: float, t: float, count: int, seed: int) -> SampleBatch:
     """Exact start-0 samples of the B-type law (see :func:`sample_exact`)."""
-    return sample_exact(RootSystemSpec.b(n, k1, k2), t, count, seed, threads=threads)
+    return sample_exact(RootSystemSpec.b(n, k1, k2), t, count, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +336,10 @@ def sample_metropolis(spec: RootSystemSpec, t: float, count: int, seed: int) -> 
     """
     t = _as_time(t)
     count = _as_count(count, "count")
+    seed = _as_seed(seed)
     regime = _freezing_regime(spec)
     mean = math.sqrt(regime.m * t) * regime.target
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     chol = np.linalg.cholesky(_PROPOSAL_INFLATION * t * regime.sigma)
 
     state = mean.copy()
@@ -401,4 +401,4 @@ def sample_metropolis(spec: RootSystemSpec, t: float, count: int, seed: int) -> 
         thin=int(thin),
         extra={"lag1_autocorr": emitted_rho},
     )
-    return SampleBatch(spec, float(t), SampleMethod.INDEP_METROPOLIS, int(seed), points, diag)
+    return SampleBatch(spec, float(t), SampleMethod.INDEP_METROPOLIS, seed, points, diag)

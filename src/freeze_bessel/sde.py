@@ -29,6 +29,7 @@ from .core import (
     RootSystemSpec,
     _as_count,
     _as_point,
+    _as_seed,
     _as_time,
     _chamber_order,
     _project_particle_major,
@@ -231,6 +232,7 @@ class SdeConfig:
 
     def __post_init__(self):
         _as_time(self.t)
+        object.__setattr__(self, "seed", _as_seed(self.seed))
         object.__setattr__(self, "paths", _as_count(self.paths, "paths"))
         if self.steps is not None:
             object.__setattr__(self, "steps", _as_count(self.steps, "steps"))
@@ -331,4 +333,4 @@ def simulate_endpoints(cfg: SdeConfig) -> SampleBatch:
         thin=1,
         extra={"steps": steps, "dropped_paths": dropped, "projected_rows": sum(projected)},
     )
-    return SampleBatch(cfg.spec, float(cfg.t), SampleMethod.HEUN, int(cfg.seed), pts, diag)
+    return SampleBatch(cfg.spec, float(cfg.t), SampleMethod.HEUN, cfg.seed, pts, diag)

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .core import _as_count
+from .core import _as_count, _as_seed
 
 __all__ = [
     "ks_test_cdf",
@@ -147,7 +147,7 @@ def energy_distance_test(
     p = (1 + #{permuted >= observed}) / (1 + n_permutations).
     """
     n_permutations = _as_count(n_permutations, "n_permutations")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x9E3779B9]))
+    rng = np.random.default_rng(np.random.SeedSequence([_as_seed(seed), 0x9E3779B9]))
     a = _check_finite(_as_columns(a), "sample a")
     b = _check_finite(_as_columns(b), "sample b")
     if a.shape[1] != b.shape[1]:

@@ -30,8 +30,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .core import _as_count
-
 __all__ = ["tridiagonal_eigenvalues"]
 
 # Smallest n at which the per-matrix dsterf loop beats the batched dense
@@ -108,9 +106,9 @@ def _solve_in_place(d: np.ndarray, e: np.ndarray, threads: int | None) -> np.nda
 
     From ``_STERF_MIN_N`` up the eigenvalues overwrite ``d`` and come back as
     its reversed view, and ``e`` is destroyed; below it the batched dense
-    ``eigvalsh`` returns a new array.  ``threads`` is the caller's to check;
-    the layout is checked here, as ``dsterf`` writes through raw row
-    addresses.
+    ``eigvalsh`` returns a new array.  ``threads`` caps the row pool, None
+    meaning every usable core; it is the caller's to check.  The layout is
+    checked here, as ``dsterf`` writes through raw row addresses.
     """
     size, n = d.shape
     if not (d.dtype == e.dtype == np.float64 and d.flags.c_contiguous and e.flags.c_contiguous
@@ -139,21 +137,20 @@ def _solve_in_place(d: np.ndarray, e: np.ndarray, threads: int | None) -> np.nda
     return d[:, ::-1]
 
 
-def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, *, threads: int | None = None) -> np.ndarray:
+def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of the symmetric tridiagonals with rows ``diag``
     (size, n) on the diagonal and ``off`` (size, n-1) beside it.
 
     numpy's ``eigvalsh`` (LAPACK ``dsyevd``) leaves an already tridiagonal
     matrix as it is and hands its diagonals to ``dsterf``, so calling
     ``dsterf`` directly gives the same bytes without the (size, n, n) matrices.
-    ``threads`` caps the worker threads of the ``dsterf`` path; None means
-    every usable core.  The inputs are not modified: they are copied to
-    C-ordered float64 arrays, which the in-place solve then overwrites (the
-    samplers hand that solve arrays they own and skip the copy).  Raises
-    ``ValueError`` on mismatched shapes or a ``threads`` that is not an
-    integer >= 1, and ``RuntimeError`` if ``dsterf`` reports a failure.
+    The ``dsterf`` path spreads its rows over the usable cores, one row per
+    thread at most, so the freezing targets' one-row solves start no pool.
+    The inputs are not modified: they are copied to C-ordered float64 arrays,
+    which the in-place solve then overwrites (the samplers hand that solve
+    arrays they own and skip the copy).  Raises ``ValueError`` on mismatched
+    shapes, and ``RuntimeError`` if ``dsterf`` reports a failure.
     """
-    threads = None if threads is None else _as_count(threads, "threads")
     diag = np.asarray(diag)
     off = np.asarray(off)
     if diag.ndim != 2:
@@ -163,4 +160,4 @@ def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, *, threads: int |
         raise ValueError(f"off must be ({size}, {max(n - 1, 0)}) beside a {diag.shape} diag, got {off.shape}")
     d = np.array(diag, dtype=np.float64, order="C")
     e = np.array(off, dtype=np.float64, order="C")
-    return _solve_in_place(d, e, threads)
+    return _solve_in_place(d, e, None)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import RootKind, RootSystemSpec, _as_count, _as_time
+from .core import RootKind, RootSystemSpec, _as_count, _as_seed, _as_time
 from .equilibria import _RESIDUAL_TOL, freezing_target, potential_identity_check
 from .gaussian import FreezingRegime, _FAMILY_PARAMS, determinant_identity, log_norm_constant, proof_constant_limit
 from .quadrature import chamber_weight_integral
@@ -90,7 +90,7 @@ _BATTERY_TOLERANCES = {"p_threshold": P_THRESHOLD, "cov_rel_tol": COV_REL_TOL, "
 # the draw and the Gaussian battery
 
 
-def _draw(spec, t, count, seed, threads, start=None, steps=None) -> SampleBatch:
+def _draw(spec, t, count, seed, start=None, steps=None) -> SampleBatch:
     """The draw of every check: exact start-0 samples, or SDE endpoints from ``start``.
 
     ``start`` is a point or a ``StartDistribution``; ``steps`` applies to SDE
@@ -100,9 +100,8 @@ def _draw(spec, t, count, seed, threads, start=None, steps=None) -> SampleBatch:
     if start is None:
         if steps is not None:
             raise ValueError("steps applies to SDE runs from a start only")
-        return sample_exact(spec, t, count, seed, threads=threads)
-    return simulate_endpoints(SdeConfig(spec=spec, x0=start, t=t, seed=seed, steps=steps, paths=count,
-                                        threads=threads))
+        return sample_exact(spec, t, count, seed)
+    return simulate_endpoints(SdeConfig(spec=spec, x0=start, t=t, seed=seed, steps=steps, paths=count))
 
 
 def gaussian_battery(centered: np.ndarray, t: float, sigma: np.ndarray) -> tuple[dict, bool]:
@@ -173,7 +172,6 @@ def lln_check(
     k1: float | None = None,
     count: int = DEFAULT_COUNT,
     seed: int = 0,
-    threads: int | None = None,
 ) -> VerificationReport:
     """Scaled samples concentrate at the freezing target.
 
@@ -189,7 +187,7 @@ def lln_check(
         limit = FreezingRegime.from_theorem("B3", n, strength, k1=0.0)
     else:  # FreezingRegime rejects a nu or k1 that its regime does not take
         limit = FreezingRegime.from_theorem("B1" if regime == "B" else regime, n, strength, nu=nu, k1=k1)
-    batch = _draw(limit.spec, t, count, seed, threads)
+    batch = _draw(limit.spec, t, count, seed)
     scaled = batch.points / math.sqrt(limit.m * t)
     mean_dev = float(np.max(np.abs(scaled.mean(axis=0) - limit.target)))
     scaled -= limit.target
@@ -221,7 +219,6 @@ def clt_gaussian_check(
     seed: int = 0,
     start=None,
     steps: int | None = None,
-    threads: int | None = None,
 ) -> VerificationReport:
     """Centered samples match the limiting Gaussian N(0, t*Sigma).
 
@@ -234,7 +231,7 @@ def clt_gaussian_check(
     """
     regime = _gaussian_regime(theorem, n, strength, nu)
     start = None if start is None else np.asarray(start, dtype=float)
-    batch = _draw(regime.spec, t, count, seed, threads, start, steps)
+    batch = _draw(regime.spec, t, count, seed, start, steps)
     method = "exact" if start is None else "sde"
     parameters = {"n": n, "strength": strength, "nu": nu, "t": t, "count": count, "method": method,
                   "start": None if start is None else start.tolist()}
@@ -256,15 +253,14 @@ def clt_type_a_limit_check(
     *,
     count: int = DEFAULT_COUNT,
     seed: int = 0,
-    threads: int | None = None,
 ) -> VerificationReport:
     """B-samples shifted by sqrt(2*t*k1) match the A-law at time t/2 with k = k2.
 
     Two-sample per-coordinate KS plus an energy-distance permutation test.
     """
     seed_b, seed_a, seed_perm = _spawn_seeds(seed, 3)
-    batch_b = _draw(RootSystemSpec.b(n, k1, k2), t, count, seed_b, threads)
-    batch_a = _draw(RootSystemSpec.a(n, k2), 0.5 * t, count, seed_a, threads)
+    batch_b = _draw(RootSystemSpec.b(n, k1, k2), t, count, seed_b)
+    batch_a = _draw(RootSystemSpec.a(n, k2), 0.5 * t, count, seed_a)
     report = two_sample_agreement(
         batch_b.points - math.sqrt(2.0 * t * k1), batch_a.points,
         name="clt-B2-shifted-A",
@@ -287,7 +283,6 @@ def one_sided_check(
     k1: float = 0.0,
     count: int = DEFAULT_COUNT,
     seed: int = 0,
-    threads: int | None = None,
 ) -> VerificationReport:
     """Half-space limit of B-type laws with large pair multiplicity.
 
@@ -310,7 +305,7 @@ def one_sided_check(
         raise ValueError("one-sided regimes need n >= 2")
     limit = FreezingRegime.from_theorem("B3", n, k2, k1=k1)
     sigma_d = limit.sigma
-    batch = _draw(limit.spec, t, count, seed, threads)
+    batch = _draw(limit.spec, t, count, seed)
     centered = limit.center(batch.points, t)
     last = centered[:, -1]
     violations = int(np.count_nonzero(last < 0))
@@ -350,14 +345,13 @@ def start_distribution_check(
     count: int = DEFAULT_COUNT,
     steps: int | None = None,
     seed: int = 0,
-    threads: int | None = None,
 ) -> VerificationReport:
     """The Gaussian limit is insensitive to the (interior) starting law.
 
     The report is named ``start-distribution-B1-<kind>`` after ``mu.kind``.
     """
     regime = FreezingRegime.from_theorem("B1", n, beta, nu=nu)
-    batch = _draw(regime.spec, t, count, seed, threads, mu, steps)
+    batch = _draw(regime.spec, t, count, seed, mu, steps)
     parameters = {"n": n, "nu": nu, "beta": beta, "t": t, "count": count, "start_kind": mu.kind,
                   "steps": batch.diagnostics.extra["steps"]}
     return _battery_report(f"start-distribution-B1-{mu.kind}", regime, batch, parameters, seed, start_kind=mu.kind)
@@ -399,7 +393,6 @@ def translation_invariance_check(
     paths: int = 4000,
     steps: int | None = None,
     seed: int = 0,
-    threads: int | None = None,
 ) -> VerificationReport:
     """A-type diagonal-shift invariance: endpoints from x0 + c*1, shifted back,
     must match endpoints from x0 in law.
@@ -411,8 +404,8 @@ def translation_invariance_check(
     spec = RootSystemSpec.a(n, k)
     x0 = np.asarray(x0, dtype=float)
     seeds = (seed, seed) if c == 0.0 else _spawn_seeds(seed, 2)
-    batch_ref = _draw(spec, t, paths, seeds[0], threads, x0, steps)
-    moved_back = _draw(spec, t, paths, seeds[1], threads, x0 + c, steps).points - c
+    batch_ref = _draw(spec, t, paths, seeds[0], x0, steps)
+    moved_back = _draw(spec, t, paths, seeds[1], x0 + c, steps).points - c
     if c == 0.0 and np.array_equal(batch_ref.points, moved_back):
         p_combined = 1.0
         stats = {"identical": True, "p_value": 1.0}
@@ -451,7 +444,7 @@ def calibration_check(
     regime = _gaussian_regime(theorem, n, strength, nu)
     chol = np.linalg.cholesky(t * regime.sigma)
     outcomes = []
-    for child in np.random.SeedSequence(int(seed)).spawn(CALIBRATION_SEEDS):
+    for child in np.random.SeedSequence(_as_seed(seed)).spawn(CALIBRATION_SEEDS):
         rng = np.random.default_rng(child)
         centered = rng.standard_normal((count, n)) @ chol.T
         _, ok = gaussian_battery(centered, t, regime.sigma)
@@ -476,7 +469,6 @@ def covariance_error_trend(
     nu: float | None = None,
     count: int = DEFAULT_COUNT,
     seed: int = 0,
-    threads: int | None = None,
 ) -> VerificationReport:
     """Covariance Frobenius error does not grow with the multiplicity.
 
@@ -488,7 +480,7 @@ def covariance_error_trend(
     seeds = _spawn_seeds(seed, len(TREND_STRENGTHS))
     for s, child in zip(TREND_STRENGTHS, seeds):
         regime = _gaussian_regime(theorem, n, s, nu)
-        batch = _draw(regime.spec, t, count, child, threads)
+        batch = _draw(regime.spec, t, count, child)
         stats, _ = gaussian_battery(regime.center(batch.points, t), t, regime.sigma)
         errors.append(stats["cov_frobenius_rel_err"])
     tsig = t * regime.sigma  # Sigma depends on the theorem and n, not on the strength
@@ -605,15 +597,15 @@ def _start_point(n: int) -> np.ndarray:
     return 0.2 * np.arange(n, 0, -1, dtype=float)
 
 
-def _b1_start_agreement(n, beta, t, *, nu, start, steps, count, seed, threads=None) -> VerificationReport:
+def _b1_start_agreement(n, beta, t, *, nu, start, steps, count, seed) -> VerificationReport:
     """Centered exact start-0 draws against centered SDE endpoints from ``start``.
 
     ``seed`` holds three streams: exact draws, SDE paths and permutations.
     """
     seed_exact, seed_sde, seed_perm = seed
     regime = FreezingRegime.from_theorem("B1", n, beta, nu=nu)
-    batch_e = _draw(regime.spec, t, count, seed_exact, threads)
-    batch_s = _draw(regime.spec, t, count, seed_sde, threads, start, steps)
+    batch_e = _draw(regime.spec, t, count, seed_exact)
+    batch_s = _draw(regime.spec, t, count, seed_sde, start, steps)
     return two_sample_agreement(
         regime.center(batch_e.points, t), regime.center(batch_s.points, t),
         name="clt-B1-start-agreement",
@@ -630,8 +622,8 @@ class SuiteRow:
     Quick mode merges ``quick`` into ``args``; ``takes`` maps each override
     the row accepts ("n", "strength", "n_max") to the arguments it replaces;
     a callable argument is replaced by its value at the row's n.  A
-    randomized row (``streams`` > 0) also gets ``t``, ``count``, ``threads``
-    and ``seed``, a list of seeds when ``streams`` > 1.
+    randomized row (``streams`` > 0) also gets ``t``, ``count`` and ``seed``,
+    a list of seeds when ``streams`` > 1.
     """
 
     suite: str
@@ -688,7 +680,6 @@ def run_suite(
     *,
     seed: int | None = None,
     quick: bool = False,
-    threads: int | None = None,
     n: int | None = None,
     strength: float | None = None,
     t: float = 1.0,
@@ -703,10 +694,13 @@ def run_suite(
     ``n_max`` the identity grids, and ``t`` sets the time of the randomized
     rows.  An override that a selected row does not take raises ValueError,
     and so does a ``t`` that is not positive, or other than 1.0 when no
-    selected row is randomized.
+    selected row is randomized, and a ``seed`` that is not an integer >= 0.
+    Every draw runs at the thread defaults of ``sample_exact`` and
+    ``SdeConfig``; a thread count changes no report byte, so suites take none.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    seed = None if seed is None else _as_seed(seed)
     n_max = None if n_max is None else _as_count(n_max, "n_max")
     overrides = {key: value for key, value in (("n", n), ("strength", strength), ("n_max", n_max))
                  if value is not None}
@@ -733,8 +727,8 @@ def run_suite(
             args.update(dict.fromkeys(row.takes[key], value))
         args = {key: value(args["n"]) if callable(value) else value for key, value in args.items()}
         if row.streams:
-            seeds = _spawn_seeds([int(seed), zlib.crc32(row.suite.encode())], first + row.streams)[first:]
-            args.update(t=t, count=count, threads=threads, seed=seeds[0] if row.streams == 1 else seeds)
+            seeds = _spawn_seeds([seed, zlib.crc32(row.suite.encode())], first + row.streams)[first:]
+            args.update(t=t, count=count, seed=seeds[0] if row.streams == 1 else seeds)
         result = row.check(**args)
         reports.extend(result if isinstance(result, list) else [result])
     return reports

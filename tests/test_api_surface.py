@@ -109,13 +109,36 @@ def test_only_verify_builds_reports():
 
 
 def test_console_script_is_cli_main():
-    # CI runs from the source tree and never installs the package, so this is
-    # the one check of the entry point that users run
+    # tier-1 runs from the source tree; CI then installs the package once and
+    # runs the console script (tier1.yml), which this check keeps pointed at main
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
     module, _, name = scripts["freeze-bessel"].partition(":")
     assert getattr(importlib.import_module(module), name) is cli.main
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    node = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (getattr(node, "id", None) or getattr(node, "attr", None)) == "dataclass"
+
+
+def _settable_values(tree: ast.AST) -> int:
+    """Parameters with a default of every def, plus fields with a default (or factory) of every dataclass."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+    return count
+
+
+def test_settable_values_census():
+    # every default is a value a caller may set, which tests and the benchmark
+    # must then cover; a new option or a retired one is an edit of this number
+    total = sum(_settable_values(ast.parse(path.read_text(encoding="utf-8"))) for path in SRC.glob("*.py"))
+    assert total == 92
 
 
 # (command, whether scipy.linalg and scipy.special may be loaded after it);

@@ -214,6 +214,10 @@ def test_zero_arguments_are_refused_not_replaced_by_defaults(argv, message, caps
     assert message in capsys.readouterr().err
 
 
+_B2_SDE = ["sde", "--system", "B", "--n", "2", "--k1", "1", "--k2", "1", "--steps", "5", "--paths", "20"]
+_TILDE_B = ["constants", "--family", "tildeB", "--n", "2", "--nu", "1", "--beta", "2"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["constants", "--family", "cA", "--n", "2", "--k=-0.3"], "multiplicities must be finite and >= 0"),
     (["constants", "--family", "cB", "--n", "2", "--k1=-0.2", "--k2", "1"], "multiplicities must be finite and >= 0"),
@@ -232,8 +236,21 @@ def test_zero_arguments_are_refused_not_replaced_by_defaults(argv, message, caps
      "tildeB needs a finite beta > 0, got nan"),
     (["constants", "--family", "tildeB", "--n", "2", "--nu", "1", "--beta", "inf"],
      "tildeB needs a finite beta > 0, got inf"),
+    # vector flags dropped empty entries and split on ";" too, so these ran from (1, 0.5)
+    *(([*_B2_SDE, f"--x0={x0}"], "--x0 must be comma-separated numbers")
+      for x0 in ("1,,0.5", "1;0.5", ",1,0.5,", "1 0.5", "1,a")),
+    *(([*_TILDE_B, f"--x={x}"], "--x must be comma-separated numbers") for x in ("1,,0.5", "1;0.5")),
+    # a negative seed failed with numpy's "expected non-negative integer", which names nothing
+    *(([*argv, "--seed=-1"], "seed must be an integer >= 0, got -1") for argv in (
+        ["sample", "--system", "A", "--n", "2", "--k", "1", "--count", "20"],
+        ["sample", "--system", "A", "--n", "2", "--k", "1", "--count", "20", "--method", "metropolis"],
+        [*_B2_SDE, "--x0", "1,0.5"],
+        ["verify", "--suite", "lln", "--quick"],
+    )),
 ], ids=["cA-k", "cB-k1", "cB-k2", "cD-k", "cD-n1", "sde-x0-width", "tildeA-k-nan", "tildeA-k-inf",
-        "tildeB-nu-nan", "tildeB-nu-inf", "tildeB-beta-nan", "tildeB-beta-inf"])
+        "tildeB-nu-nan", "tildeB-nu-inf", "tildeB-beta-nan", "tildeB-beta-inf",
+        "x0-empty-entry", "x0-semicolon", "x0-edge-commas", "x0-space", "x0-word", "x-empty-entry", "x-semicolon",
+        "seed-sample-exact", "seed-sample-metropolis", "seed-sde", "seed-verify"])
 def test_spec_and_point_rules_refuse_input_exit_2(argv, message, capsys, tmp_path):
     # the constants printed a log value for multiplicities the spec refuses,
     # and tildeA's k and tildeB's nu and beta reached log_gamma unchecked
@@ -423,6 +440,22 @@ def test_sde_command(tmp_path):
     # origin start is refused by validation
     assert main(["sde", "--system", "A", "--n", "2", "--k", "1.0",
                  "--x0", "0,0", "--paths", "10", "--steps", "5"]) == 2
+
+
+def test_vector_entries_may_carry_spaces(tmp_path):
+    paths = [tmp_path / "plain.csv", tmp_path / "spaced.csv"]
+    for x0, path in zip(("--x0=1,0.5", "--x0= 1 , 0.5 "), paths):
+        assert main([*_B2_SDE, x0, "--out", str(path)]) == 0
+    assert _data(paths[0].read_text()) == _data(paths[1].read_text())
+
+
+def test_verify_ignores_threads(tmp_path, capsys):
+    # verify draws at the samplers' defaults; --threads is accepted and changes nothing
+    paths = [tmp_path / "threads2.json", tmp_path / "default.json"]
+    codes = [main([*threads, "verify", "--suite", "clt-b1", "--quick", "--seed", "0", "--out", str(path)])
+             for threads, path in zip((["--threads", "2"], []), paths)]
+    assert codes[0] == codes[1]
+    assert _data(paths[0].read_text()) == _data(paths[1].read_text())
 
 
 @pytest.mark.parametrize("t", ["inf", "nan"])

@@ -21,9 +21,9 @@ from freeze_bessel.sampling import (
     sample_tridiag_a,
     sample_tridiag_b,
 )
-from freeze_bessel.sde import SdeConfig
-from freeze_bessel.stat_tests import ks_test_two_sample
-from freeze_bessel.tridiagonal import tridiagonal_eigenvalues
+from freeze_bessel.sde import SdeConfig, simulate_endpoints
+from freeze_bessel.stat_tests import energy_distance_test, ks_test_two_sample
+from freeze_bessel.verify import calibration_check, clt_type_a_limit_check, run_suite
 
 
 def test_points_live_in_the_closed_chamber():
@@ -55,10 +55,10 @@ def test_growing_a_batch_preserves_whole_subbatches():
 
 def test_threads_do_not_change_the_output():
     serial = sample_tridiag_b(2, 1.0, 1.0, 1.0, 6000, seed=5)
-    threaded = sample_tridiag_b(2, 1.0, 1.0, 1.0, 6000, seed=5, threads=4)
+    threaded = sample_exact(RootSystemSpec.b(2, 1.0, 1.0), 1.0, 6000, seed=5, threads=4)
     assert np.array_equal(serial.points, threaded.points)
     serial = sample_tridiag_a(50, 1.0, 1.0, 5000, seed=5)
-    threaded = sample_tridiag_a(50, 1.0, 1.0, 5000, seed=5, threads=4)
+    threaded = sample_exact(RootSystemSpec.a(50, 1.0), 1.0, 5000, seed=5, threads=4)
     assert np.array_equal(serial.points, threaded.points)
 
 
@@ -283,14 +283,43 @@ def test_sample_counts_are_refused_unless_integral(entry):
         assert value == 3 and type(value) is int
 
 
+_SEEDED = {
+    "sample_exact": lambda s: sample_exact(_A2, 1.0, 5, s),
+    "sample_tridiag_b": lambda s: sample_tridiag_b(2, 1.0, 1.0, 1.0, 5, s),
+    "sample_metropolis": lambda s: sample_metropolis(_A2, 1.0, 5, s),
+    "SdeConfig": lambda s: SdeConfig(_A2, [1.0, 0.0], 1.0, s),
+    "energy_distance_test": lambda s: energy_distance_test(np.zeros(5), np.ones(5), seed=s),
+    "run_suite": lambda s: run_suite("lln", seed=s, quick=True),
+    "calibration_check": lambda s: calibration_check(count=5, seed=s),
+    "clt_type_a_limit_check": lambda s: clt_type_a_limit_check(2, 1.0, 1.0, 1.0, count=5, seed=s),
+}
+
+
+@pytest.mark.parametrize("entry", list(_SEEDED))
+def test_seeds_are_refused_unless_a_non_negative_integer(entry):
+    # 1.5 used to draw seed 1, and -1 failed with numpy's message, which names nothing
+    for bad in (1.5, -1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            _SEEDED[entry](bad)
+
+
+def test_integral_seeds_keep_their_bytes():
+    ref = sample_exact(_A2, 1.0, 50, 1)
+    sde_ref = simulate_endpoints(SdeConfig(_A2, [1.0, 0.5], 0.1, 1, steps=5, paths=50))
+    for seed in (1.0, np.int64(1)):
+        batch = sample_exact(_A2, 1.0, 50, seed)
+        assert batch.points.tobytes() == ref.points.tobytes() and type(batch.seed) is int
+        sde = simulate_endpoints(SdeConfig(_A2, [1.0, 0.5], 0.1, seed, steps=5, paths=50))
+        assert sde.points.tobytes() == sde_ref.points.tobytes() and type(sde.seed) is int
+    # SeedSequence takes integers past the float range, and so does the rule
+    assert sample_exact(_A2, 1.0, 50, 10**400).seed == 10**400
+
+
 def test_thread_counts_are_refused_unless_a_positive_integer():
     # the CLI's --threads refuses these; the library used to run them
-    diag, off = np.zeros((2, 3)), np.ones((2, 2))
     for bad in (0, -1, 2.5):
         with pytest.raises(ValueError, match="threads must be an integer >= 1"):
             sample_exact(_A2, 1.0, 5, 0, threads=bad)
-        with pytest.raises(ValueError, match="threads must be an integer >= 1"):
-            tridiagonal_eigenvalues(diag, off, threads=bad)
 
 
 def test_metropolis_rejects_bad_arguments():

@@ -121,7 +121,8 @@ def _hermite_rows(rng, rows, n):
 @pytest.mark.parametrize("rows", [1, 3, 4097])
 def test_threaded_solver_matches_f2py_dsterf_bytes(n, rows):
     # scipy's f2py dsterf wrapper, row by row, is the independent reference;
-    # 1 and 3 rows leave threads idle, 4097 rows split unevenly
+    # 1 and 3 rows leave threads idle, 4097 rows split unevenly.  The row pool
+    # is the in-place solve's, which overwrites the copies it is handed
     diag, off = _hermite_rows(np.random.default_rng(1000 * n + rows), rows, n)
     want = np.empty((rows, n))
     for row in range(rows):
@@ -129,7 +130,7 @@ def test_threaded_solver_matches_f2py_dsterf_bytes(n, rows):
         assert info == 0
         want[row] = lam[::-1]
     for threads in (1, 2, 3, None):
-        assert tridiagonal_eigenvalues(diag, off, threads=threads).tobytes() == want.tobytes()
+        assert _solve_in_place(diag.copy(), off.copy(), threads).tobytes() == want.tobytes()
 
 
 def test_strided_inputs_give_the_same_bytes_and_stay_unmodified():
@@ -141,14 +142,13 @@ def test_strided_inputs_give_the_same_bytes_and_stay_unmodified():
     wide[:, ::2] = diag
     fortran = np.asfortranarray(off)
     before = (wide.copy(), fortran.copy())
-    for threads in (1, 2):
-        got = tridiagonal_eigenvalues(wide[:, ::2], fortran, threads=threads)
-        assert got.tobytes() == want.tobytes()
-        got = tridiagonal_eigenvalues(diag[::-1], off[::-1], threads=threads)
-        assert got.tobytes() == want[::-1].tobytes()
-        # plain C-ordered float64 rows are what dsterf would overwrite uncopied
-        got = tridiagonal_eigenvalues(diag, off, threads=threads)
-        assert got.tobytes() == want.tobytes()
+    got = tridiagonal_eigenvalues(wide[:, ::2], fortran)
+    assert got.tobytes() == want.tobytes()
+    got = tridiagonal_eigenvalues(diag[::-1], off[::-1])
+    assert got.tobytes() == want[::-1].tobytes()
+    # plain C-ordered float64 rows are what dsterf would overwrite uncopied
+    got = tridiagonal_eigenvalues(diag, off)
+    assert got.tobytes() == want.tobytes()
     assert np.array_equal(wide, before[0]) and np.array_equal(fortran, before[1])
     assert diag.tobytes() == plain[0].tobytes() and off.tobytes() == plain[1].tobytes()
     assert np.array_equal(tridiagonal_eigenvalues(diag, off), want)
@@ -168,12 +168,12 @@ def test_in_place_solve_refuses_rows_dsterf_cannot_walk():
 
 def test_more_threads_than_cores_with_fast_switching_keep_the_bytes():
     diag, off = _hermite_rows(np.random.default_rng(9), 1001, 20)
-    want = tridiagonal_eigenvalues(diag, off, threads=1)
+    want = _solve_in_place(diag.copy(), off.copy(), 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            assert tridiagonal_eigenvalues(diag, off, threads=8).tobytes() == want.tobytes()
+            assert _solve_in_place(diag.copy(), off.copy(), 8).tobytes() == want.tobytes()
     finally:
         sys.setswitchinterval(interval)
 

@@ -341,21 +341,6 @@ def test_clt_check_refuses_steps_without_a_start():
         clt_gaussian_check("A", 2, 200.0, 1.0, count=1000, seed=0, steps=7)
 
 
-def test_reports_do_not_depend_on_threads():
-    # 9000 rows are three sub-batches: threads=2 runs the SDE's on a pool and
-    # hands the exact draws' eigensolve two threads
-    mu = StartDistribution.uniform([0.36, 0.18], [0.44, 0.22])
-    checks = (
-        lambda threads: clt_gaussian_check("A", 2, 200.0, 1.0, count=9000, seed=0, threads=threads),
-        lambda threads: clt_gaussian_check("B1", 2, 200.0, 1.0, nu=1.0, count=9000, seed=0, start=[1.0, 0.5],
-                                           steps=50, threads=threads),
-        lambda threads: start_distribution_check(2, 1.0, 200.0, 1.0, mu, count=9000, steps=50, seed=0,
-                                                 threads=threads),
-    )
-    for check in checks:
-        assert check(None).to_dict() == check(2).to_dict()
-
-
 def test_suite_registry_names():
     assert SUITES == (
         "identities",
