@@ -86,7 +86,7 @@ def _emit_json(obj: dict, out: str | None, manifest: RunManifest) -> None:
 # commands (each takes the replayable parameter map)
 
 
-def cmd_zeros(params: dict, threads: int | None = None) -> int:
+def cmd_zeros(params: dict, threads: int | None) -> int:
     family, n = params["family"], params["n"]
     # --alpha defaults to 0.0, which every zeros manifest records
     if family != "laguerre" and params["alpha"] != 0.0:
@@ -110,7 +110,7 @@ def cmd_zeros(params: dict, threads: int | None = None) -> int:
     return 0
 
 
-def cmd_target(params: dict, threads: int | None = None) -> int:
+def cmd_target(params: dict, threads: int | None) -> int:
     kind = RootKind(params["system"].upper())
     ft = freezing_target(kind, params["n"], params["nu"])
     obj = {
@@ -124,7 +124,7 @@ def cmd_target(params: dict, threads: int | None = None) -> int:
     return 0
 
 
-def cmd_sigma(params: dict, threads: int | None = None) -> int:
+def cmd_sigma(params: dict, threads: int | None) -> int:
     kind = RootKind(params["system"].upper())
     pm = precision_matrix(kind, params["n"], params["nu"])
     obj = {
@@ -140,7 +140,7 @@ def cmd_sigma(params: dict, threads: int | None = None) -> int:
     return 0
 
 
-def cmd_constants(params: dict, threads: int | None = None) -> int:
+def cmd_constants(params: dict, threads: int | None) -> int:
     family = params["family"]
     names = _FAMILY_PARAMS[family]
     missing = [f"--{name}" for name in names if params[name] is None]
@@ -162,7 +162,7 @@ def _write_batch(batch, params: dict, command: str) -> None:
     _emit_text((batch_json_text if params["format"] == "json" else batch_csv_text)(batch, manifest), params["out"])
 
 
-def cmd_sample(params: dict, threads: int | None = None) -> int:
+def cmd_sample(params: dict, threads: int | None) -> int:
     spec = _spec_from_params(params)
     draw = (spec, params["t"], params["count"], params["seed"])
     if params["method"] == "exact":
@@ -173,7 +173,7 @@ def cmd_sample(params: dict, threads: int | None = None) -> int:
     return 0
 
 
-def cmd_sde(params: dict, threads: int | None = None) -> int:
+def cmd_sde(params: dict, threads: int | None) -> int:
     spec = _spec_from_params(params)
     cfg = SdeConfig(
         spec=spec,
@@ -189,7 +189,7 @@ def cmd_sde(params: dict, threads: int | None = None) -> int:
     return 0
 
 
-def cmd_verify(params: dict, threads: int | None = None) -> int:
+def cmd_verify(params: dict, threads: int | None) -> int:
     seed = params["seed"]
     reports = run_suite(
         params["suite"],

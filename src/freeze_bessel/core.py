@@ -54,8 +54,15 @@ def _as_kind(kind) -> RootKind:
 
 
 def _as_count(n, name: str = "n") -> int:
-    """A particle count, degree, sample or thread count as an int >= 1; 0, 2.7, inf and NaN are refused."""
-    if not (math.isfinite(n) and n == int(n) and n >= 1):
+    """A particle count, degree, sample or thread count as an int >= 1.
+
+    0, 2.7, inf, NaN and ints past the float range are refused.
+    """
+    try:
+        ok = math.isfinite(n) and n == int(n) and n >= 1
+    except OverflowError:  # math.isfinite of an int past the float range
+        ok = False
+    if not ok:
         raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
     return int(n)
 

@@ -17,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._scipy import _solve_lower
 from .core import RootKind, RootSystemSpec, _as_count, _as_kind, _as_point, _positive_roots, _root_values, _unit_spec
 from .equilibria import _b_potential_max, _log_j_sum, freezing_target
 from .special import log_factorial, log_gamma
@@ -96,10 +97,7 @@ def precision_matrix(kind, n: int, nu: float | None = None) -> PrecisionMatrix:
 
 def covariance(pm: PrecisionMatrix) -> np.ndarray:
     """Sigma = S^{-1} via the stored Cholesky factor."""
-    from scipy.linalg import solve_triangular  # on first use: most commands never need it
-
-    eye = np.eye(pm.n)
-    linv = solve_triangular(pm.chol, eye, lower=True)
+    linv = _solve_lower(pm.chol, np.eye(pm.n))
     sigma = linv.T @ linv
     return 0.5 * (sigma + sigma.T)
 

@@ -8,11 +8,9 @@ built one square tile at a time, and each tile is multiplied into an int8
 membership matrix whose columns are the observed split and every permuted
 split.  The KS and energy-distance tests refuse samples that hold NaN or inf.
 
-``scipy.special`` and ``scipy.linalg`` are imported by the functions that call
-them, on first use: ``scipy.special`` costs a process about 0.13 s and 20 MB,
-and ``scipy.linalg`` after it 0.04 s and 6 MB more (alone, 0.15 s and 23 MB;
-they share most of it).  Most commands call neither, and the eigensolver's
-``dsterf`` binding in ``tridiagonal`` loads neither.
+The Kolmogorov law, the normal and chi-square CDFs and the Mahalanobis
+triangular solve come from ``_scipy``, which loads neither ``scipy.special``
+nor ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -21,6 +19,7 @@ import math
 
 import numpy as np
 
+from ._scipy import _kolmogorov, _solve_lower, _special_ufuncs
 from .core import _as_count, _as_seed
 
 __all__ = [
@@ -60,8 +59,6 @@ def _as_columns(x) -> np.ndarray:
 
 def ks_test_cdf(samples, cdf) -> tuple[float, float]:
     """One-sample KS statistic and asymptotic p-value against a given CDF."""
-    from scipy.special import kolmogorov
-
     x = np.sort(_check_finite(np.asarray(samples, dtype=float), "samples"))
     n = x.size
     _check_count(n)
@@ -70,14 +67,12 @@ def ks_test_cdf(samples, cdf) -> tuple[float, float]:
     d_plus = np.max(grid - f)
     d_minus = np.max(f - (grid - 1.0 / n))
     d = max(d_plus, d_minus)
-    p = float(kolmogorov(d * math.sqrt(n)))
+    p = _kolmogorov(float(d * math.sqrt(n)))
     return float(d), p
 
 
 def ks_test_two_sample(a, b) -> tuple[float, float]:
     """Two-sample KS statistic and asymptotic p-value."""
-    from scipy.special import kolmogorov
-
     a = np.sort(_check_finite(np.asarray(a, dtype=float), "sample a"))
     b = np.sort(_check_finite(np.asarray(b, dtype=float), "sample b"))
     _check_count(min(a.size, b.size))
@@ -86,41 +81,33 @@ def ks_test_two_sample(a, b) -> tuple[float, float]:
     cdf_b = np.searchsorted(b, pooled, side="right") / b.size
     d = float(np.max(np.abs(cdf_a - cdf_b)))
     n_eff = a.size * b.size / (a.size + b.size)
-    p = float(kolmogorov(d * math.sqrt(n_eff)))
+    p = _kolmogorov(d * math.sqrt(n_eff))
     return d, p
 
 
 def normal_cdf(x, sigma: float):
-    from scipy.special import ndtr
-
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    return ndtr(np.asarray(x, dtype=float) / sigma)
+    return _special_ufuncs().ndtr(np.asarray(x, dtype=float) / sigma)
 
 
 def half_normal_cdf(x, sigma: float):
     """CDF of |Z| with Z ~ N(0, sigma^2)."""
-    from scipy.special import ndtr
-
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     x = np.asarray(x, dtype=float)
-    return np.where(x <= 0.0, 0.0, 2.0 * ndtr(x / sigma) - 1.0)
+    return np.where(x <= 0.0, 0.0, 2.0 * _special_ufuncs().ndtr(x / sigma) - 1.0)
 
 
 def chi_square_cdf(x, df: float):
-    from scipy.special import gammaincc
-
     x = np.asarray(x, dtype=float)
-    return 1.0 - gammaincc(df / 2.0, np.maximum(x, 0.0) / 2.0)
+    return 1.0 - _special_ufuncs().gammaincc(df / 2.0, np.maximum(x, 0.0) / 2.0)
 
 
 def mahalanobis_sq(points: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis norms |L^{-1} x|^2 with cov = L L^T, rows of points."""
-    from scipy.linalg import solve_triangular
-
     chol = np.linalg.cholesky(cov)
-    white = solve_triangular(chol, np.asarray(points, float).T, lower=True)
+    white = _solve_lower(chol, np.asarray(points, float).T)
     return np.sum(white**2, axis=0)
 
 

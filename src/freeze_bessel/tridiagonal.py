@@ -5,13 +5,11 @@ matrices) and the freezing targets (one-row batches of the recurrence Jacobi
 matrices whose spectra are the Hermite and Laguerre zeros).
 
 From n = 12 up, every row goes through LAPACK ``dsterf``, called through
-ctypes on the function pointer that the ``scipy.linalg.cython_lapack``
-extension exports.  It is bound on first use, once per process, by the
-calling thread before any row pool starts, and loads that one extension
-(0.003 s and 2 MB), not the ``scipy.linalg`` package (0.15 s and 23 MB).  A
-ctypes call releases the GIL, so contiguous chunks of rows run on a thread
-pool; each row meets the same routine however the rows are chunked, so the
-bytes do not depend on the thread count.
+ctypes (``_scipy._dsterf``).  It is bound on first use, once per process, by
+the calling thread before any row pool starts.  A ctypes call releases the
+GIL, so contiguous chunks of rows run on a thread pool; each row meets the
+same routine however the rows are chunked, so the bytes do not depend on the
+thread count.
 
 ``dsterf`` overwrites its rows.  The public ``tridiagonal_eigenvalues``
 solves on C-ordered float64 copies of its inputs; the samplers build their
@@ -22,13 +20,12 @@ those copies.
 from __future__ import annotations
 
 import ctypes
-import functools
-import importlib.machinery
-import importlib.util
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+
+from ._scipy import _dsterf
 
 __all__ = ["tridiagonal_eigenvalues"]
 
@@ -41,38 +38,6 @@ __all__ = ["tridiagonal_eigenvalues"]
 # per row: sample_exact's peak over its output is 14.9x dense and 2.1x
 # dsterf at A n = 12.  So n <= 10, where dense is no slower, stays dense.
 _STERF_MIN_N = 12
-
-
-def _capsule_function(capsule, prototype):
-    """The C function that a Cython ``__pyx_capi__`` capsule points to."""
-    api = ctypes.pythonapi
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
-    return prototype(get_pointer(capsule, get_name(capsule)))
-
-
-@functools.cache
-def _dsterf():
-    """LAPACK ``dsterf(n, d, e, info)``, d and e raw addresses of float64 rows.
-
-    Bound on the first call, which loads the ``cython_lapack`` extension
-    without running ``scipy/linalg/__init__.py``; where no extension file is
-    found, it imports the module through ``scipy.linalg``.
-    ``_solve_in_place`` makes that call in its own thread before it starts a
-    row pool, so no worker thread imports.
-    """
-    linalg_dir = importlib.util.find_spec("scipy.linalg").submodule_search_locations
-    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg.cython_lapack", linalg_dir)
-    if spec is None:
-        from scipy.linalg import cython_lapack
-    else:
-        cython_lapack = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(cython_lapack)
-    int_p = ctypes.POINTER(ctypes.c_int)
-    return _capsule_function(
-        cython_lapack.__pyx_capi__["dsterf"],
-        ctypes.CFUNCTYPE(None, int_p, ctypes.c_void_p, ctypes.c_void_p, int_p),
-    )
 
 
 def _usable_cores() -> int:

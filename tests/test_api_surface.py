@@ -138,7 +138,7 @@ def test_settable_values_census():
     # every default is a value a caller may set, which tests and the benchmark
     # must then cover; a new option or a retired one is an edit of this number
     total = sum(_settable_values(ast.parse(path.read_text(encoding="utf-8"))) for path in SRC.glob("*.py"))
-    assert total == 92
+    assert total == 85
 
 
 # (command, whether scipy.linalg and scipy.special may be loaded after it);
@@ -151,8 +151,13 @@ _SCIPY_LOADS = [
      {"scipy.linalg": False, "scipy.special": False}),
     # dsterf (n >= 12) is bound from the cython_lapack extension alone, without scipy.linalg
     (["verify", "--suite", "identities", "--quick"], {"scipy.linalg": False, "scipy.special": False}),
-    (["sample", "--system", "A", "--n", "20", "--k", "5", "--count", "10"], {"scipy.linalg": False}),
+    (["sample", "--system", "A", "--n", "20", "--k", "5", "--count", "10"],
+     {"scipy.linalg": False, "scipy.special": False}),
     (["target", "--system", "D", "--n", "300"], {"scipy.linalg": False, "scipy.special": False}),
+    # the KS law, both CDFs, the Mahalanobis solve and the SDE, then covariance:
+    # each comes from its one scipy extension module (freeze_bessel._scipy)
+    (["verify", "--suite", "clt-b1", "--quick", "--seed", "0"], {"scipy.linalg": False, "scipy.special": False}),
+    (["sigma", "--system", "A", "--n", "3"], {"scipy.linalg": False, "scipy.special": False}),
 ]
 _LOADED_AFTER = """
 import contextlib, io, sys
@@ -168,7 +173,7 @@ def test_cli_import_loads_no_heavy_scipy_subpackage():
     # each of the three heavy subpackages adds 15-38 MB of resident memory to
     # every command.  scipy.linalg and scipy.special bring numpy.f2py,
     # numpy.testing and numpy.ma with them (about 30 MB and 0.2 s at
-    # import), so the package imports each on the first call that needs it
+    # import), so the package loads only the extension modules it calls
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
     for argv, expected in _SCIPY_LOADS:

@@ -430,6 +430,22 @@ def test_threads_must_be_a_positive_integer(threads, capsys):
     assert f"threads must be an integer >= 1, got {threads}" in capsys.readouterr().err
 
 
+_PAST_FLOATS = "9" * 401  # an int that math.isfinite cannot convert to a float
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["sample", "--system", "A", "--n", "2", "--k", "1", "--count", _PAST_FLOATS], "count"),
+    (["sample", "--system", "A", "--n", _PAST_FLOATS, "--k", "1", "--count", "3"], "n"),
+    ([*_B2_SDE, "--x0", "1,0.5", "--paths", _PAST_FLOATS], "paths"),
+    ([*_B2_SDE, "--x0", "1,0.5", "--steps", _PAST_FLOATS], "steps"),
+    (["--threads", _PAST_FLOATS, "sample", "--system", "A", "--n", "2", "--k", "1", "--count", "3"], "threads"),
+], ids=["count", "n", "paths", "steps", "threads"])
+def test_counts_past_the_float_range_are_refused_exit_2(argv, name, capsys):
+    # the count rule's OverflowError escaped main, which exited 1 with a traceback
+    assert main(argv) == 2
+    assert f"error: {name} must be an integer >= 1, got 999" in capsys.readouterr().err
+
+
 def test_sde_command(tmp_path):
     path = tmp_path / "sde.csv"
     assert main(["sde", "--system", "B", "--n", "2", "--k1", "1.0", "--k2", "1.0",

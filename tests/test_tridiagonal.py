@@ -189,7 +189,7 @@ def _address(function) -> int:
 _LONE_EXTENSION = """
 import ctypes, sys
 import numpy as np
-from freeze_bessel import tridiagonal
+from freeze_bessel import _scipy, tridiagonal
 bound = tridiagonal._dsterf()
 print("scipy.linalg" not in sys.modules)
 import scipy.linalg
@@ -197,7 +197,7 @@ from scipy.linalg import cython_lapack
 d, e = np.linspace(-1.0, 2.0, 20), np.linspace(0.5, 1.5, 19)
 lam, info = scipy.linalg.lapack.dsterf(d, e)
 print(info == 0 and lam[::-1].tobytes() == tridiagonal.tridiagonal_eigenvalues([d], [e])[0].tobytes())
-again = tridiagonal._capsule_function(cython_lapack.__pyx_capi__["dsterf"], type(bound))
+again = _scipy._capsule_function(cython_lapack.__pyx_capi__["dsterf"], type(bound))
 print(ctypes.cast(bound, ctypes.c_void_p).value == ctypes.cast(again, ctypes.c_void_p).value)
 """
 
