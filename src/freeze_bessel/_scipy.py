@@ -13,7 +13,8 @@ loaded by ``_extension`` without running the package ``__init__``:
   module, about 2 MB);
 - ``ndtr`` and ``gammaincc`` (the normal and chi-square CDFs) are the ufuncs
   of the ``scipy.special._special_ufuncs`` extension (2.4 MB), the objects
-  that ``scipy.special`` exports;
+  that ``scipy.special`` exports; a scipy whose extension lacks them (or
+  that has none) gives them through ``scipy.special``;
 - the Kolmogorov survival function, evaluated once per KS test on a scalar,
   is a port of scipy's routine, which lives in the large ``_ufuncs``
   extension.
@@ -59,8 +60,14 @@ def _capsule_function(capsule, prototype):
     return prototype(get_pointer(capsule, get_name(capsule)))
 
 
+@functools.cache
+def _cython_lapack():
+    """The ``scipy.linalg.cython_lapack`` extension, loaded once for every LAPACK binding."""
+    return _extension("scipy.linalg", "cython_lapack")
+
+
 def _lapack_function(name: str, prototype):
-    return _capsule_function(_extension("scipy.linalg", "cython_lapack").__pyx_capi__[name], prototype)
+    return _capsule_function(_cython_lapack().__pyx_capi__[name], prototype)
 
 
 @functools.cache
@@ -113,8 +120,20 @@ def _solve_lower(chol, b) -> np.ndarray:
 
 @functools.cache
 def _special_ufuncs():
-    """The ``scipy.special._special_ufuncs`` extension, which defines ``ndtr`` and ``gammaincc``."""
-    return _extension("scipy.special", "_special_ufuncs")
+    """The module whose ``ndtr`` and ``gammaincc`` the package calls.
+
+    The ``scipy.special._special_ufuncs`` extension where it defines both, as
+    on scipy 1.17; on a scipy that has no such extension, or whose extension
+    lacks either ufunc (``scipy.special`` then takes them from elsewhere),
+    ``scipy.special`` itself, at the cost of loading the package.
+    """
+    try:
+        module = _extension("scipy.special", "_special_ufuncs")
+    except ImportError:
+        module = None
+    if all(hasattr(module, name) for name in ("ndtr", "gammaincc")):
+        return module
+    return importlib.import_module("scipy.special")
 
 
 def _kolmogorov(x: float) -> float:

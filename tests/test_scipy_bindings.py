@@ -2,6 +2,7 @@ import importlib.machinery
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,45 @@ def test_install_without_the_extension_file_loads_through_scipy_special(monkeypa
     monkeypatch.undo()
     assert refused == ["scipy.special._special_ufuncs"]
     assert fallback.ndtr is scipy.special.ndtr is _scipy._special_ufuncs().ndtr
+
+
+def test_scipy_without_the_extension_gives_the_ufuncs_through_scipy_special(monkeypatch):
+    # an older scipy has no _special_ufuncs module: neither PathFinder nor
+    # the fallback import finds one
+    find_spec = importlib.machinery.PathFinder.find_spec
+
+    def no_extension(name, path=None, target=None):
+        return None if name == "scipy.special._special_ufuncs" else find_spec(name, path, target)
+
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", no_extension)
+    monkeypatch.delitem(sys.modules, "scipy.special._special_ufuncs", raising=False)
+    with pytest.raises(ModuleNotFoundError):
+        _scipy._extension("scipy.special", "_special_ufuncs")
+    assert _scipy._special_ufuncs.__wrapped__() is scipy.special
+
+
+@pytest.mark.parametrize("present", [(), ("ndtr",), ("gammaincc",)])
+def test_an_extension_without_both_ufuncs_gives_them_through_scipy_special(monkeypatch, present):
+    # a scipy whose _special_ufuncs defines other ufuncs than these two
+    stub = types.ModuleType("scipy.special._special_ufuncs")
+    for name in present:
+        setattr(stub, name, getattr(scipy.special, name))
+    monkeypatch.setattr(_scipy, "_extension", lambda package, name: stub)
+    assert _scipy._special_ufuncs.__wrapped__() is scipy.special
+
+
+def test_the_lapack_bindings_load_cython_lapack_once(monkeypatch):
+    extension, loads = _scipy._extension, []
+
+    def counted(package, name):
+        loads.append(f"{package}.{name}")
+        return extension(package, name)
+
+    monkeypatch.setattr(_scipy, "_extension", counted)
+    _scipy._cython_lapack.cache_clear()
+    dsterf, dtrtrs = _scipy._dsterf.__wrapped__(), _scipy._dtrtrs.__wrapped__()
+    assert loads == ["scipy.linalg.cython_lapack"]
+    assert dsterf is not None and dtrtrs is not None
 
 
 def _lower_factor(n: int, rng) -> np.ndarray:

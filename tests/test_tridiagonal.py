@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dsterf
 
-from freeze_bessel import tridiagonal
+from freeze_bessel import _scipy, tridiagonal
 from freeze_bessel.tridiagonal import _STERF_MIN_N, _solve_in_place, tridiagonal_eigenvalues
 
 
@@ -229,6 +229,7 @@ def test_install_without_the_extension_file_binds_through_scipy_linalg(monkeypat
         return find_spec(name, path, target)
 
     monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", no_extension)
+    _scipy._cython_lapack.cache_clear()  # the module is loaded once per process; load it again
     fallback = tridiagonal._dsterf.__wrapped__()
     monkeypatch.undo()
     assert refused == ["scipy.linalg.cython_lapack"]
