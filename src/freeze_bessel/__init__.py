@@ -50,7 +50,6 @@ from .sampling import (
     sample_tridiag_b,
 )
 from .sde import (
-    BUDGET_ENV_VAR,
     BudgetExceeded,
     SdeConfig,
     StartDistribution,
@@ -111,7 +110,6 @@ __all__ = [
     "sample_metropolis",
     "sample_tridiag_a",
     "sample_tridiag_b",
-    "BUDGET_ENV_VAR",
     "BudgetExceeded",
     "SdeConfig",
     "StartDistribution",

@@ -3,8 +3,9 @@
 Subcommands: zeros, target, sigma, constants, sample, sde, verify.  Output
 files always embed a RunManifest; ``--replay FILE`` parses its recorded
 parameters like a command line and re-runs it.  Exit codes: 0 success,
-1 statistical failure, 2 bad input, 3 runtime abort (sampler collapse, budget
-exhaustion, numerical failure).
+1 statistical failure, 2 bad input (also a ``--replay`` file that cannot be
+read or an ``--out`` path that cannot be written), 3 runtime abort (sampler
+collapse, the SDE work cap exceeded, numerical failure).
 """
 
 from __future__ import annotations
@@ -352,7 +353,7 @@ def main(argv=None) -> int:
     except RuntimeError as exc:  # SamplerAbort, BudgetExceeded and numerical failures
         print(f"abort: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # OSError: a --replay or --out path, e.g. a directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

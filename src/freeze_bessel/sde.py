@@ -18,7 +18,6 @@ near-wall excursions cannot blow a step up.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -38,7 +37,6 @@ from .core import (
 from .sampling import BatchDiagnostics, SampleBatch, SampleMethod, SamplerAbort, _spawned_children
 
 __all__ = [
-    "BUDGET_ENV_VAR",
     "BudgetExceeded",
     "StartDistribution",
     "SdeConfig",
@@ -46,28 +44,15 @@ __all__ = [
     "simulate_endpoints",
 ]
 
-BUDGET_ENV_VAR = "FREEZE_BESSEL_BUDGET"
-_DEFAULT_BUDGET = 200_000_000
+# the most steps * paths one run may take, 5x a full-mode verify SDE row (2000 steps x 20 000 paths)
+_PATH_STEP_CAP = 200_000_000
 _DEFAULT_STEPS_PER_UNIT_TIME = 2000
 _DEFAULT_PATHS = 20_000
 _DRIFT_CLIP = 10.0
 
 
 class BudgetExceeded(RuntimeError):
-    """steps * paths exceeded the configured work budget (exit code 3)."""
-
-
-def path_step_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return _DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be positive")
-    return value
+    """steps * paths exceeded the fixed cap of 2e8 path steps (exit code 3)."""
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +193,8 @@ def drift_batch(spec: RootSystemSpec, pts: np.ndarray) -> np.ndarray:
 class SdeConfig:
     """Run configuration of the Heun scheme on a uniform time mesh.
 
-    ``steps`` defaults to 2000 per unit of time.  steps * paths is capped by
-    the FREEZE_BESSEL_BUDGET environment variable (2e8 when unset), read when
-    the simulation starts.  ``threads`` > 1 runs the 4096-path
+    ``steps`` defaults to 2000 per unit of time.  steps * paths is capped at
+    2e8, checked before any path is drawn.  ``threads`` > 1 runs the 4096-path
     sub-batches on that many threads, the SDE's one parallel layer (it
     calls no eigensolve, so no pool nests inside it); the default runs
     them one after another in the calling thread, with the same bytes.
@@ -307,12 +291,9 @@ def simulate_endpoints(cfg: SdeConfig) -> SampleBatch:
     map re-sorted, over both projections of every step and every path.
     """
     steps = cfg.resolved_steps
-    budget = path_step_budget()
-    if steps * cfg.paths > budget:
-        raise BudgetExceeded(
-            f"steps*paths = {steps * cfg.paths} exceeds budget {budget} "
-            f"(raise {BUDGET_ENV_VAR} or lower the workload)"
-        )
+    if steps * cfg.paths > _PATH_STEP_CAP:
+        raise BudgetExceeded(f"steps*paths = {steps * cfg.paths} exceeds the cap of {_PATH_STEP_CAP}: "
+                             "lower steps or paths")
     jobs = _spawned_children(cfg.seed, cfg.paths)
     if cfg.threads is not None and cfg.threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:

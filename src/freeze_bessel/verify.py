@@ -13,7 +13,8 @@ Each threshold is one module constant (``P_THRESHOLD``, ``COV_REL_TOL``,
 ``MEAN_SIGMA_MULT``, ``N_PERMUTATIONS``, ``LLN_TOL``, and the calibration rule
 ``CALIBRATION_MIN_PASSES`` of ``CALIBRATION_SEEDS``), tuned for 20,000-sample
 runs.  The verdict reads the constant and the report records it; no check
-takes a threshold as an argument.
+takes a threshold as an argument.  Every randomized check takes ``seed`` with
+no default: its verdict is a statement about the one draw the caller seeded.
 
 The ``identities`` suite decides its verdicts here too.  The per-point
 checkers of ``gaussian`` and ``equilibria`` return numbers, and each grid
@@ -112,7 +113,10 @@ def gaussian_battery(centered: np.ndarray, t: float, sigma: np.ndarray) -> tuple
         raise ValueError("expected a 2-d batch")
     count, n = pts.shape
     _check_count(count)
-    tsig = t * np.asarray(sigma, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != (n, n):
+        raise ValueError(f"sigma must be {n}x{n} for {n} coordinates, got shape {sigma.shape}")
+    tsig = t * sigma
     mean = pts.mean(axis=0)
     mean_norm = float(np.linalg.norm(mean))
     mean_limit = MEAN_SIGMA_MULT * math.sqrt(np.trace(tsig) / count)
@@ -171,7 +175,7 @@ def lln_check(
     nu: float | None = None,
     k1: float | None = None,
     count: int = DEFAULT_COUNT,
-    seed: int = 0,
+    seed: int,
 ) -> VerificationReport:
     """Scaled samples concentrate at the freezing target.
 
@@ -216,7 +220,7 @@ def clt_gaussian_check(
     *,
     nu: float | None = None,
     count: int = DEFAULT_COUNT,
-    seed: int = 0,
+    seed: int,
     start=None,
     steps: int | None = None,
 ) -> VerificationReport:
@@ -252,7 +256,7 @@ def clt_type_a_limit_check(
     t: float,
     *,
     count: int = DEFAULT_COUNT,
-    seed: int = 0,
+    seed: int,
 ) -> VerificationReport:
     """B-samples shifted by sqrt(2*t*k1) match the A-law at time t/2 with k = k2.
 
@@ -282,7 +286,7 @@ def one_sided_check(
     *,
     k1: float = 0.0,
     count: int = DEFAULT_COUNT,
-    seed: int = 0,
+    seed: int,
 ) -> VerificationReport:
     """Half-space limit of B-type laws with large pair multiplicity.
 
@@ -344,7 +348,7 @@ def start_distribution_check(
     *,
     count: int = DEFAULT_COUNT,
     steps: int | None = None,
-    seed: int = 0,
+    seed: int,
 ) -> VerificationReport:
     """The Gaussian limit is insensitive to the (interior) starting law.
 
@@ -363,7 +367,7 @@ def two_sample_agreement(
     *,
     name: str,
     parameters: dict,
-    seed: int = 0,
+    seed: int,
 ) -> VerificationReport:
     """Per-coordinate KS plus energy-distance agreement between two batches."""
     a = np.asarray(points_a, dtype=float)
@@ -392,7 +396,7 @@ def translation_invariance_check(
     *,
     paths: int = 4000,
     steps: int | None = None,
-    seed: int = 0,
+    seed: int,
 ) -> VerificationReport:
     """A-type diagonal-shift invariance: endpoints from x0 + c*1, shifted back,
     must match endpoints from x0 in law.
@@ -425,14 +429,14 @@ def translation_invariance_check(
 
 
 def calibration_check(
-    theorem: str = "A",
-    n: int = 3,
-    strength: float = 200.0,
-    t: float = 1.0,
+    theorem: str,
+    n: int,
+    strength: float,
+    t: float,
     *,
     nu: float | None = None,
     count: int = DEFAULT_COUNT,
-    seed: int = 0,
+    seed: int,
 ) -> VerificationReport:
     """False-positive control: the battery on true N(0, t*Sigma) draws.
 
@@ -440,6 +444,7 @@ def calibration_check(
     law, so the battery should pass on at least ``CALIBRATION_MIN_PASSES`` of
     ``CALIBRATION_SEEDS`` independent seeds.
     """
+    count = _as_count(count, "count")
     _as_time(t)
     regime = _gaussian_regime(theorem, n, strength, nu)
     chol = np.linalg.cholesky(t * regime.sigma)
@@ -462,13 +467,13 @@ def calibration_check(
 
 
 def covariance_error_trend(
-    theorem: str = "A",
-    n: int = 3,
-    t: float = 1.0,
+    theorem: str,
+    n: int,
+    t: float,
     *,
     nu: float | None = None,
     count: int = DEFAULT_COUNT,
-    seed: int = 0,
+    seed: int,
 ) -> VerificationReport:
     """Covariance Frobenius error does not grow with the multiplicity.
 

@@ -108,6 +108,27 @@ def test_only_verify_builds_reports():
     assert importers == ["__init__", "manifest", "verify"]
 
 
+_ENVIRONMENT = ("environ", "getenv")
+
+
+def _environment_reads(path: Path) -> list[str]:
+    """Each ``os.environ`` or ``os.getenv``, also as a name imported from ``os``."""
+    reads = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT and getattr(node.value, "id", None) == "os":
+            reads.append(f"{path.name}:{node.lineno} os.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads += [f"{path.name}:{node.lineno} os.{a.name}" for a in node.names if a.name in _ENVIRONMENT]
+    return reads
+
+
+def test_no_module_reads_the_environment():
+    # a run depends only on its arguments: a setting read from the environment
+    # is recorded in no manifest, so a replayed file could run differently
+    reads = [entry for path in sorted(SRC.glob("*.py")) for entry in _environment_reads(path)]
+    assert not reads, f"modules that read the environment: {reads}"
+
+
 def test_console_script_is_cli_main():
     # tier-1 runs from the source tree; CI then installs the package once and
     # runs the console script (tier1.yml), which this check keeps pointed at main
@@ -138,7 +159,7 @@ def test_settable_values_census():
     # every default is a value a caller may set, which tests and the benchmark
     # must then cover; a new option or a retired one is an edit of this number
     total = sum(_settable_values(ast.parse(path.read_text(encoding="utf-8"))) for path in SRC.glob("*.py"))
-    assert total == 85
+    assert total == 69
 
 
 # (command, whether scipy.linalg and scipy.special may be loaded after it);

@@ -480,10 +480,10 @@ def test_sde_time_must_be_finite_exits_2(t, capsys):
     assert "t must be finite and > 0" in capsys.readouterr().err
 
 
-def test_sde_budget_exhaustion_exits_3(monkeypatch):
-    monkeypatch.setenv("FREEZE_BESSEL_BUDGET", "1000")
+def test_sde_budget_exhaustion_exits_3(capsys):
     assert main(["sde", "--system", "A", "--n", "2", "--k", "1.0",
-                 "--x0", "1,-1", "--steps", "100", "--paths", "100"]) == 3
+                 "--x0", "1,-1", "--steps", "20001", "--paths", "10000"]) == 3
+    assert "abort: steps*paths = 200010000 exceeds the cap" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -590,3 +590,11 @@ def test_no_command_prints_help(capsys):
 
 def test_replay_missing_file_exits_2(tmp_path):
     assert main(["--replay", str(tmp_path / "nope.csv")]) == 2
+
+
+@pytest.mark.parametrize("argv", [["--replay"], [*_SAMPLE, "--out"]], ids=["--replay", "--out"])
+def test_a_directory_as_the_replay_or_out_path_exits_2(argv, tmp_path, capsys):
+    # IsADirectoryError escaped main: a traceback and exit 1, the code of a statistical failure
+    assert main([*argv, str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err

@@ -290,7 +290,7 @@ _SEEDED = {
     "SdeConfig": lambda s: SdeConfig(_A2, [1.0, 0.0], 1.0, s),
     "energy_distance_test": lambda s: energy_distance_test(np.zeros(5), np.ones(5), seed=s),
     "run_suite": lambda s: run_suite("lln", seed=s, quick=True),
-    "calibration_check": lambda s: calibration_check(count=5, seed=s),
+    "calibration_check": lambda s: calibration_check("A", 3, 200.0, 1.0, count=5, seed=s),
     "clt_type_a_limit_check": lambda s: clt_type_a_limit_check(2, 1.0, 1.0, 1.0, count=5, seed=s),
 }
 

@@ -9,7 +9,6 @@ from scipy import stats as ss
 from freeze_bessel.core import RootKind, RootSystemSpec, in_chamber, project_batch
 from freeze_bessel.sampling import SampleMethod, _spawned_children
 from freeze_bessel.sde import (
-    BUDGET_ENV_VAR,
     BudgetExceeded,
     SdeConfig,
     StartDistribution,
@@ -240,21 +239,13 @@ def test_start_keeps_its_own_copy_of_the_callers_arrays():
             held[0] = 0.0
 
 
-def test_budget_enforcement(monkeypatch):
-    monkeypatch.setenv(BUDGET_ENV_VAR, "5000")
+def test_budget_enforcement():
+    # 20001 * 10000 path steps are just over the fixed 2e8 cap; the check runs
+    # before any path is drawn, so the refusal costs nothing
     spec = RootSystemSpec.a(2, 1.0)
-    cfg = SdeConfig(spec=spec, x0=[1.0, -1.0], t=1.0, seed=0, steps=100, paths=100)
-    with pytest.raises(BudgetExceeded, match=BUDGET_ENV_VAR):
+    cfg = SdeConfig(spec=spec, x0=[1.0, -1.0], t=1.0, seed=0, steps=20001, paths=10000)
+    with pytest.raises(BudgetExceeded, match="200010000 exceeds the cap of 200000000"):
         simulate_endpoints(cfg)
-
-
-def test_budget_env_variable(monkeypatch):
-    from freeze_bessel.sde import path_step_budget
-
-    monkeypatch.setenv(BUDGET_ENV_VAR, "1234")
-    assert path_step_budget() == 1234
-    monkeypatch.delenv(BUDGET_ENV_VAR)
-    assert path_step_budget() == 200_000_000
 
 
 def test_free_particle_matches_brownian_motion():

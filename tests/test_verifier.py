@@ -92,13 +92,14 @@ def test_regime_validation():
             with pytest.raises(ValueError, match="strength > 0"):
                 FreezingRegime.from_theorem(theorem, 2, strength, **extra)
     with pytest.raises(ValueError, match="strength > 0"):
-        calibration_check("A", 2, 0.0)
+        calibration_check("A", 2, 0.0, 1.0, seed=0)
 
 
 def test_gaussian_checks_refuse_the_one_sided_regime_by_name():
     # B3's last coordinate is one-sided; these checks take no k1 and point to the check that does
-    for check in (lambda: clt_gaussian_check("B3", 2, 200.0, 1.0), lambda: calibration_check("B3", 2, 200.0),
-                  lambda: verify.covariance_error_trend("B3", 2)):
+    for check in (lambda: clt_gaussian_check("B3", 2, 200.0, 1.0, seed=0),
+                  lambda: calibration_check("B3", 2, 200.0, 1.0, seed=0),
+                  lambda: verify.covariance_error_trend("B3", 2, 1.0, seed=0)):
         with pytest.raises(ValueError, match="one-sided last coordinate.*one_sided_check"):
             check()
 
@@ -141,6 +142,18 @@ def test_gaussian_battery_refuses_a_small_batch_before_dividing():
     for count in (1, 2, 999):
         with pytest.raises(ValueError, match=f"need >= 1000 samples, got {count}"):
             gaussian_battery(np.zeros((count, 2)), 1.0, np.eye(2))
+    # calibration draws its own batches, and 1500.5 reached numpy's TypeError
+    for count in (1500.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="count must be an integer >= 1"):
+            calibration_check("A", 2, 200.0, 1.0, count=count, seed=0)
+
+
+def test_gaussian_battery_refuses_a_sigma_that_does_not_fit():
+    # a 3x3 sigma on 2 coordinates failed in numpy's broadcasting, a 1x1 one in the triangular solve
+    centered = np.random.default_rng(0).standard_normal((2000, 2))
+    for size in (3, 1):
+        with pytest.raises(ValueError, match=f"sigma must be 2x2 for 2 coordinates, got shape \\({size}, {size}\\)"):
+            gaussian_battery(centered, 1.0, np.eye(size))
 
 
 _BAD_TIMES = (0.0, -1.0, math.inf, math.nan)
@@ -165,15 +178,15 @@ def test_lln_concentrates_at_high_multiplicity_only():
     bad = lln_check("A", 2, 10.0, 1.0, count=5000, seed=0)
     assert not bad.passed  # spread is still wide at k = 10
     with pytest.raises(ValueError):
-        lln_check("B", 2, 100.0, 1.0)  # nu missing
+        lln_check("B", 2, 100.0, 1.0, seed=0)  # nu missing
     with pytest.raises(ValueError):
-        lln_check("B3", 2, 100.0, 1.0)  # k1 missing
+        lln_check("B3", 2, 100.0, 1.0, seed=0)  # k1 missing
     with pytest.raises(ValueError):
-        lln_check("Q", 2, 100.0, 1.0)
+        lln_check("Q", 2, 100.0, 1.0, seed=0)
     with pytest.raises(ValueError):
-        lln_check("B", 2, 100.0, 1.0, nu=1.0, k1=1.0)
+        lln_check("B", 2, 100.0, 1.0, nu=1.0, k1=1.0, seed=0)
     with pytest.raises(ValueError):
-        lln_check("A", 2, 100.0, 1.0, nu=1.0)
+        lln_check("A", 2, 100.0, 1.0, nu=1.0, seed=0)
     # B at nu = 0 is the fixed-k1 regime B3 at k1 = 0
     zero_axis = lln_check("B", 3, 10_000.0, 1.0, nu=0.0, count=2000, seed=5)
     b3 = lln_check("B3", 3, 10_000.0, 1.0, k1=0.0, count=2000, seed=5)
